@@ -209,11 +209,18 @@ def _coherence_reports(model: Model, args) -> list[CheckReport]:
     return reports
 
 
-def cmd_check(args) -> int:
+def _load(args) -> Model | None:
+    """The model named by ``--model``, or None after reporting why not."""
     try:
-        model = load_model(args.model)
+        return load_model(args.model)
     except ModelFileError as exc:
         print(f"model error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_check(args) -> int:
+    model = _load(args)
+    if model is None:
         return 2
     reports = []
     reports.extend(check_structure(model))
@@ -235,10 +242,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    try:
-        model = load_model(args.model)
-    except ModelFileError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
+    model = _load(args)
+    if model is None:
         return 2
     reports = _coherence_reports(model, args)
     _emit(args, {"command": "coherence", "model": args.model,
@@ -253,10 +258,8 @@ def _params(args) -> dict:
 
 
 def cmd_central(args) -> int:
-    try:
-        model = load_model(args.model)
-    except ModelFileError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
+    model = _load(args)
+    if model is None:
         return 2
     try:
         x = model.object_by_name(args.x)

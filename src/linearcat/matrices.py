@@ -86,10 +86,7 @@ def identity_matrix(model: Model, objects: tuple, src_word: Word,
 
 def _realization_map(model: Model, src, tgt) -> dict:
     """matrix entry-key -> unique realizing morphism, for one boundary."""
-    cache = getattr(model, "_realize_cache", None)
-    if cache is None:
-        cache = {}
-        model._realize_cache = cache
+    cache = model.memo["realization"]
     key = (src, tgt)
     table = cache.get(key)
     if table is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import defaultdict
 from pathlib import Path
 
 from .errors import ModelFileError, NotInvertibleInModel
@@ -154,6 +155,9 @@ class Model:
         self._tables: dict[tuple, Mor] = {}
         self._hom_cache: dict[tuple, tuple[Mor, ...]] = {}
         self._pending_overrides = list(overrides or [])
+        # Values derived from this model by other layers (search, matrices),
+        # one dict per concern, so they never outlive or cross models.
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -214,10 +218,13 @@ class Model:
     def override_table(self, name: str, objs: tuple, graph: tuple[int, ...]) -> None:
         """Replace one structure component (fault injection hook)."""
         pristine = self._compute_structure(name, objs)
+        where = f"override for {name} at {tuple(o.name for o in objs)}"
         if len(graph) != len(pristine.graph):
             raise ValueError(
-                f"override for {name} at {tuple(o.name for o in objs)} needs"
-                f" {len(pristine.graph)} entries, got {len(graph)}")
+                f"{where} needs {len(pristine.graph)} entries, got {len(graph)}")
+        top = pristine.cod.size - 1
+        if any(type(v) is not int or not 0 <= v <= top for v in graph):
+            raise ValueError(f"{where} needs integer entries in 0..{top}")
         self._tables[(name, objs)] = Mor(pristine.dom, pristine.cod, tuple(graph))
 
     def assoc_sum(self, a, b, c) -> Mor:
@@ -645,12 +652,15 @@ def load_model(path: str | Path) -> Model:
 def model_from_dict(doc) -> Model:
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")
+    schema = doc.get("schema", 1)
+    if type(schema) is not int or schema != 1:
+        raise ModelFileError(f"unsupported schema {schema!r}; expected 1")
     kind = doc.get("kind")
     objects = doc.get("objects")
     if not isinstance(objects, list) or not objects:
         raise ModelFileError("model file needs a non-empty 'objects' list")
     if kind == "pointed_sets":
-        if not all(isinstance(o, int) and o >= 1 for o in objects):
+        if not all(type(o) is int and o >= 1 for o in objects):
             raise ModelFileError("pointed_sets objects must be positive sizes")
         model = FinPtSet(objects)
     elif kind == "commutative_monoids":
@@ -674,13 +684,15 @@ def _parse_monoid(entry, idx: int) -> CMonObj:
     if isinstance(entry, dict):
         name = entry.get("name")
         flat = entry.get("table")
+        if name is not None and not isinstance(name, str):
+            raise ModelFileError(f"monoid #{idx}: name must be a string")
     if not isinstance(flat, list):
         raise ModelFileError(f"monoid #{idx} must be a flat Cayley table")
     n = round(len(flat) ** 0.5)
     if n == 0 or n * n != len(flat):
         raise ModelFileError(f"monoid #{idx}: table length {len(flat)} is not square")
     table = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
-    if any(not isinstance(v, int) or not 0 <= v < n for row in table for v in row):
+    if any(type(v) is not int or not 0 <= v < n for row in table for v in row):
         raise ModelFileError(f"monoid #{idx}: entries out of range")
     if any(table[0][k] != k or table[k][0] != k for k in range(n)):
         raise ModelFileError(f"monoid #{idx}: 0 is not a unit")
@@ -695,11 +707,17 @@ def _parse_monoid(entry, idx: int) -> CMonObj:
 def _install_override(model: Model, ov) -> None:
     if not isinstance(ov, dict) or "table" not in ov or "graph" not in ov:
         raise ModelFileError("override entries need 'table', 'objects', 'graph'")
+    table, names, graph = ov["table"], ov.get("objects", []), ov["graph"]
+    if not isinstance(table, str) or not isinstance(graph, list) \
+            or not isinstance(names, list) \
+            or not all(isinstance(n, str) for n in names):
+        raise ModelFileError("an override needs a table name, a list of object"
+                             " names and a graph list")
     try:
-        objs = tuple(model.object_by_name(n) for n in ov.get("objects", []))
+        objs = tuple(model.object_by_name(n) for n in names)
     except KeyError as exc:
         raise ModelFileError(str(exc)) from exc
     try:
-        model.override_table(ov["table"], objs, tuple(ov["graph"]))
+        model.override_table(table, objs, tuple(graph))
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"bad override: {exc}") from exc

@@ -3,18 +3,25 @@
 Words are encoded as nested tuples for speed: ``'H'``, ``'Z'``, ``'O'`` for
 the leaves and ``(op, left, right)`` for nodes.  An elementary move applies
 one generator at one position; terms between two words are exactly the move
-paths between their encodings.
+paths between their encodings.  The generator rules live in one table,
+``_local_moves``.  Reverse moves are derived from it: a move is undone by
+the same generator in the other direction.
 
 Enumerating every path of length <= depth is exponential, so the search is
 pruned meet-in-the-middle: a backward distance table of radius depth // 2 is
 computed from the target, and forward exploration drops any state that
 provably cannot reach the target within the remaining budget.  The pruning
 is exact: no path within the depth bound is ever lost.
+
+Symbolic results (moves, distance tables, decoded words) are memoised with
+``functools.cache``; values at an object tuple go to the model's own
+``memo``, one dict per concern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .evaluate import eval_generator, eval_object
 from .models import Model, Mor
@@ -23,11 +30,12 @@ from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN, LUNIT_PROD,
                     RUNIT_SUM, CanonTerm, ElementaryTerm, Generator,
                     context_at, identity_term, render_term, vcompose)
 from .words import (HOLE, ONE, PROD, SUM, ZERO, Hole, Sum, UnitOne,
-                    UnitZero, Word, node)
+                    UnitZero, Word, length, node)
 
 # -- word keys ---------------------------------------------------------------
 
 H, Z, O = "H", "Z", "O"
+_LEAF_WORDS = {H: HOLE, Z: ZERO, O: ONE}
 
 
 def to_key(w: Word):
@@ -41,26 +49,24 @@ def to_key(w: Word):
     return (op, to_key(w.left), to_key(w.right))
 
 
-_WORD_CACHE: dict = {H: HOLE, Z: ZERO, O: ONE}
-
-
+@cache
 def from_key(key) -> Word:
-    w = _WORD_CACHE.get(key)
-    if w is None:
-        w = node(key[0], from_key(key[1]), from_key(key[2]))
-        _WORD_CACHE[key] = w
-    return w
+    if isinstance(key, tuple):
+        return node(key[0], from_key(key[1]), from_key(key[2]))
+    return _LEAF_WORDS[key]
 
 
-_LEN_CACHE: dict = {H: 1, Z: 0, O: 0}
-
-
+@cache
 def key_length(key) -> int:
-    n = _LEN_CACHE.get(key)
-    if n is None:
-        n = key_length(key[1]) + key_length(key[2])
-        _LEN_CACHE[key] = n
-    return n
+    if isinstance(key, tuple):
+        return key_length(key[1]) + key_length(key[2])
+    return 1 if key == H else 0
+
+
+def _leaves(key) -> int:
+    if isinstance(key, tuple):
+        return _leaves(key[1]) + _leaves(key[2])
+    return 1
 
 
 def _replace(key, path: tuple[int, ...], new):
@@ -84,101 +90,73 @@ def _positions(key, path=()):
 # An edge is (path, kind, inverse, args) with args given as word keys.
 Edge = tuple[tuple[int, ...], str, bool, tuple]
 
-_MOVE_CACHE: dict = {}
+# Generators that are invertible in every mode; i and j are one-way unless
+# the mode is partially linear.
+_ALWAYS_ISO = frozenset({ASSOC_SUM, ASSOC_PROD, LUNIT_SUM, RUNIT_SUM,
+                         LUNIT_PROD, RUNIT_PROD})
 
 
+def _local_moves(sub, mode: str) -> list[tuple[str, bool, tuple, object]]:
+    """Generators applicable at the root of ``sub``, as
+    ``(kind, inverse, args, replacement)``: the one move-rule table."""
+    out = []
+    if isinstance(sub, tuple):
+        op, left, right = sub
+        assoc = ASSOC_SUM if op == SUM else ASSOC_PROD
+        if isinstance(right, tuple) and right[0] == op:
+            out.append((assoc, False, (left, right[1], right[2]),
+                        (op, (op, left, right[1]), right[2])))
+        if isinstance(left, tuple) and left[0] == op:
+            out.append((assoc, True, (left[1], left[2], right),
+                        (op, left[1], (op, left[2], right))))
+        if op == SUM:
+            if left == Z:
+                out.append((LUNIT_SUM, False, (right,), right))
+            if right == Z:
+                out.append((RUNIT_SUM, False, (left,), left))
+            out.append((I_GEN, False, (left, right), (PROD, left, right)))
+        else:
+            if left == O:
+                out.append((LUNIT_PROD, False, (right,), right))
+            if right == O:
+                out.append((RUNIT_PROD, False, (left,), left))
+            if mode == PARTIALLY_LINEAR:
+                out.append((I_GEN, True, (left, right), (SUM, left, right)))
+    elif sub == Z:
+        out.append((J_GEN, False, (), O))
+    elif sub == O and mode == PARTIALLY_LINEAR:
+        out.append((J_GEN, True, (), Z))
+    out.append((LUNIT_SUM, True, (sub,), (SUM, Z, sub)))
+    out.append((RUNIT_SUM, True, (sub,), (SUM, sub, Z)))
+    out.append((LUNIT_PROD, True, (sub,), (PROD, O, sub)))
+    out.append((RUNIT_PROD, True, (sub,), (PROD, sub, O)))
+    return out
+
+
+@cache
 def moves(key, mode: str) -> tuple[tuple[Edge, object], ...]:
     """All single elementary moves out of ``key`` in the given mode."""
-    cached = _MOVE_CACHE.get((key, mode))
-    if cached is not None:
-        return cached
-    out: list[tuple[Edge, object]] = []
-
-    def add(path, kind, inverse, args, new_sub):
-        out.append(((path, kind, inverse, args), _replace(key, path, new_sub)))
-
-    for path, sub in _positions(key):
-        if isinstance(sub, tuple):
-            op, left, right = sub
-            assoc = ASSOC_SUM if op == SUM else ASSOC_PROD
-            if isinstance(right, tuple) and right[0] == op:
-                add(path, assoc, False, (left, right[1], right[2]),
-                    (op, (op, left, right[1]), right[2]))
-            if isinstance(left, tuple) and left[0] == op:
-                add(path, assoc, True, (left[1], left[2], right),
-                    (op, left[1], (op, left[2], right)))
-            if op == SUM:
-                if left == Z:
-                    add(path, LUNIT_SUM, False, (right,), right)
-                if right == Z:
-                    add(path, RUNIT_SUM, False, (left,), left)
-                add(path, I_GEN, False, (left, right), (PROD, left, right))
-            else:
-                if left == O:
-                    add(path, LUNIT_PROD, False, (right,), right)
-                if right == O:
-                    add(path, RUNIT_PROD, False, (left,), left)
-                if mode == PARTIALLY_LINEAR:
-                    add(path, I_GEN, True, (left, right), (SUM, left, right))
-        elif sub == Z:
-            add(path, J_GEN, False, (), O)
-        elif sub == O and mode == PARTIALLY_LINEAR:
-            add(path, J_GEN, True, (), Z)
-        add(path, LUNIT_SUM, True, (sub,), (SUM, Z, sub))
-        add(path, RUNIT_SUM, True, (sub,), (SUM, sub, Z))
-        add(path, LUNIT_PROD, True, (sub,), (PROD, O, sub))
-        add(path, RUNIT_PROD, True, (sub,), (PROD, sub, O))
-    result = tuple(out)
-    _MOVE_CACHE[(key, mode)] = result
-    return result
+    return tuple(((path, kind, inverse, args), _replace(key, path, new))
+                 for path, sub in _positions(key)
+                 for kind, inverse, args, new in _local_moves(sub, mode))
 
 
-def _predecessors(key, mode: str):
-    """Keys with a single move into ``key`` (targets only, no edges)."""
-    preds = []
-    for path, sub in _positions(key):
-        if isinstance(sub, tuple):
-            op, left, right = sub
-            # reverse of assoc forward: source was left-of-target reassociated
-            if isinstance(left, tuple) and left[0] == op:
-                preds.append(_replace(key, path, (op, left[1], (op, left[2], right))))
-            if isinstance(right, tuple) and right[0] == op:
-                preds.append(_replace(key, path, (op, (op, left, right[1]), right[2])))
-            # reverse of unitor insertions (which are moves into bigger words)
-            if op == SUM and left == Z:
-                preds.append(_replace(key, path, right))
-            if op == SUM and right == Z:
-                preds.append(_replace(key, path, left))
-            if op == PROD and left == O:
-                preds.append(_replace(key, path, right))
-            if op == PROD and right == O:
-                preds.append(_replace(key, path, left))
-            # reverse of i
-            if op == PROD:
-                preds.append(_replace(key, path, (SUM, left, right)))
-            if op == SUM and mode == PARTIALLY_LINEAR:
-                preds.append(_replace(key, path, (PROD, left, right)))
-        elif sub == O:
-            preds.append(_replace(key, path, Z))  # reverse of j
-        elif sub == Z and mode == PARTIALLY_LINEAR:
-            preds.append(_replace(key, path, O))
-        # reverse of unitor removals: re-attach a unit
-        preds.append(_replace(key, path, (SUM, Z, sub)))
-        preds.append(_replace(key, path, (SUM, sub, Z)))
-        preds.append(_replace(key, path, (PROD, O, sub)))
-        preds.append(_replace(key, path, (PROD, sub, O)))
-    return preds
+def _predecessors(key, mode: str) -> list:
+    """Keys with a single move into ``key`` (targets only, no edges).
+
+    The move from ``new`` back to ``sub`` applies the same generator in the
+    other direction, which ``mode`` must allow.  Not memoised: the backward
+    tables visit many more words than the forward search.
+    """
+    return [_replace(key, path, new)
+            for path, sub in _positions(key)
+            for kind, inverse, _, new in _local_moves(sub, PARTIALLY_LINEAR)
+            if inverse or mode == PARTIALLY_LINEAR or kind in _ALWAYS_ISO]
 
 
-_BT_CACHE: dict = {}
-
-
+@cache
 def backward_table(target_key, radius: int, mode: str) -> dict:
     """Distance-to-target for every key within ``radius`` reverse moves."""
-    cache_key = (target_key, radius, mode)
-    cached = _BT_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     dist = {target_key: 0}
     frontier = [target_key]
     for d in range(1, radius + 1):
@@ -189,7 +167,6 @@ def backward_table(target_key, radius: int, mode: str) -> dict:
                     dist[pred] = d
                     nxt.append(pred)
         frontier = nxt
-    _BT_CACHE[cache_key] = dist
     return dist
 
 
@@ -202,18 +179,13 @@ class SearchGraph:
     source_key: object
     target_key: object
     depth: int
-    radius: int
-    bt: dict
-    edges: dict  # key -> tuple[(edge, target_key, bt_target or None), ...]
-
-
-def _leaves(key) -> int:
-    if isinstance(key, tuple):
-        return _leaves(key[1]) + _leaves(key[2])
-    return 1
+    edges: dict  # key -> tuple[(edge, target_key, last layer), ...]
 
 
 def search_graph(v_key, w_key, depth: int, mode: str) -> SearchGraph:
+    """Every move that can lie on a path of at most ``depth`` moves from
+    ``v_key`` to ``w_key``.  Each edge carries the last layer it may end on:
+    a move into ``y`` ending on layer ``k`` is admitted iff ``k <= last``."""
     # A deep table toward a small target lets a bulky source prune at once;
     # between words of similar size a half-depth table is far cheaper.
     if _leaves(v_key) > _leaves(w_key) + 1:
@@ -221,79 +193,61 @@ def search_graph(v_key, w_key, depth: int, mode: str) -> SearchGraph:
     else:
         radius = depth // 2
     bt = backward_table(w_key, radius, mode)
-    free_limit = depth - radius - 1  # deepest layer allowed outside the table
+    free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
-    g_min = {v_key: 0}
+    seen = {v_key}
     frontier = [v_key]
-    g = 0
-    while frontier and g < depth:
+    layer = 0
+    while frontier and layer < depth:
+        layer += 1
         nxt = []
         for x in frontier:
             kept = []
             for edge, y in moves(x, mode):
                 bty = bt.get(y)
-                if bty is None:
-                    if g + 1 > free_limit:
-                        continue
-                elif g + 1 + bty > depth:
+                last = free_last if bty is None else depth - bty
+                if layer > last:
                     continue
-                kept.append((edge, y, bty))
-                if y not in g_min:
-                    g_min[y] = g + 1
+                kept.append((edge, y, last))
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
             edges[x] = tuple(kept)
         frontier = nxt
-        g += 1
     for x in frontier:
         edges.setdefault(x, ())
-    return SearchGraph(v_key, w_key, depth, radius, bt, edges)
-
-
-def _edge_allowed(layer_out: int, bty, depth: int, radius: int) -> bool:
-    if bty is None:
-        return layer_out <= depth - radius - 1
-    return layer_out + bty <= depth
-
-
-def _model_caches(model: Model) -> dict:
-    caches = getattr(model, "_search_caches", None)
-    if caches is None:
-        caches = {"obj": {}, "gen": {}, "edge": {}}
-        model._search_caches = caches
-    return caches
+    return SearchGraph(v_key, w_key, depth, edges)
 
 
 def eval_object_key(model: Model, key, objects: tuple):
     """Cached word-functor action on objects, keyed by word encoding."""
-    cache = _model_caches(model)["obj"]
+    memo = model.memo["object"]
     ck = (key, objects)
-    obj = cache.get(ck)
+    obj = memo.get(ck)
     if obj is None:
-        obj = eval_object(model, from_key(key), objects)
-        cache[ck] = obj
+        obj = memo[ck] = eval_object(model, from_key(key), objects)
     return obj
 
 
 def _generator_mor(model: Model, kind, inverse, args, objects) -> Mor:
-    cache = _model_caches(model)["gen"]
+    memo = model.memo["generator"]
     ck = (kind, inverse, args, objects)
-    mor = cache.get(ck)
+    mor = memo.get(ck)
     if mor is None:
         gen = Generator(kind, tuple(from_key(a) for a in args), inverse)
-        mor = eval_generator(model, gen, objects)
-        cache[ck] = mor
+        mor = memo[ck] = eval_generator(model, gen, objects)
     return mor
 
 
 def edge_morphism(model: Model, x_key, edge: Edge, objects: tuple) -> Mor:
     """Evaluate one elementary move out of ``x_key`` at an object tuple."""
-    cache = _model_caches(model)["edge"]
+    memo = model.memo["edge"]
     ck = (x_key, edge, objects)
-    mor = cache.get(ck)
+    mor = memo.get(ck)
     if mor is None:
         path, kind, inverse, args = edge
-        mor = _edge_eval(model, x_key, path, kind, inverse, args, objects)
-        cache[ck] = mor
+        mor = memo[ck] = _edge_eval(model, x_key, path, kind, inverse, args,
+                                    objects)
     return mor
 
 
@@ -370,17 +324,15 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
     parents: dict = {(graph.source_key, id_graph): None}
     frontier = [(graph.source_key, id_graph)]
     layer = 0
-    depth, radius = graph.depth, graph.radius
-    free_limit = depth - radius - 1
+    depth = graph.depth
     graph_edges = graph.edges
     edge_mor = edge_morphism
     while frontier and layer < depth:
         nxt = []
         layer_out = layer + 1
         for x, m in frontier:
-            for edge, y, bty in graph_edges.get(x, ()):
-                if (layer_out + bty > depth) if bty is not None \
-                        else (layer_out > free_limit):
+            for edge, y, last in graph_edges.get(x, ()):
+                if layer_out > last:
                     continue
                 eg = edge_mor(model, x, edge, objects).graph
                 my = tuple(eg[v] for v in m)
@@ -402,24 +354,16 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
 
 # -- the term-list interface ----------------------------------------------------
 
-def canonical_between(v: Word, w: Word, objects: tuple = (),
-                      model: Model | None = None, depth: int = 1,
+def canonical_between(v: Word, w: Word, *, depth: int = 1,
                       mode: str = PRELINEAR) -> list[CanonTerm]:
     """All canonical terms from ``v`` to ``w`` with at most ``depth``
-    elementary steps, ordered lexicographically by their text form.
-
-    The enumeration is symbolic; ``model`` and ``objects`` are accepted for
-    interface compatibility and validated but do not influence the result.
-    """
+    elementary steps, ordered lexicographically by their text form."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    from .words import length as wlength
-    if wlength(v) != wlength(w):
+    if length(v) != length(w):
         raise ValueError("canonical terms only exist between words of equal length")
-    if model is not None and objects and len(objects) != wlength(v):
-        raise ValueError("object tuple length does not match the word length")
     v_key, w_key = to_key(v), to_key(w)
     graph = search_graph(v_key, w_key, depth, mode)
     out: list[CanonTerm] = []
@@ -427,8 +371,8 @@ def canonical_between(v: Word, w: Word, objects: tuple = (),
         out.append(identity_term(v))
 
     def dfs(x, g, chain):
-        for edge, y, bty in graph.edges.get(x, ()):
-            if not _edge_allowed(g + 1, bty, graph.depth, graph.radius):
+        for edge, y, last in graph.edges.get(x, ()):
+            if g + 1 > last:
                 continue
             elem = elementary_from_edge(x, edge).to_canon()
             term = elem if chain is None else vcompose(elem, chain)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from linearcat.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -97,6 +99,19 @@ def test_check_malformed_model_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--model", str(bad))
     assert code == 2
     assert "model error" in err
+
+
+@pytest.mark.parametrize("graph", [[0, 7], [0, -1]])
+def test_check_bad_override_entry_exit_2(capsys, tmp_path, graph):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"schema": 1, "kind": "pointed_sets", "objects": [1, 2],
+         "overrides": [{"table": "lunit_sum", "objects": ["P2"],
+                        "graph": graph}]}))
+    code, out, err = run(capsys, "check", "--model", str(bad), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("model error") and "Traceback" not in err
 
 
 def test_central_monoids_table(capsys):

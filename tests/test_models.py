@@ -268,10 +268,34 @@ def test_model_file_overrides(tmp_path):
      "overrides": [{"table": "lunit_sum", "objects": ["P9"], "graph": [0]}]},
     {"kind": "pointed_sets", "objects": [2],
      "overrides": [{"table": "lunit_sum", "objects": ["P2"], "graph": [0]}]},
+    # override entries must index the codomain
+    {"kind": "pointed_sets", "objects": [2],
+     "overrides": [{"table": "lunit_sum", "objects": ["P2"], "graph": [0, 7]}]},
+    {"kind": "pointed_sets", "objects": [2],
+     "overrides": [{"table": "lunit_sum", "objects": ["P2"], "graph": [0, -1]}]},
+    {"kind": "pointed_sets", "objects": [2],
+     "overrides": [{"table": "lunit_sum", "objects": ["P2"], "graph": [0, True]}]},
+    {"kind": "pointed_sets", "objects": [2],
+     "overrides": [{"table": "lunit_sum", "objects": [["P2"]], "graph": [0, 0]}]},
+    {"kind": "pointed_sets", "objects": [2],
+     "overrides": [{"table": 7, "objects": ["P2"], "graph": [0, 0]}]},
+    # a present schema must be exactly the integer 1
+    {"schema": 99, "kind": "pointed_sets", "objects": [1, 2]},
+    {"schema": True, "kind": "pointed_sets", "objects": [1, 2]},
+    {"schema": "1", "kind": "pointed_sets", "objects": [1, 2]},
+    # booleans are not sizes or table entries
+    {"kind": "pointed_sets", "objects": [True, 2]},
+    {"kind": "commutative_monoids", "objects": [[0, True, True, 0]]},
+    {"kind": "commutative_monoids", "objects": [{"name": 5, "table": [0]}]},
 ])
 def test_model_file_rejects_malformed(doc):
     with pytest.raises(ModelFileError):
         model_from_dict(doc)
+
+
+def test_model_file_schema_is_optional():
+    model = model_from_dict({"kind": "pointed_sets", "objects": [2]})
+    assert [o.size for o in model.base_objects] == [1, 2]
 
 
 def test_monoid_enumeration_counts():

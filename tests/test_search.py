@@ -1,16 +1,21 @@
 import itertools
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from linearcat.evaluate import eval_canon
-from linearcat.models import PtObj
-from linearcat.search import (canonical_between, pure_bracketings,
+from linearcat.models import PtObj, load_model
+from linearcat.search import (_predecessors, canonical_between,
+                              elementary_from_edge, moves, pure_bracketings,
                               search_graph, to_key, value_flood, words_with)
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
-                             identity_term, render_term)
-from linearcat.words import HOLE, ONE, ZERO, Prod, Sum, parse_word
+                             identity_term, render_term, vcompose)
+from linearcat.words import HOLE, ONE, PROD, SUM, ZERO, Prod, Sum, parse_word
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_identity_is_found():
@@ -168,3 +173,77 @@ def test_plin_three_fold_bracketings_single_value(cmon):
     graph = search_graph(to_key(left), to_key(right), 6, PARTIALLY_LINEAR)
     flood = value_flood(cmon, graph, (z2, z2, z2))
     assert len(flood.values) == 1
+
+
+def _keys_up_to(leaves: int) -> list:
+    """Every word key with 1..leaves leaves (holes and both units)."""
+    by_size = {1: ["H", "Z", "O"]}
+    for n in range(2, leaves + 1):
+        by_size[n] = [(op, lk, rk) for split in range(1, n)
+                      for lk in by_size[split] for rk in by_size[n - split]
+                      for op in (SUM, PROD)]
+    return [k for n in range(1, leaves + 1) for k in by_size[n]]
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_predecessors_are_exact_reverse_of_moves(mode):
+    # A move changes the leaf count by at most one, so every predecessor of
+    # a word with <= 4 leaves has <= 5 leaves.  Missing predecessors would
+    # make backward_table overestimate distances and the pruning drop terms.
+    small = _keys_up_to(4)
+    want = {x: Counter() for x in small}
+    for y in _keys_up_to(5):
+        for _, x in moves.__wrapped__(y, mode):  # unmemoised
+            if x in want:
+                want[x][y] += 1
+    wrong = [x for x in small if Counter(_predecessors(x, mode)) != want[x]]
+    assert not wrong, wrong[:5]
+
+
+def _unpruned_values(model, v, w, depth, mode, objects) -> dict:
+    """Value -> shortest path length, over every move path of length <= depth
+    from v to w, found by a plain depth-first search over ``moves`` and
+    evaluated with eval_canon."""
+    v_key, w_key = to_key(v), to_key(w)
+    values = {}
+    if v_key == w_key:
+        values[eval_canon(model, identity_term(v), objects).graph] = 0
+
+    def dfs(x, g, chain):
+        for edge, y in moves.__wrapped__(x, mode):  # unmemoised
+            if y != w_key and g + 1 == depth:
+                continue
+            elem = elementary_from_edge(x, edge).to_canon()
+            term = elem if chain is None else vcompose(elem, chain)
+            if y == w_key:
+                value = eval_canon(model, term, objects).graph
+                values[value] = min(values.get(value, depth), g + 1)
+            if g + 1 < depth:
+                dfs(y, g + 1, term)
+
+    dfs(v_key, 0, None)
+    return values
+
+
+def test_flood_pruning_is_exact(cmon):
+    faulty = load_model(MODELS / "pointed_sets_3_faulty.json")
+    p2 = faulty.object_by_name("P2")
+    z2 = [o for o in cmon.base_objects if o.size == 2][0]
+    cases = [
+        # a bulky source: the backward table has radius depth - 1
+        (faulty, "((0+_)*1)", "_", 4, PRELINEAR, (p2,)),
+        (cmon, "((0+_)*1)", "_", 4, PARTIALLY_LINEAR, (z2,)),
+        # the only value is first realized on the deepest layer
+        (faulty, "(_*0)", "(_+1)", 4, PRELINEAR, (p2,)),
+        (faulty, "(_+0)", "(0*_)", 3, PRELINEAR, (p2,)),
+        (cmon, "(_*_)", "(_+_)", 3, PARTIALLY_LINEAR, (z2, z2)),
+        (cmon, "0", "1", 4, PARTIALLY_LINEAR, ()),
+    ]
+    for model, v_text, w_text, depth, mode, objs in cases:
+        v, w = parse_word(v_text), parse_word(w_text)
+        graph = search_graph(to_key(v), to_key(w), depth, mode)
+        flood = value_flood(model, graph, objs)
+        want = _unpruned_values(model, v, w, depth, mode, objs)
+        assert want, (v_text, w_text)
+        # the flood records the first layer that realizes each value
+        assert flood.values == want, (v_text, w_text, mode)
