@@ -26,8 +26,8 @@ from .terms import (PARTIALLY_LINEAR, PRELINEAR, CanonTerm, ElementaryTerm,
                     elementary_factorization, identity_term, invert,
                     parse_term, point_morphism, prod_par, render_term,
                     sum_par, unit_cancel, vcompose)
-from .words import (Attachment, CoreSplit, Hole, Prod, Sum, UnitOne, UnitZero,
-                    Word, attachment_sequence, core_split, is_unit_free,
-                    length, parse_word, render_word, unit_count)
+from .words import (Attachment, CoreSplit, Prod, Sum, Word,
+                    attachment_sequence, core_split, is_unit_free, length,
+                    parse_word, render_word, unit_count)
 
 __version__ = "0.1.0"

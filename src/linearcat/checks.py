@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .errors import NotInvertibleInModel
 from .evaluate import inclusion, projection
 from .models import Model, Mor
-from .words import HOLE, Sum
+from .words import HOLE, Prod, Sum
 
 _INCLUSION_WORD = Sum(HOLE, HOLE)
 
@@ -59,7 +59,6 @@ def binary_inclusions(model: Model, a, b) -> tuple[Mor, Mor]:
 
 
 def binary_projections(model: Model, a, b) -> tuple[Mor, Mor]:
-    from .words import Prod
     w = Prod(HOLE, HOLE)
     return (projection(model, w, (a, b), 1), projection(model, w, (a, b), 2))
 
@@ -366,11 +365,15 @@ def check_transformer(model: Model) -> list[CheckReport]:
     return reports
 
 
-def check_prelinear(model: Model) -> list[CheckReport]:
+def check_prelinear(model: Model,
+                    transformer: list[CheckReport] | None = None
+                    ) -> list[CheckReport]:
     """Every component of ``i`` must present as the identity matrix, and that
-    must agree with the transformer laws in both directions."""
+    must agree with the transformer laws in both directions.
+
+    ``transformer`` takes the reports of :func:`check_transformer` when the
+    caller already has them; otherwise they are computed here."""
     from .matrices import identity_matrix, matrix_of
-    from .words import Prod
     reports: list[CheckReport] = []
     src_w, tgt_w = Sum(HOLE, HOLE), Prod(HOLE, HOLE)
     ok = True
@@ -390,7 +393,9 @@ def check_prelinear(model: Model) -> list[CheckReport]:
             break
     if ok:
         reports.append(_ok("i-matrix-identity"))
-    transformer_ok = all(r.passed for r in check_transformer(model))
+    if transformer is None:
+        transformer = check_transformer(model)
+    transformer_ok = all(r.passed for r in transformer)
     reports.append(CheckReport(
         "prelinear-iff-transformer", ok == transformer_ok, None,
         {"identity_matrices": ok, "transformer_laws": transformer_ok}))

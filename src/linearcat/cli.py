@@ -68,7 +68,8 @@ def _common_flags(p: argparse.ArgumentParser, model: bool = True) -> None:
         p.add_argument("--depth", type=int, default=6,
                        help="canonical term search depth (default 6)")
         p.add_argument("--max-size", type=int, default=3,
-                       help="largest object size used in sweeps (default 3)")
+                       help="largest object size used in coherence sweeps,"
+                            " capped at 2 (default 3)")
         p.add_argument("--max-units", type=int, default=3,
                        help="unit-leaf budget for word corpora (default 3)")
         p.add_argument("--mixed-stride", type=int, default=8,
@@ -173,28 +174,29 @@ def cmd_word(args) -> int:
     return 0
 
 
-def _sweep_objects(model: Model, max_size: int):
+def _coherence_max_size(args) -> int:
+    """The largest object size the coherence sweeps use: at most 2, whatever
+    ``--max-size`` asks, so that the sweeps stay at desk scale."""
+    return min(args.max_size, 2)
+
+
+def _coherence_reports(model: Model, args) -> list[CheckReport]:
+    reports: list[CheckReport] = []
+    max_size = _coherence_max_size(args)
     objs = [o for o in model.base_objects if o.size <= max_size]
 
     def objects_for(n: int):
         return list(itertools.product(objs, repeat=n))
 
-    return objs, objects_for
-
-
-def _coherence_reports(model: Model, args) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    coh_objs = [o for o in model.base_objects if o.size <= min(args.max_size, 2)]
     for n in (1, 2, 3):
         passed = True
         ce = None
-        for tup in itertools.product(coh_objs, repeat=n):
+        for tup in objects_for(n):
             r = coherence_identity_check(model, n, tup, args.depth, PRELINEAR)
             if not r.passed:
                 passed, ce = False, r.counterexample
                 break
         reports.append(CheckReport(f"coherence-identity-matrix/n={n}", passed, ce))
-    _, objects_for = _sweep_objects(model, min(args.max_size, 2))
     if args.mode == PARTIALLY_LINEAR:
         for n in (0, 1, 2):
             corpus = equal_length_pairs(n, args.max_units, args.mixed_stride,
@@ -224,8 +226,9 @@ def cmd_check(args) -> int:
         return 2
     reports = []
     reports.extend(check_structure(model))
-    reports.extend(check_transformer(model))
-    reports.extend(check_prelinear(model))
+    transformer = check_transformer(model)
+    reports.extend(transformer)
+    reports.extend(check_prelinear(model, transformer))
     lin, lin_data = is_lineariser(model)
     reports.append(CheckReport("lineariser", True, None,
                                {"lineariser": lin,
@@ -253,6 +256,7 @@ def cmd_coherence(args) -> int:
 
 def _params(args) -> dict:
     return {"mode": args.mode, "depth": args.depth, "max_size": args.max_size,
+            "coherence_max_size": _coherence_max_size(args),
             "max_units": args.max_units, "mixed_stride": args.mixed_stride,
             "heavy_stride": args.heavy_stride}
 

@@ -8,8 +8,8 @@ from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, IDENTITY, J_GEN, LUNIT_PROD,
                     LUNIT_SUM, PRELINEAR, RUNIT_PROD, RUNIT_SUM, CanonTerm,
                     ElementaryTerm, Generator, GenTerm, SumPar, VComp,
                     invert, point_morphism, unit_cancel)
-from .words import (ONE, PROD, SUM, ZERO, Hole, Prod, Sum, UnitOne, UnitZero,
-                    Word, length, render_word)
+from .words import (HOLE, ONE, PROD, SUM, ZERO, Word, length, node,
+                    render_word)
 
 
 def eval_object(model: Model, w: Word, objects: tuple):
@@ -23,15 +23,16 @@ def eval_object(model: Model, w: Word, objects: tuple):
 
 
 def _eval_object(model: Model, w: Word, objects: tuple):
-    if isinstance(w, Hole):
+    if w == HOLE:
         return objects[0], objects[1:]
-    if isinstance(w, UnitZero):
+    if w == ZERO:
         return model.zero_obj, objects
-    if isinstance(w, UnitOne):
+    if w == ONE:
         return model.one_obj, objects
-    left, rest = _eval_object(model, w.left, objects)
-    right, rest = _eval_object(model, w.right, rest)
-    if isinstance(w, Sum):
+    op, left_w, right_w = w
+    left, rest = _eval_object(model, left_w, objects)
+    right, rest = _eval_object(model, right_w, rest)
+    if op == SUM:
         return model.sum_obj(left, right), rest
     return model.prod_obj(left, right), rest
 
@@ -47,15 +48,16 @@ def eval_morphism(model: Model, w: Word, morphisms: tuple[Mor, ...]) -> Mor:
 
 
 def _eval_morphism(model: Model, w: Word, morphisms: tuple[Mor, ...]):
-    if isinstance(w, Hole):
+    if w == HOLE:
         return morphisms[0], morphisms[1:]
-    if isinstance(w, UnitZero):
+    if w == ZERO:
         return model.identity(model.zero_obj), morphisms
-    if isinstance(w, UnitOne):
+    if w == ONE:
         return model.identity(model.one_obj), morphisms
-    left, rest = _eval_morphism(model, w.left, morphisms)
-    right, rest = _eval_morphism(model, w.right, rest)
-    if isinstance(w, Sum):
+    op, left_w, right_w = w
+    left, rest = _eval_morphism(model, left_w, morphisms)
+    right, rest = _eval_morphism(model, right_w, rest)
+    if op == SUM:
         return model.sum_mor(left, right), rest
     return model.prod_mor(left, right), rest
 
@@ -134,24 +136,24 @@ def eval_elementary_chain(model: Model, src: Word,
 
 def is_pure_word(w: Word, op: str) -> bool:
     """True when ``w`` is built from holes and ``op`` alone (units excluded)."""
-    if isinstance(w, Hole):
+    if w == HOLE:
         return True
-    if isinstance(w, (UnitZero, UnitOne)):
+    if w == ZERO or w == ONE:
         return False
-    node_op = SUM if isinstance(w, Sum) else PROD
-    return node_op == op and is_pure_word(w.left, op) and is_pure_word(w.right, op)
+    node_op, left, right = w
+    return node_op == op and is_pure_word(left, op) and is_pure_word(right, op)
 
 
 def _with_units_except(w: Word, keep: int, unit: Word, counter: list[int]) -> Word:
-    if isinstance(w, Hole):
+    if w == HOLE:
         idx = counter[0]
         counter[0] += 1
         return w if idx == keep else unit
-    if isinstance(w, (UnitZero, UnitOne)):
+    if w == ZERO or w == ONE:
         return w
-    left = _with_units_except(w.left, keep, unit, counter)
-    right = _with_units_except(w.right, keep, unit, counter)
-    return Sum(left, right) if isinstance(w, Sum) else Prod(left, right)
+    op, left, right = w
+    return node(op, _with_units_except(left, keep, unit, counter),
+                _with_units_except(right, keep, unit, counter))
 
 
 def inclusion(model: Model, w: Word, objects: tuple, index: int) -> Mor:

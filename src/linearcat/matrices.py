@@ -8,7 +8,7 @@ from .checks import CheckReport
 from .errors import IntegrityError
 from .evaluate import eval_object, inclusion, is_pure_word, projection, zero_morphism
 from .models import Model, Mor
-from .search import pure_bracketings, search_graph, to_key, value_flood
+from .search import pure_bracketings, search_graph, value_flood
 from .terms import PRELINEAR
 from .words import PROD, SUM, Word, length, render_word
 
@@ -132,7 +132,7 @@ def coherence_identity_check(model: Model, n: int, objects: tuple,
     law = f"coherence-identity-matrix/n={n}"
     for v in pure_bracketings(SUM, n):
         for w in pure_bracketings(PROD, n):
-            graph = search_graph(to_key(v), to_key(w), depth, mode)
+            graph = search_graph(v, w, depth, mode)
             flood = value_flood(model, graph, objects)
             if not flood.values:
                 return CheckReport(law, False, {

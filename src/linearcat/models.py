@@ -667,6 +667,10 @@ def model_from_dict(doc) -> Model:
         objs = [_parse_monoid(o, idx) for idx, o in enumerate(objects)]
         if not any(o.size == 1 for o in objs):
             objs.insert(0, CMonObj(((0,),), "T"))
+        names = [o.name for o in objs]
+        for name in names:
+            if names.count(name) > 1:
+                raise ModelFileError(f"object name {name!r} is used twice")
         model = FinCMon(tuple(objs))
     else:
         raise ModelFileError(f"unknown model kind {kind!r}")

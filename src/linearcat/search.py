@@ -1,9 +1,9 @@
 """Bounded-depth enumeration of canonical terms between words.
 
-Words are encoded as nested tuples for speed: ``'H'``, ``'Z'``, ``'O'`` for
-the leaves and ``(op, left, right)`` for nodes.  An elementary move applies
-one generator at one position; terms between two words are exactly the move
-paths between their encodings.  The generator rules live in one table,
+Words are nested tuples (see :mod:`linearcat.words`), so they serve as
+search states and memo keys as they are.  An elementary move applies one
+generator at one position; terms between two words are exactly the move
+paths between them.  The generator rules live in one table,
 ``_local_moves``.  Reverse moves are derived from it: a move is undone by
 the same generator in the other direction.
 
@@ -13,7 +13,7 @@ computed from the target, and forward exploration drops any state that
 provably cannot reach the target within the remaining budget.  The pruning
 is exact: no path within the depth bound is ever lost.
 
-Symbolic results (moves, distance tables, decoded words) are memoised with
+Symbolic results (moves, distance tables) are memoised with
 ``functools.cache``; values at an object tuple go to the model's own
 ``memo``, one dict per concern.
 """
@@ -25,144 +25,111 @@ from functools import cache
 
 from .evaluate import eval_generator, eval_object
 from .models import Model, Mor
-from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN, LUNIT_PROD,
-                    LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR, RUNIT_PROD,
-                    RUNIT_SUM, CanonTerm, ElementaryTerm, Generator,
-                    context_at, identity_term, render_term, vcompose)
-from .words import (HOLE, ONE, PROD, SUM, ZERO, Hole, Sum, UnitOne,
-                    UnitZero, Word, length, node)
-
-# -- word keys ---------------------------------------------------------------
-
-H, Z, O = "H", "Z", "O"
-_LEAF_WORDS = {H: HOLE, Z: ZERO, O: ONE}
+from .terms import (_ALWAYS_ISO, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
+                    LUNIT_PROD, LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR,
+                    RUNIT_PROD, RUNIT_SUM, CanonTerm, ElementaryTerm,
+                    Generator, context_at, identity_term, render_term,
+                    vcompose)
+from .words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Word, length,
+                    unit_count)
 
 
-def to_key(w: Word):
-    if isinstance(w, Hole):
-        return H
-    if isinstance(w, UnitZero):
-        return Z
-    if isinstance(w, UnitOne):
-        return O
-    op = SUM if isinstance(w, Sum) else PROD
-    return (op, to_key(w.left), to_key(w.right))
+def to_key(w: Word) -> Word:
+    """The identity: a word is its own search key."""
+    return w
 
 
-@cache
-def from_key(key) -> Word:
-    if isinstance(key, tuple):
-        return node(key[0], from_key(key[1]), from_key(key[2]))
-    return _LEAF_WORDS[key]
-
-
-@cache
-def key_length(key) -> int:
-    if isinstance(key, tuple):
-        return key_length(key[1]) + key_length(key[2])
-    return 1 if key == H else 0
-
-
-def _leaves(key) -> int:
-    if isinstance(key, tuple):
-        return _leaves(key[1]) + _leaves(key[2])
-    return 1
-
-
-def _replace(key, path: tuple[int, ...], new):
+def _replace(w: Word, path: tuple[int, ...], new: Word) -> Word:
     if not path:
         return new
-    op, left, right = key
+    op, left, right = w
     if path[0] == 0:
         return (op, _replace(left, path[1:], new), right)
     return (op, left, _replace(right, path[1:], new))
 
 
-def _positions(key, path=()):
-    yield path, key
-    if isinstance(key, tuple):
-        yield from _positions(key[1], path + (0,))
-        yield from _positions(key[2], path + (1,))
+def _positions(w: Word, path=()):
+    yield path, w
+    if w not in LEAVES:
+        yield from _positions(w[1], path + (0,))
+        yield from _positions(w[2], path + (1,))
 
 
 # -- elementary moves ---------------------------------------------------------
 
-# An edge is (path, kind, inverse, args) with args given as word keys.
+# An edge is (path, kind, inverse, args) with args given as words.
 Edge = tuple[tuple[int, ...], str, bool, tuple]
 
-# Generators that are invertible in every mode; i and j are one-way unless
-# the mode is partially linear.
-_ALWAYS_ISO = frozenset({ASSOC_SUM, ASSOC_PROD, LUNIT_SUM, RUNIT_SUM,
-                         LUNIT_PROD, RUNIT_PROD})
 
-
-def _local_moves(sub, mode: str) -> list[tuple[str, bool, tuple, object]]:
+def _local_moves(sub: Word, mode: str) -> list[tuple[str, bool, tuple, Word]]:
     """Generators applicable at the root of ``sub``, as
     ``(kind, inverse, args, replacement)``: the one move-rule table."""
     out = []
-    if isinstance(sub, tuple):
+    if sub == ZERO:
+        out.append((J_GEN, False, (), ONE))
+    elif sub == ONE:
+        if mode == PARTIALLY_LINEAR:
+            out.append((J_GEN, True, (), ZERO))
+    elif sub != HOLE:
         op, left, right = sub
         assoc = ASSOC_SUM if op == SUM else ASSOC_PROD
-        if isinstance(right, tuple) and right[0] == op:
+        # a leaf's first character is itself, never an operator
+        if right[0] == op:
             out.append((assoc, False, (left, right[1], right[2]),
                         (op, (op, left, right[1]), right[2])))
-        if isinstance(left, tuple) and left[0] == op:
+        if left[0] == op:
             out.append((assoc, True, (left[1], left[2], right),
                         (op, left[1], (op, left[2], right))))
         if op == SUM:
-            if left == Z:
+            if left == ZERO:
                 out.append((LUNIT_SUM, False, (right,), right))
-            if right == Z:
+            if right == ZERO:
                 out.append((RUNIT_SUM, False, (left,), left))
             out.append((I_GEN, False, (left, right), (PROD, left, right)))
         else:
-            if left == O:
+            if left == ONE:
                 out.append((LUNIT_PROD, False, (right,), right))
-            if right == O:
+            if right == ONE:
                 out.append((RUNIT_PROD, False, (left,), left))
             if mode == PARTIALLY_LINEAR:
                 out.append((I_GEN, True, (left, right), (SUM, left, right)))
-    elif sub == Z:
-        out.append((J_GEN, False, (), O))
-    elif sub == O and mode == PARTIALLY_LINEAR:
-        out.append((J_GEN, True, (), Z))
-    out.append((LUNIT_SUM, True, (sub,), (SUM, Z, sub)))
-    out.append((RUNIT_SUM, True, (sub,), (SUM, sub, Z)))
-    out.append((LUNIT_PROD, True, (sub,), (PROD, O, sub)))
-    out.append((RUNIT_PROD, True, (sub,), (PROD, sub, O)))
+    out.append((LUNIT_SUM, True, (sub,), (SUM, ZERO, sub)))
+    out.append((RUNIT_SUM, True, (sub,), (SUM, sub, ZERO)))
+    out.append((LUNIT_PROD, True, (sub,), (PROD, ONE, sub)))
+    out.append((RUNIT_PROD, True, (sub,), (PROD, sub, ONE)))
     return out
 
 
 @cache
-def moves(key, mode: str) -> tuple[tuple[Edge, object], ...]:
-    """All single elementary moves out of ``key`` in the given mode."""
-    return tuple(((path, kind, inverse, args), _replace(key, path, new))
-                 for path, sub in _positions(key)
+def moves(w: Word, mode: str) -> tuple[tuple[Edge, Word], ...]:
+    """All single elementary moves out of ``w`` in the given mode."""
+    return tuple(((path, kind, inverse, args), _replace(w, path, new))
+                 for path, sub in _positions(w)
                  for kind, inverse, args, new in _local_moves(sub, mode))
 
 
-def _predecessors(key, mode: str) -> list:
-    """Keys with a single move into ``key`` (targets only, no edges).
+def _predecessors(w: Word, mode: str) -> list[Word]:
+    """Words with a single move into ``w`` (targets only, no edges).
 
     The move from ``new`` back to ``sub`` applies the same generator in the
     other direction, which ``mode`` must allow.  Not memoised: the backward
     tables visit many more words than the forward search.
     """
-    return [_replace(key, path, new)
-            for path, sub in _positions(key)
+    return [_replace(w, path, new)
+            for path, sub in _positions(w)
             for kind, inverse, _, new in _local_moves(sub, PARTIALLY_LINEAR)
             if inverse or mode == PARTIALLY_LINEAR or kind in _ALWAYS_ISO]
 
 
 @cache
-def backward_table(target_key, radius: int, mode: str) -> dict:
-    """Distance-to-target for every key within ``radius`` reverse moves."""
-    dist = {target_key: 0}
-    frontier = [target_key]
+def backward_table(target: Word, radius: int, mode: str) -> dict:
+    """Distance-to-target for every word within ``radius`` reverse moves."""
+    dist = {target: 0}
+    frontier = [target]
     for d in range(1, radius + 1):
         nxt = []
-        for key in frontier:
-            for pred in _predecessors(key, mode):
+        for w in frontier:
+            for pred in _predecessors(w, mode):
                 if pred not in dist:
                     dist[pred] = d
                     nxt.append(pred)
@@ -176,27 +143,27 @@ def backward_table(target_key, radius: int, mode: str) -> dict:
 class SearchGraph:
     """Static admitted subgraph for one (source, target, depth, mode)."""
 
-    source_key: object
-    target_key: object
+    source: Word
+    target: Word
     depth: int
-    edges: dict  # key -> tuple[(edge, target_key, last layer), ...]
+    edges: dict  # word -> tuple[(edge, target word, last layer), ...]
 
 
-def search_graph(v_key, w_key, depth: int, mode: str) -> SearchGraph:
+def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     """Every move that can lie on a path of at most ``depth`` moves from
-    ``v_key`` to ``w_key``.  Each edge carries the last layer it may end on:
-    a move into ``y`` ending on layer ``k`` is admitted iff ``k <= last``."""
+    ``v`` to ``w``.  Each edge carries the last layer it may end on: a move
+    into ``y`` ending on layer ``k`` is admitted iff ``k <= last``."""
     # A deep table toward a small target lets a bulky source prune at once;
     # between words of similar size a half-depth table is far cheaper.
-    if _leaves(v_key) > _leaves(w_key) + 1:
+    if length(v) + unit_count(v) > length(w) + unit_count(w) + 1:
         radius = depth - 1
     else:
         radius = depth // 2
-    bt = backward_table(w_key, radius, mode)
+    bt = backward_table(w, radius, mode)
     free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
-    seen = {v_key}
-    frontier = [v_key]
+    seen = {v}
+    frontier = [v]
     layer = 0
     while frontier and layer < depth:
         layer += 1
@@ -216,16 +183,16 @@ def search_graph(v_key, w_key, depth: int, mode: str) -> SearchGraph:
         frontier = nxt
     for x in frontier:
         edges.setdefault(x, ())
-    return SearchGraph(v_key, w_key, depth, edges)
+    return SearchGraph(v, w, depth, edges)
 
 
-def eval_object_key(model: Model, key, objects: tuple):
-    """Cached word-functor action on objects, keyed by word encoding."""
+def eval_object_cached(model: Model, w: Word, objects: tuple):
+    """The word functor on objects, memoised per model."""
     memo = model.memo["object"]
-    ck = (key, objects)
+    ck = (w, objects)
     obj = memo.get(ck)
     if obj is None:
-        obj = memo[ck] = eval_object(model, from_key(key), objects)
+        obj = memo[ck] = eval_object(model, w, objects)
     return obj
 
 
@@ -234,44 +201,43 @@ def _generator_mor(model: Model, kind, inverse, args, objects) -> Mor:
     ck = (kind, inverse, args, objects)
     mor = memo.get(ck)
     if mor is None:
-        gen = Generator(kind, tuple(from_key(a) for a in args), inverse)
-        mor = memo[ck] = eval_generator(model, gen, objects)
+        mor = memo[ck] = eval_generator(model, Generator(kind, args, inverse),
+                                        objects)
     return mor
 
 
-def edge_morphism(model: Model, x_key, edge: Edge, objects: tuple) -> Mor:
-    """Evaluate one elementary move out of ``x_key`` at an object tuple."""
+def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
+    """Evaluate one elementary move out of ``x`` at an object tuple."""
     memo = model.memo["edge"]
-    ck = (x_key, edge, objects)
+    ck = (x, edge, objects)
     mor = memo.get(ck)
     if mor is None:
         path, kind, inverse, args = edge
-        mor = memo[ck] = _edge_eval(model, x_key, path, kind, inverse, args,
+        mor = memo[ck] = _edge_eval(model, x, path, kind, inverse, args,
                                     objects)
     return mor
 
 
-def _edge_eval(model, key, path, kind, inverse, args, objects) -> Mor:
+def _edge_eval(model, w, path, kind, inverse, args, objects) -> Mor:
     if not path:
         return _generator_mor(model, kind, inverse, args, objects)
-    op, left, right = key
-    nl = key_length(left)
+    op, left, right = w
+    nl = length(left)
     if path[0] == 0:
         sub = _edge_eval(model, left, path[1:], kind, inverse, args, objects[:nl])
-        other = model.identity(eval_object_key(model, right, objects[nl:]))
+        other = model.identity(eval_object_cached(model, right, objects[nl:]))
         pair = (sub, other)
     else:
-        other = model.identity(eval_object_key(model, left, objects[:nl]))
+        other = model.identity(eval_object_cached(model, left, objects[:nl]))
         sub = _edge_eval(model, right, path[1:], kind, inverse, args, objects[nl:])
         pair = (other, sub)
     return model.sum_mor(*pair) if op == SUM else model.prod_mor(*pair)
 
 
-def elementary_from_edge(x_key, edge: Edge) -> ElementaryTerm:
+def elementary_from_edge(x: Word, edge: Edge) -> ElementaryTerm:
     path, kind, inverse, args = edge
-    context, _ = context_at(from_key(x_key), path)
-    gen = Generator(kind, tuple(from_key(a) for a in args), inverse)
-    return ElementaryTerm(context, gen)
+    context, _ = context_at(x, path)
+    return ElementaryTerm(context, Generator(kind, args, inverse))
 
 
 @dataclass
@@ -281,7 +247,7 @@ class FloodResult:
     source: Mor | None  # identity at the evaluated source object
     target_obj: object
     values: dict  # value graph (tuple) -> layer of first realization
-    parents: dict  # (key, graph) -> (prev_key, prev_graph, edge) | None
+    parents: dict  # (word, graph) -> (prev_word, prev_graph, edge) | None
 
     def value_morphisms(self, model: Model) -> list[Mor]:
         return [Mor(self.source.dom, self.target_obj, g)
@@ -291,21 +257,21 @@ class FloodResult:
         """Reconstruct one canonical term realizing ``value`` at the target."""
         if isinstance(value, Mor):
             value = value.graph
-        state = (graph.target_key, value)
+        state = (graph.target, value)
         steps = []
         while True:
             parent = self.parents[state]
             if parent is None:
                 break
-            prev_key, prev_graph, edge = parent
-            steps.append((prev_key, edge))
-            state = (prev_key, prev_graph)
+            prev_word, prev_graph, edge = parent
+            steps.append((prev_word, edge))
+            state = (prev_word, prev_graph)
         steps.reverse()
         if not steps:
-            return identity_term(from_key(graph.source_key))
+            return identity_term(graph.source)
         term: CanonTerm | None = None
-        for key, edge in steps:
-            elem = elementary_from_edge(key, edge).to_canon()
+        for w, edge in steps:
+            elem = elementary_from_edge(w, edge).to_canon()
             term = elem if term is None else vcompose(elem, term)
         return term
 
@@ -318,11 +284,11 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
     value is realized by such a term.  Values travel as raw graphs: all
     values arriving at one word share their boundary objects.
     """
-    src_obj = eval_object_key(model, graph.source_key, objects)
+    src_obj = eval_object_cached(model, graph.source, objects)
     id_graph = tuple(range(src_obj.size))
-    visited: dict = {graph.source_key: {id_graph: 0}}
-    parents: dict = {(graph.source_key, id_graph): None}
-    frontier = [(graph.source_key, id_graph)]
+    visited: dict = {graph.source: {id_graph: 0}}
+    parents: dict = {(graph.source, id_graph): None}
+    frontier = [(graph.source, id_graph)]
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges
@@ -346,9 +312,9 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
                 nxt.append((y, my))
         frontier = nxt
         layer = layer_out
-    target_values = dict(visited.get(graph.target_key, {}))
+    target_values = dict(visited.get(graph.target, {}))
     return FloodResult(Mor(src_obj, src_obj, id_graph),
-                       eval_object_key(model, graph.target_key, objects),
+                       eval_object_cached(model, graph.target, objects),
                        target_values, parents)
 
 
@@ -364,10 +330,9 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
         raise ValueError("depth must be at least 1")
     if length(v) != length(w):
         raise ValueError("canonical terms only exist between words of equal length")
-    v_key, w_key = to_key(v), to_key(w)
-    graph = search_graph(v_key, w_key, depth, mode)
+    graph = search_graph(v, w, depth, mode)
     out: list[CanonTerm] = []
-    if v_key == w_key:
+    if v == w:
         out.append(identity_term(v))
 
     def dfs(x, g, chain):
@@ -376,12 +341,12 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
                 continue
             elem = elementary_from_edge(x, edge).to_canon()
             term = elem if chain is None else vcompose(elem, chain)
-            if y == w_key:
+            if y == w:
                 out.append(term)
             if g + 1 < depth:
                 dfs(y, g + 1, term)
 
-    dfs(v_key, 0, None)
+    dfs(v, 0, None)
     out.sort(key=render_term)
     return out
 
@@ -391,42 +356,41 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
 def words_with(n_holes: int, n_units: int) -> tuple[Word, ...]:
     """All words with exactly the given number of holes and unit leaves,
     deterministically ordered."""
-    keys = sorted(_keys_with(n_holes, n_units), key=str)
-    return tuple(from_key(k) for k in keys)
+    return tuple(sorted(_words_with(n_holes, n_units), key=str))
 
 
-def _keys_with(n_holes: int, n_units: int):
+def _words_with(n_holes: int, n_units: int) -> list[Word]:
     leaves = n_holes + n_units
     if leaves == 0:
         return []
     if leaves == 1:
         if n_holes == 1:
-            return [H]
-        return [Z, O]
+            return [HOLE]
+        return [ZERO, ONE]
     out = []
     for left_leaves in range(1, leaves):
         for h1 in range(0, n_holes + 1):
             u1 = left_leaves - h1
             if u1 < 0 or u1 > n_units:
                 continue
-            for lk in _keys_with(h1, u1):
-                for rk in _keys_with(n_holes - h1, n_units - u1):
-                    out.append((SUM, lk, rk))
-                    out.append((PROD, lk, rk))
+            for lw in _words_with(h1, u1):
+                for rw in _words_with(n_holes - h1, n_units - u1):
+                    out.append((SUM, lw, rw))
+                    out.append((PROD, lw, rw))
     return out
 
 
 def pure_bracketings(op: str, n: int) -> tuple[Word, ...]:
     """All bracketings of an n-fold pure sum or product word."""
-    return tuple(from_key(k) for k in sorted(_pure_keys(op, n), key=str))
+    return tuple(sorted(_pure_words(op, n), key=str))
 
 
-def _pure_keys(op: str, n: int):
+def _pure_words(op: str, n: int) -> list[Word]:
     if n == 1:
-        return [H]
+        return [HOLE]
     out = []
     for split in range(1, n):
-        for lk in _pure_keys(op, split):
-            for rk in _pure_keys(op, n - split):
-                out.append((op, lk, rk))
+        for lw in _pure_words(op, split):
+            for rw in _pure_words(op, n - split):
+                out.append((op, lw, rw))
     return out

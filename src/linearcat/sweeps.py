@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .checks import CheckReport
 from .evaluate import eval_canon
 from .models import Model, Mor
-from .search import search_graph, to_key, value_flood, words_with
+from .search import search_graph, value_flood, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length, render_word
@@ -76,13 +76,12 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
     checked = 0
     seen: set = set()
     for v, w in corpus.pairs:
-        vk, wk = to_key(v), to_key(w)
-        if mode == PARTIALLY_LINEAR and (wk, vk) in seen:
+        if mode == PARTIALLY_LINEAR and (w, v) in seen:
             # inverting terms gives a depth-preserving bijection between the
             # two directions, so the mirrored pair carries the same content
             continue
-        seen.add((vk, wk))
-        graph = search_graph(vk, wk, depth, mode)
+        seen.add((v, w))
+        graph = search_graph(v, w, depth, mode)
         for objects in objects_for(length(v)):
             flood = value_flood(model, graph, objects)
             if not flood.values:
@@ -139,7 +138,7 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
     law = "unit-cancellation-square"
     checked = 0
     for v, w in corpus.pairs:
-        graph = search_graph(to_key(v), to_key(w), depth, mode)
+        graph = search_graph(v, w, depth, mode)
         for objects in objects_for(2):
             u_v = normalized_cancellation(model, v, objects)
             u_w = normalized_cancellation(model, w, objects)

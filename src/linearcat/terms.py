@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BoundaryMismatch, NonInvertibleGenerator, ParseError
-from .words import (HOLE, ONE, PROD, SUM, ZERO, Attachment, Prod, Sum,
-                    UnitOne, UnitZero, Word, attachment_sequence, core_split,
-                    length, node, parse_word, render_word)
+from .words import (HOLE, ONE, PROD, SUM, ZERO, Attachment, Prod, Sum, Word,
+                    attachment_sequence, core_split, length, node, parse_word,
+                    render_word)
 
 PRELINEAR = "prelinear"
 PARTIALLY_LINEAR = "partially_linear"
@@ -163,14 +163,6 @@ def is_identity_term(t: CanonTerm) -> bool:
     return isinstance(t, GenTerm) and t.gen.kind == IDENTITY
 
 
-def source(t: CanonTerm) -> Word:
-    return t.source
-
-
-def target(t: CanonTerm) -> Word:
-    return t.target
-
-
 def vcompose(later: CanonTerm, earlier: CanonTerm) -> VComp:
     return VComp(later, earlier)
 
@@ -214,15 +206,15 @@ def collapse_to_zero(w: Word) -> CanonTerm:
     """A canonical term from a length-0 word down to the sum unit."""
     if length(w) != 0:
         raise ValueError("collapse_to_zero needs a length-0 word")
-    if isinstance(w, UnitZero):
+    if w == ZERO:
         return identity_term(ZERO)
-    if isinstance(w, UnitOne):
+    if w == ONE:
         return point_morphism()
-    if isinstance(w, Sum):
-        inner = _par_unless_trivial(SUM, collapse_to_zero(w.left), collapse_to_zero(w.right), w)
+    op, left, right = w
+    if op == SUM:
+        inner = _par_unless_trivial(SUM, collapse_to_zero(left), collapse_to_zero(right), w)
         lam = GenTerm(Generator(LUNIT_SUM, (ZERO,)))   # 0+0 -> 0
         return lam if inner is None else vcompose(lam, inner)
-    assert isinstance(w, Prod)
     to_one = collapse_to_one(w)
     return vcompose(point_morphism(), to_one)
 
@@ -231,15 +223,15 @@ def collapse_to_one(w: Word) -> CanonTerm:
     """A canonical term from a length-0 word down to the product unit."""
     if length(w) != 0:
         raise ValueError("collapse_to_one needs a length-0 word")
-    if isinstance(w, UnitOne):
+    if w == ONE:
         return identity_term(ONE)
-    if isinstance(w, UnitZero):
+    if w == ZERO:
         return GenTerm(Generator(J_GEN))
-    if isinstance(w, Prod):
-        inner = _par_unless_trivial(PROD, collapse_to_one(w.left), collapse_to_one(w.right), w)
+    op, left, right = w
+    if op == PROD:
+        inner = _par_unless_trivial(PROD, collapse_to_one(left), collapse_to_one(right), w)
         lam = GenTerm(Generator(LUNIT_PROD, (ONE,)))   # 1*1 -> 1
         return lam if inner is None else vcompose(lam, inner)
-    assert isinstance(w, Sum)
     to_zero = collapse_to_zero(w)
     return vcompose(GenTerm(Generator(J_GEN)), to_zero)
 
@@ -292,7 +284,7 @@ def unit_cancel(w: Word) -> CanonTerm:
     """
     n = length(w)
     if n == 0:
-        if isinstance(w, (Sum, UnitZero)):
+        if w == ZERO or w[0] == SUM:
             return collapse_to_zero(w)
         return collapse_to_one(w)
     if n == 1:
@@ -369,13 +361,12 @@ def context_at(w: Word, path: tuple[int, ...]) -> tuple[Context, Word]:
     """
     if not path:
         return CTX_HOLE, w
-    assert isinstance(w, (Sum, Prod))
-    op = SUM if isinstance(w, Sum) else PROD
+    op, left, right = w
     if path[0] == 0:
-        inner, sub = context_at(w.left, path[1:])
-        return CtxNode(op, "left", inner, w.right), sub
-    inner, sub = context_at(w.right, path[1:])
-    return CtxNode(op, "right", inner, w.left), sub
+        inner, sub = context_at(left, path[1:])
+        return CtxNode(op, "left", inner, right), sub
+    inner, sub = context_at(right, path[1:])
+    return CtxNode(op, "right", inner, left), sub
 
 
 @dataclass(frozen=True)

@@ -2,100 +2,79 @@
 
 A word is a finite tree built from the hole ``_``, the sum unit ``0``, the
 product unit ``1``, and the binary constructors ``+`` (sum) and ``*``
-(product).  The length of a word is its number of holes.  Words of length 1
-decompose uniquely into a sequence of unit attachments around a hole; words
-of length 2 decompose into such a sequence around a binary core.
+(product).  Every layer uses one representation, nested tuples: the leaves
+are the strings ``"H"``, ``"Z"`` and ``"O"``, and a node is
+``(op, left, right)``.  Tuples hash and compare natively, so words are their
+own keys in the search and in the model memos.  Corpora are sorted by
+``str`` of the word, so the leaf strings also fix the corpus order.
+
+The length of a word is its number of holes.  Words of length 1 decompose
+uniquely into a sequence of unit attachments around a hole; words of
+length 2 decompose into such a sequence around a binary core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ParseError
 
 SUM = "+"
 PROD = "*"
 
+HOLE = "H"
+ZERO = "Z"
+ONE = "O"
+LEAVES = (HOLE, ZERO, ONE)
 
-class Word:
-    __slots__ = ()
+Word = str | tuple  # a leaf above, or (op, left, right)
 
-    def __str__(self) -> str:
-        return render_word(self)
-
-
-@dataclass(frozen=True, slots=True)
-class Hole(Word):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class UnitZero(Word):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class UnitOne(Word):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Sum(Word):
-    left: Word
-    right: Word
-
-
-@dataclass(frozen=True, slots=True)
-class Prod(Word):
-    left: Word
-    right: Word
-
-
-HOLE = Hole()
-ZERO = UnitZero()
-ONE = UnitOne()
+_LEAF_TEXT = {HOLE: "_", ZERO: "0", ONE: "1"}
+_LEAVES_BY_TEXT = {text: leaf for leaf, text in _LEAF_TEXT.items()}
 
 
 def node(op: str, left: Word, right: Word) -> Word:
-    return Sum(left, right) if op == SUM else Prod(left, right)
+    return (op, left, right)
 
 
+def Sum(left: Word, right: Word) -> Word:
+    return (SUM, left, right)
+
+
+def Prod(left: Word, right: Word) -> Word:
+    return (PROD, left, right)
+
+
+@cache
 def length(w: Word) -> int:
     """Number of hole occurrences in ``w``."""
-    if isinstance(w, Hole):
+    if w == HOLE:
         return 1
-    if isinstance(w, (Sum, Prod)):
-        return length(w.left) + length(w.right)
-    return 0
+    if w == ZERO or w == ONE:
+        return 0
+    return length(w[1]) + length(w[2])
 
 
 def unit_count(w: Word) -> int:
     """Number of unit leaves (``0`` or ``1``) in ``w``."""
-    if isinstance(w, (UnitZero, UnitOne)):
+    if w == ZERO or w == ONE:
         return 1
-    if isinstance(w, (Sum, Prod)):
-        return unit_count(w.left) + unit_count(w.right)
-    return 0
+    if w == HOLE:
+        return 0
+    return unit_count(w[1]) + unit_count(w[2])
 
 
 def is_unit_free(w: Word) -> bool:
-    if isinstance(w, (UnitZero, UnitOne)):
-        return False
-    if isinstance(w, (Sum, Prod)):
-        return is_unit_free(w.left) and is_unit_free(w.right)
-    return True
+    return unit_count(w) == 0
 
 
 def render_word(w: Word) -> str:
     """Canonical fully parenthesized text; inverse of :func:`parse_word`."""
-    if isinstance(w, Hole):
-        return "_"
-    if isinstance(w, UnitZero):
-        return "0"
-    if isinstance(w, UnitOne):
-        return "1"
-    op = SUM if isinstance(w, Sum) else PROD
-    return f"({render_word(w.left)}{op}{render_word(w.right)})"
+    if w in LEAVES:
+        return _LEAF_TEXT[w]
+    op, left, right = w
+    return f"({render_word(left)}{op}{render_word(right)})"
 
 
 def parse_word(text: str) -> Word:
@@ -117,15 +96,10 @@ def parse_word(text: str) -> Word:
         if pos >= len(text):
             raise ParseError("unexpected end of input, expected a word", pos)
         ch = text[pos]
-        if ch == "_":
+        leaf = _LEAVES_BY_TEXT.get(ch)
+        if leaf is not None:
             pos += 1
-            return HOLE
-        if ch == "0":
-            pos += 1
-            return ZERO
-        if ch == "1":
-            pos += 1
-            return ONE
+            return leaf
         if ch == "(":
             pos += 1
             left = parse()
@@ -196,19 +170,18 @@ def _peel(w: Word, stop_length: int) -> tuple[Word, tuple[Attachment, ...]]:
     outer: list[Attachment] = []
     cur = w
     while True:
-        if stop_length == 1 and isinstance(cur, Hole):
+        if stop_length == 1 and cur == HOLE:
             break
-        assert isinstance(cur, (Sum, Prod)), "peel invariant broken"
-        op = SUM if isinstance(cur, Sum) else PROD
-        llen = length(cur.left)
-        if stop_length == 2 and llen == 1 and length(cur.right) == 1:
+        op, left, right = cur
+        llen = length(left)
+        if stop_length == 2 and llen == 1 and length(right) == 1:
             break
         if llen == 0:
-            outer.append(Attachment(op, cur.left, "left"))
-            cur = cur.right
+            outer.append(Attachment(op, left, "left"))
+            cur = right
         else:
-            outer.append(Attachment(op, cur.right, "right"))
-            cur = cur.left
+            outer.append(Attachment(op, right, "right"))
+            cur = left
     return cur, tuple(reversed(outer))
 
 
@@ -228,7 +201,5 @@ def core_split(w: Word) -> CoreSplit:
     """The unique core decomposition of a length-2 word."""
     if length(w) != 2:
         raise ValueError(f"core_split needs a length-2 word, got length {length(w)}")
-    core, atts = _peel(w, stop_length=2)
-    assert isinstance(core, (Sum, Prod))
-    op = SUM if isinstance(core, Sum) else PROD
-    return CoreSplit(core.left, op, core.right, atts)
+    (op, w1, w2), atts = _peel(w, stop_length=2)
+    return CoreSplit(w1, op, w2, atts)

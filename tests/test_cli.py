@@ -154,6 +154,18 @@ def test_bad_numeric_flags_exit_2(capsys):
     assert "--depth" in err
 
 
+@pytest.mark.parametrize("asked, used", [(3, 2), (1, 1)])
+def test_coherence_max_size_is_reported(capsys, asked, used):
+    code, out, _ = run(capsys, "coherence", "--model",
+                       str(MODELS / "pointed_sets_3.json"), "--depth", "4",
+                       "--max-units", "1", "--max-size", str(asked),
+                       "--format", "structured")
+    assert code == 0
+    params = json.loads(out)["parameters"]
+    assert params["max_size"] == asked
+    assert params["coherence_max_size"] == used
+
+
 def test_coherence_subcommand(capsys):
     code, out, _ = run(capsys, "coherence", "--model",
                        str(MODELS / "pointed_sets_3.json"), *FAST)

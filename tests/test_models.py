@@ -287,6 +287,14 @@ def test_model_file_overrides(tmp_path):
     {"kind": "pointed_sets", "objects": [True, 2]},
     {"kind": "commutative_monoids", "objects": [[0, True, True, 0]]},
     {"kind": "commutative_monoids", "objects": [{"name": 5, "table": [0]}]},
+    # object names must be unique: explicit, generated M{idx} and inserted T
+    {"kind": "commutative_monoids",
+     "objects": [[0], {"name": "A", "table": [0, 1, 1, 0]},
+                 {"name": "A", "table": [0, 1, 1, 1]}]},
+    {"kind": "commutative_monoids",
+     "objects": [[0], {"name": "M2", "table": [0, 1, 1, 0]}, [0, 1, 1, 1]]},
+    {"kind": "commutative_monoids",
+     "objects": [{"name": "T", "table": [0, 1, 1, 0]}]},
 ])
 def test_model_file_rejects_malformed(doc):
     with pytest.raises(ModelFileError):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,8 @@ from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
                              identity_term, render_term, vcompose)
-from linearcat.words import HOLE, ONE, PROD, SUM, ZERO, Prod, Sum, parse_word
+from linearcat.words import (HOLE, ONE, PROD, SUM, ZERO, Prod, Sum, parse_word,
+                             render_word)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -113,6 +115,20 @@ def test_equal_length_pairs_deterministic():
     b = equal_length_pairs(1, 2, mixed_stride=2, heavy_stride=2)
     assert a.pairs == b.pairs
     assert all(len(p) == 2 for p in a.pairs)
+
+
+@pytest.mark.parametrize("n, count, prefix", [
+    (0, 52, "fa5076cb2af745c2"),
+    (1, 57, "bf13c0a1b8de5d0d"),
+    (2, 1284, "70c7075c3038f210"),
+])
+def test_corpus_order_is_pinned(n, count, prefix):
+    # Corpora are sorted by str of the word, so the leaf strings and the
+    # sort key fix which pairs a strided sweep visits and in what order.
+    pairs = equal_length_pairs(n, 3, 8, 16).pairs
+    text = "\n".join(f"{render_word(v)} {render_word(w)}" for v, w in pairs)
+    assert len(pairs) == count
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix)
 
 
 def test_small_partially_linear_sweep(cmon):
