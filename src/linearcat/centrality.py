@@ -91,6 +91,13 @@ def central_hom(model: Model, x, y) -> tuple[Mor, ...]:
     return tuple(f for f in model.hom(x, y) if is_central(model, f)[0])
 
 
+def _require_lineariser(model: Model) -> None:
+    lin, data = is_lineariser(model)
+    if not lin:
+        raise LineariserRequired(
+            f"central addition needs an invertible transformer: {data['reason']}")
+
+
 def add_central(model: Model, f: Mor, g: Mor) -> Mor:
     """Central addition: conjugate the two matrix realizers through the
     inverse transformer and read off the upper-right entry.
@@ -100,11 +107,14 @@ def add_central(model: Model, f: Mor, g: Mor) -> Mor:
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("addition needs parallel morphisms")
+    _require_lineariser(model)
+    return _central_sum(model, f, g)
+
+
+def _central_sum(model: Model, f: Mor, g: Mor) -> Mor:
+    """``add_central`` of two parallel morphisms, for callers that have
+    checked the lineariser once."""
     x, y = f.dom, f.cod
-    lin, data = is_lineariser(model)
-    if not lin:
-        raise LineariserRequired(
-            f"central addition needs an invertible transformer: {data['reason']}")
     mf = realize(model, central_matrix(model, f))
     mg = realize(model, central_matrix(model, g))
     if mf is None or mg is None:
@@ -168,11 +178,12 @@ def central_monoid(model: Model, x, y) -> CentralMonoid:
     z = zero_morphism(model, x, y)
     if z not in index:
         raise IntegrityError("the zero morphism is not central")
+    _require_lineariser(model)
     table = []
     for f in elements:
         row = []
         for g in elements:
-            s = add_central(model, f, g)
+            s = _central_sum(model, f, g)
             if s not in index:
                 raise IntegrityError(
                     f"central addition left the central class: {s.graph}")
@@ -183,15 +194,13 @@ def central_monoid(model: Model, x, y) -> CentralMonoid:
 
 def check_distributivity(model: Model) -> CheckReport:
     """Both distributive laws of composition over central addition."""
-    lin, data = is_lineariser(model)
-    if not lin:
-        raise LineariserRequired(data["reason"])
+    _require_lineariser(model)
     add_cache: dict = {}
 
     def add(f, g):
         key = (f, g)
         if key not in add_cache:
-            add_cache[key] = add_central(model, f, g)
+            add_cache[key] = _central_sum(model, f, g)
         return add_cache[key]
 
     objs = model.base_objects

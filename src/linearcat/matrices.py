@@ -130,9 +130,13 @@ def coherence_identity_check(model: Model, n: int, objects: tuple,
     if len(objects) != n:
         raise ValueError("need exactly n objects")
     law = f"coherence-identity-matrix/n={n}"
+    graphs = model.memo["graph"]  # one search graph per word pair, not per object tuple
     for v in pure_bracketings(SUM, n):
         for w in pure_bracketings(PROD, n):
-            graph = search_graph(v, w, depth, mode)
+            key = (v, w, depth, mode)
+            graph = graphs.get(key)
+            if graph is None:
+                graph = graphs[key] = search_graph(v, w, depth, mode)
             flood = value_flood(model, graph, objects)
             if not flood.values:
                 return CheckReport(law, False, {

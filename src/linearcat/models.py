@@ -115,7 +115,7 @@ class Mor:
         self.dom = dom
         self.cod = cod
         self.graph = graph
-        self._hash = hash((self.graph, dom, cod))
+        self._hash = None  # computed on first use: most morphisms are never hashed
 
     def __call__(self, x: int) -> int:
         return self.graph[x]
@@ -130,7 +130,10 @@ class Mor:
             and self.dom == other.dom and self.cod == other.cod
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.graph, self.dom, self.cod))
+        return h
 
 
 def _identity_graph(n: int) -> tuple[int, ...]:

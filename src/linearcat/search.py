@@ -15,11 +15,15 @@ is exact: no path within the depth bound is ever lost.
 
 Symbolic results (moves, distance tables) are memoised with
 ``functools.cache``; values at an object tuple go to the model's own
-``memo``, one dict per concern.
+``memo``, one dict per concern.  Every move gets a process-unique integer
+id when its word's move table is first computed, and each search graph
+numbers its states, so the value flood runs over integers: per object
+tuple, the model keeps one table from move id to the move's raw graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -57,8 +61,11 @@ def _positions(w: Word, path=()):
 
 # -- elementary moves ---------------------------------------------------------
 
-# An edge is (path, kind, inverse, args) with args given as words.
-Edge = tuple[tuple[int, ...], str, bool, tuple]
+# An edge is (path, kind, inverse, args, move id) with args given as words.
+Edge = tuple[tuple[int, ...], str, bool, tuple, int]
+
+# Never reset, so a move id is never reused, even after ``moves.cache_clear()``.
+_move_ids = itertools.count()
 
 
 def _local_moves(sub: Word, mode: str) -> list[tuple[str, bool, tuple, Word]]:
@@ -102,8 +109,10 @@ def _local_moves(sub: Word, mode: str) -> list[tuple[str, bool, tuple, Word]]:
 
 @cache
 def moves(w: Word, mode: str) -> tuple[tuple[Edge, Word], ...]:
-    """All single elementary moves out of ``w`` in the given mode."""
-    return tuple(((path, kind, inverse, args), _replace(w, path, new))
+    """All single elementary moves out of ``w`` in the given mode, each
+    edge numbered with a fresh move id."""
+    return tuple(((path, kind, inverse, args, next(_move_ids)),
+                  _replace(w, path, new))
                  for path, sub in _positions(w)
                  for kind, inverse, args, new in _local_moves(sub, mode))
 
@@ -141,12 +150,16 @@ def backward_table(target: Word, radius: int, mode: str) -> dict:
 
 @dataclass
 class SearchGraph:
-    """Static admitted subgraph for one (source, target, depth, mode)."""
+    """Static admitted subgraph for one (source, target, depth, mode).
+
+    States are numbered in discovery order; the source is state 0."""
 
     source: Word
     target: Word
     depth: int
-    edges: dict  # word -> tuple[(edge, target word, last layer), ...]
+    edges: dict  # state -> tuple[(edge, target state, last layer), ...]
+    words: list  # state -> word
+    target_index: int | None  # None when the target is out of reach
 
 
 def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
@@ -162,28 +175,31 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     bt = backward_table(w, radius, mode)
     free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
-    seen = {v}
-    frontier = [v]
+    words = [v]
+    index = {v: 0}
+    frontier = [0]
     layer = 0
     while frontier and layer < depth:
         layer += 1
         nxt = []
-        for x in frontier:
+        for xi in frontier:
             kept = []
-            for edge, y in moves(x, mode):
+            for edge, y in moves(words[xi], mode):
                 bty = bt.get(y)
                 last = free_last if bty is None else depth - bty
                 if layer > last:
                     continue
-                kept.append((edge, y, last))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-            edges[x] = tuple(kept)
+                yi = index.get(y)
+                if yi is None:
+                    yi = index[y] = len(words)
+                    words.append(y)
+                    nxt.append(yi)
+                kept.append((edge, yi, last))
+            edges[xi] = tuple(kept)
         frontier = nxt
-    for x in frontier:
-        edges.setdefault(x, ())
-    return SearchGraph(v, w, depth, edges)
+    for xi in frontier:
+        edges.setdefault(xi, ())
+    return SearchGraph(v, w, depth, edges, words, index.get(w))
 
 
 def eval_object_cached(model: Model, w: Word, objects: tuple):
@@ -207,15 +223,13 @@ def _generator_mor(model: Model, kind, inverse, args, objects) -> Mor:
 
 
 def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
-    """Evaluate one elementary move out of ``x`` at an object tuple."""
-    memo = model.memo["edge"]
-    ck = (x, edge, objects)
-    mor = memo.get(ck)
-    if mor is None:
-        path, kind, inverse, args = edge
-        mor = memo[ck] = _edge_eval(model, x, path, kind, inverse, args,
-                                    objects)
-    return mor
+    """Evaluate one elementary move out of ``x`` at an object tuple.
+
+    Not memoised here: ``value_flood`` keeps the graphs it has evaluated in
+    ``model.memo["edge"][objects][move id]``.
+    """
+    path, kind, inverse, args, _ = edge
+    return _edge_eval(model, x, path, kind, inverse, args, objects)
 
 
 def _edge_eval(model, w, path, kind, inverse, args, objects) -> Mor:
@@ -235,7 +249,7 @@ def _edge_eval(model, w, path, kind, inverse, args, objects) -> Mor:
 
 
 def elementary_from_edge(x: Word, edge: Edge) -> ElementaryTerm:
-    path, kind, inverse, args = edge
+    path, kind, inverse, args, _ = edge
     context, _ = context_at(x, path)
     return ElementaryTerm(context, Generator(kind, args, inverse))
 
@@ -247,7 +261,7 @@ class FloodResult:
     source: Mor | None  # identity at the evaluated source object
     target_obj: object
     values: dict  # value graph (tuple) -> layer of first realization
-    parents: dict  # (word, graph) -> (prev_word, prev_graph, edge) | None
+    parents: dict  # (state, graph) -> (prev_state, prev_graph, edge) | None
 
     def value_morphisms(self, model: Model) -> list[Mor]:
         return [Mor(self.source.dom, self.target_obj, g)
@@ -257,15 +271,15 @@ class FloodResult:
         """Reconstruct one canonical term realizing ``value`` at the target."""
         if isinstance(value, Mor):
             value = value.graph
-        state = (graph.target, value)
+        state = (graph.target_index, value)
         steps = []
         while True:
             parent = self.parents[state]
             if parent is None:
                 break
-            prev_word, prev_graph, edge = parent
-            steps.append((prev_word, edge))
-            state = (prev_word, prev_graph)
+            prev, prev_graph, edge = parent
+            steps.append((graph.words[prev], edge))
+            state = (prev, prev_graph)
         steps.reverse()
         if not steps:
             return identity_term(graph.source)
@@ -277,45 +291,50 @@ class FloodResult:
 
 
 def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult:
-    """Breadth-first flood over (word, value) states within the budget.
+    """Breadth-first flood over (state, value) pairs within the budget.
 
     Every canonical term from source to target with at most ``depth``
     elementary steps realizes one of the returned values, and every returned
     value is realized by such a term.  Values travel as raw graphs: all
-    values arriving at one word share their boundary objects.
+    values arriving at one state share their boundary objects.
     """
     src_obj = eval_object_cached(model, graph.source, objects)
     id_graph = tuple(range(src_obj.size))
-    visited: dict = {graph.source: {id_graph: 0}}
-    parents: dict = {(graph.source, id_graph): None}
-    frontier = [(graph.source, id_graph)]
+    words = graph.words
+    visited: list = [None] * len(words)  # state -> {graph: first layer}
+    visited[0] = {id_graph: 0}
+    parents: dict = {(0, id_graph): None}
+    frontier = [(0, id_graph)]
+    table = model.memo["edge"].setdefault(objects, {})  # move id -> graph
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges
-    edge_mor = edge_morphism
     while frontier and layer < depth:
         nxt = []
         layer_out = layer + 1
-        for x, m in frontier:
-            for edge, y, last in graph_edges.get(x, ()):
+        for xi, m in frontier:
+            for edge, yi, last in graph_edges[xi]:
                 if layer_out > last:
                     continue
-                eg = edge_mor(model, x, edge, objects).graph
-                my = tuple(eg[v] for v in m)
-                bucket = visited.get(y)
+                eg = table.get(edge[4])
+                if eg is None:
+                    eg = table[edge[4]] = edge_morphism(
+                        model, words[xi], edge, objects).graph
+                my = tuple(map(eg.__getitem__, m))
+                bucket = visited[yi]
                 if bucket is None:
-                    bucket = visited[y] = {}
+                    bucket = visited[yi] = {}
                 elif my in bucket:
                     continue
                 bucket[my] = layer_out
-                parents[(y, my)] = (x, m, edge)
-                nxt.append((y, my))
+                parents[(yi, my)] = (xi, m, edge)
+                nxt.append((yi, my))
         frontier = nxt
         layer = layer_out
-    target_values = dict(visited.get(graph.target, {}))
+    target = graph.target_index
     return FloodResult(Mor(src_obj, src_obj, id_graph),
                        eval_object_cached(model, graph.target, objects),
-                       target_values, parents)
+                       {} if target is None else visited[target], parents)
 
 
 # -- the term-list interface ----------------------------------------------------
@@ -335,18 +354,18 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
     if v == w:
         out.append(identity_term(v))
 
-    def dfs(x, g, chain):
-        for edge, y, last in graph.edges.get(x, ()):
+    def dfs(xi, g, chain):
+        for edge, yi, last in graph.edges[xi]:
             if g + 1 > last:
                 continue
-            elem = elementary_from_edge(x, edge).to_canon()
+            elem = elementary_from_edge(graph.words[xi], edge).to_canon()
             term = elem if chain is None else vcompose(elem, chain)
-            if y == w:
+            if yi == graph.target_index:
                 out.append(term)
             if g + 1 < depth:
-                dfs(y, g + 1, term)
+                dfs(yi, g + 1, term)
 
-    dfs(v, 0, None)
+    dfs(0, 0, None)
     out.sort(key=render_term)
     return out
 

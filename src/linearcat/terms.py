@@ -212,7 +212,7 @@ def collapse_to_zero(w: Word) -> CanonTerm:
         return point_morphism()
     op, left, right = w
     if op == SUM:
-        inner = _par_unless_trivial(SUM, collapse_to_zero(left), collapse_to_zero(right), w)
+        inner = _par_unless_trivial(SUM, collapse_to_zero(left), collapse_to_zero(right))
         lam = GenTerm(Generator(LUNIT_SUM, (ZERO,)))   # 0+0 -> 0
         return lam if inner is None else vcompose(lam, inner)
     to_one = collapse_to_one(w)
@@ -229,14 +229,14 @@ def collapse_to_one(w: Word) -> CanonTerm:
         return GenTerm(Generator(J_GEN))
     op, left, right = w
     if op == PROD:
-        inner = _par_unless_trivial(PROD, collapse_to_one(left), collapse_to_one(right), w)
+        inner = _par_unless_trivial(PROD, collapse_to_one(left), collapse_to_one(right))
         lam = GenTerm(Generator(LUNIT_PROD, (ONE,)))   # 1*1 -> 1
         return lam if inner is None else vcompose(lam, inner)
     to_zero = collapse_to_zero(w)
     return vcompose(GenTerm(Generator(J_GEN)), to_zero)
 
 
-def _par_unless_trivial(op: str, lt: CanonTerm, rt: CanonTerm, w: Word) -> CanonTerm | None:
+def _par_unless_trivial(op: str, lt: CanonTerm, rt: CanonTerm) -> CanonTerm | None:
     if is_identity_term(lt) and is_identity_term(rt):
         return None
     par = sum_par if op == SUM else prod_par

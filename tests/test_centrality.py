@@ -6,7 +6,7 @@ from linearcat.centrality import (CentralMonoid, add_central, central_hom,
                                   central_monoid, check_distributivity,
                                   check_linearity_theorem, covers_prod,
                                   covers_sum, is_central, is_central_matrix)
-from linearcat.checks import binary_inclusions
+from linearcat.checks import binary_inclusions, is_lineariser
 from linearcat.errors import LineariserRequired
 from linearcat.evaluate import zero_morphism
 from linearcat.models import FinCMon, FinPtSet, Mor, PtObj
@@ -129,6 +129,27 @@ def test_add_central_requires_lineariser(pt3):
     f = pt3.identity(PtObj(2))
     with pytest.raises(LineariserRequired):
         add_central(pt3, f, f)
+
+
+def test_lineariser_is_checked_once_per_table(cmon2, pt3, monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return is_lineariser(model)
+
+    monkeypatch.setattr("linearcat.centrality.is_lineariser", counting)
+    z2 = [o for o in cmon2.base_objects if o.size == 2][0]
+    cm = central_monoid(cmon2, z2, z2)
+    assert len(cm.elements) > 1 and calls == [cmon2]
+    calls.clear()
+    assert check_distributivity(cmon2).passed
+    assert calls == [cmon2]
+    # without a lineariser, both still refuse
+    with pytest.raises(LineariserRequired):
+        central_monoid(pt3, PtObj(2), PtObj(2))
+    with pytest.raises(LineariserRequired):
+        check_distributivity(pt3)
 
 
 def test_central_monoid_structure(cmon):

@@ -72,6 +72,26 @@ def test_check_structured_output_is_stable(capsys):
     assert out1 == out2
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("model, flags, code, golden", [
+    # counterexamples carry witness terms, which pin the flood's parent order
+    ("pointed_sets_3_faulty.json", [], 1, "pointed_sets_3_faulty.json"),
+    ("pointed_sets_3.json", FAST, 0, "pointed_sets_3_fast.json"),
+    ("commutative_monoids_3.json", FAST, 0, "commutative_monoids_3_fast.json"),
+])
+def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
+                                         code, golden):
+    # The golden files are the output of, from the repository root,
+    # `linearcat check --model models/<model> --format structured <flags>`.
+    monkeypatch.chdir(MODELS.parent)
+    got, out, _ = run(capsys, "check", "--model", f"models/{model}",
+                      "--format", "structured", *flags)
+    assert got == code
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_check_monoids_reports_lineariser(capsys):
     code, out, _ = run(capsys, "check", "--model",
                        str(MODELS / "commutative_monoids_3.json"),

@@ -6,7 +6,8 @@ from linearcat.centrality import matrix_completeness
 from linearcat.evaluate import eval_object, zero_morphism
 from linearcat.matrices import (MatrixPresentation, coherence_identity_check,
                                 identity_matrix, matrix_of, realize)
-from linearcat.models import Mor, PtObj
+from linearcat.models import FinPtSet, Mor, PtObj
+from linearcat.search import search_graph
 from linearcat.words import HOLE, Prod, Sum
 
 S2 = Sum(HOLE, HOLE)
@@ -133,3 +134,19 @@ def test_identity_matrix_requires_square(pt3):
 def test_coherence_check_rejects_large_n(pt3):
     with pytest.raises(ValueError):
         coherence_identity_check(pt3, 4, (PtObj(2),) * 4)
+
+
+def test_identity_check_builds_each_graph_once(monkeypatch):
+    built = []
+
+    def counting(v, w, depth, mode):
+        built.append((v, w, depth, mode))
+        return search_graph(v, w, depth, mode)
+
+    monkeypatch.setattr("linearcat.matrices.search_graph", counting)
+    model = FinPtSet((1, 2))
+    objs = model.base_objects
+    for objects in itertools.product(objs, repeat=2):
+        assert coherence_identity_check(model, 2, objects, depth=4).passed
+    # one sum bracketing and one product bracketing of length 2
+    assert len(built) == len(set(built)) == 1

@@ -1,7 +1,10 @@
+import copy
 import itertools
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linearcat.checks import (binary_inclusions, check_prelinear,
                               check_structure, check_transformer,
@@ -9,7 +12,7 @@ from linearcat.checks import (binary_inclusions, check_prelinear,
 from linearcat.errors import ArityMismatch, ModelFileError, NotInvertibleInModel
 from linearcat.evaluate import (eval_canon, eval_morphism, eval_object,
                                 inclusion, projection, zero_morphism)
-from linearcat.models import (FinCMon, FinPtSet, PtObj,
+from linearcat.models import (FinCMon, FinPtSet, Model, PtObj,
                               all_commutative_monoids, load_model,
                               model_from_dict)
 from linearcat.search import pure_bracketings, words_with
@@ -299,6 +302,78 @@ def test_model_file_overrides(tmp_path):
 def test_model_file_rejects_malformed(doc):
     with pytest.raises(ModelFileError):
         model_from_dict(doc)
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+BUNDLED = [json.loads(p.read_text()) for p in sorted(MODELS.glob("*.json"))]
+
+_NAMES = st.sampled_from(["P1", "P2", "P3", "P4", "T", "M0_1", "M1_2", "M3_3", ""])
+_TABLES = st.sampled_from(["i", "lunit_sum", "runit_prod_inv", "assoc_sum",
+                           "assoc_prod_inv", "j", "nonsense"])
+_KEYS = st.sampled_from(["schema", "kind", "objects", "overrides", "name",
+                         "table", "graph"])
+# Integers stay small: a pointed set of size n costs n**3 per associator.
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 5)
+            | st.sampled_from([0.5, 2.0, "pointed_sets", "commutative_monoids"])
+            | _NAMES | _TABLES)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=10)
+_OVERRIDES = st.fixed_dictionaries({
+    "table": _TABLES,
+    "objects": st.lists(_NAMES, max_size=3),
+    "graph": st.lists(st.integers(-1, 8), max_size=9)})
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for idx, child in enumerate(node):
+            yield from _paths(child, path + (idx,))
+
+
+def _mutate(doc, data):
+    # deepest paths first: hypothesis favours early choices, and replacing
+    # the whole document is the least interesting edit
+    path = data.draw(st.sampled_from(list(_paths(doc))[::-1]))
+    action = data.draw(st.sampled_from(["replace", "delete", "override"]))
+    if action == "override" and isinstance(doc, dict) \
+            and isinstance(doc.get("overrides", []), list):
+        doc.setdefault("overrides", []).append(data.draw(_OVERRIDES))
+        return doc
+    value = data.draw(_JSON)
+    if not path:
+        return value
+    *head, last = path
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    if action == "delete":
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_model_from_dict_fuzz_fails_closed(data):
+    """Random edits of the bundled model files either load or raise
+    ModelFileError: no other exception escapes."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(BUNDLED)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    try:
+        model = model_from_dict(doc)
+    except ModelFileError:
+        return
+    assert isinstance(model, Model)
 
 
 def test_model_file_schema_is_optional():

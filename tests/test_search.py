@@ -14,8 +14,8 @@ from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
                              identity_term, render_term, vcompose)
-from linearcat.words import (HOLE, ONE, PROD, SUM, ZERO, Prod, Sum, parse_word,
-                             render_word)
+from linearcat.words import (HOLE, ONE, PROD, SUM, ZERO, Prod, Sum, length,
+                             parse_word, render_word)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -263,3 +263,65 @@ def test_flood_pruning_is_exact(cmon):
         assert want, (v_text, w_text)
         # the flood records the first layer that realizes each value
         assert flood.values == want, (v_text, w_text, mode)
+
+
+def _flood_and_own(model, pairs, depth, mode, objects_for):
+    """Flood every pair at every object tuple.  Returns the flood values and
+    a map from each move id met in a search graph to its (word, edge)."""
+    owner, values = {}, {}
+    for v, w in pairs:
+        graph = search_graph(v, w, depth, mode)
+        for xi, out in graph.edges.items():
+            for edge, _, _ in out:
+                owner[edge[4]] = (graph.words[xi], edge)
+        for objects in objects_for(length(v)):
+            values[(v, w, objects)] = value_flood(model, graph, objects).values
+    return values, owner
+
+
+def _edge_tables(model) -> dict:
+    return {objects: dict(table) for objects, table in model.memo["edge"].items()}
+
+
+def _assert_sound(model, tables, owner):
+    checked = 0
+    for objects, table in tables.items():
+        for mid, eg in table.items():
+            x, edge = owner[mid]
+            term = elementary_from_edge(x, edge).to_canon()
+            assert eval_canon(model, term, objects).graph == eg, (x, edge, objects)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("model_file, mode", [
+    ("pointed_sets_3.json", PRELINEAR),
+    ("commutative_monoids_3.json", PARTIALLY_LINEAR),
+])
+def test_edge_table_is_sound(model_file, mode):
+    # Every graph value_flood keeps in model.memo["edge"][objects][move id]
+    # is the value of that move's elementary term.  Move ids are never
+    # reused: after the move tables are dropped, the fresh ids are new, the
+    # old entries stay as they were and the fresh floods stay sound.
+    model = load_model(MODELS / model_file)
+    small = [o for o in model.base_objects if o.size <= 2]
+
+    def objects_for(n):
+        return list(itertools.product(small, repeat=n))
+
+    pairs = [(parse_word(v), parse_word(w)) for v, w in [
+        ("(0+_)", "(_*1)"), ("(_*1)", "(_+0)"), ("((0*1)+_)", "_"),
+        ("(_+_)", "(_*_)"), ("((_+0)*_)", "(_+(1*_))"), ("0", "1")]]
+    values, owner = _flood_and_own(model, pairs, 4, mode, objects_for)
+    before = _edge_tables(model)
+    _assert_sound(model, before, owner)
+
+    moves.cache_clear()
+    # in another order, so that reused ids would name other moves
+    again, fresh = _flood_and_own(model, pairs[::-1], 4, mode, objects_for)
+    assert again == values
+    assert fresh.keys().isdisjoint(owner)
+    after = _edge_tables(model)
+    for objects, table in before.items():
+        assert {mid: after[objects][mid] for mid in table} == table
+    _assert_sound(model, after, {**owner, **fresh})
