@@ -173,12 +173,17 @@ class CentralMonoid:
 
 def central_monoid(model: Model, x, y) -> CentralMonoid:
     """Tabulate central addition on Z(x, y) and verify the monoid laws."""
+    _require_lineariser(model)
+    return _central_monoid(model, x, y)
+
+
+def _central_monoid(model: Model, x, y) -> CentralMonoid:
+    """``central_monoid`` for callers that have checked the lineariser."""
     elements = central_hom(model, x, y)
     index = {m: k for k, m in enumerate(elements)}
     z = zero_morphism(model, x, y)
     if z not in index:
         raise IntegrityError("the zero morphism is not central")
-    _require_lineariser(model)
     table = []
     for f in elements:
         row = []
@@ -195,6 +200,11 @@ def central_monoid(model: Model, x, y) -> CentralMonoid:
 def check_distributivity(model: Model) -> CheckReport:
     """Both distributive laws of composition over central addition."""
     _require_lineariser(model)
+    return _distributivity(model)
+
+
+def _distributivity(model: Model) -> CheckReport:
+    """``check_distributivity`` for callers that have checked the lineariser."""
     add_cache: dict = {}
 
     def add(f, g):
@@ -269,13 +279,13 @@ def check_linearity_theorem(model: Model) -> CheckReport:
         distributive_ok = True
         witness = None
         for x, y in itertools.product(model.base_objects, repeat=2):
-            cm = central_monoid(model, x, y)
+            cm = _central_monoid(model, x, y)
             if not all(r.passed for r in cm.verify()):
                 monoids_ok = False
                 witness = {"x": x.name, "y": y.name}
                 break
         if monoids_ok:
-            dist = check_distributivity(model)
+            dist = _distributivity(model)
             distributive_ok = dist.passed
             witness = dist.counterexample
         right = monoids_ok and distributive_ok

@@ -229,6 +229,8 @@ class Model:
         if any(type(v) is not int or not 0 <= v <= top for v in graph):
             raise ValueError(f"{where} needs integer entries in 0..{top}")
         self._tables[(name, objs)] = Mor(pristine.dom, pristine.cod, tuple(graph))
+        # derived values (flood edges, whiskered generators) may embed the old one
+        self.memo.clear()
 
     def assoc_sum(self, a, b, c) -> Mor:
         return self._structure("assoc_sum", (a, b, c))

@@ -14,11 +14,13 @@ provably cannot reach the target within the remaining budget.  The pruning
 is exact: no path within the depth bound is ever lost.
 
 Symbolic results (moves, distance tables) are memoised with
-``functools.cache``; values at an object tuple go to the model's own
-``memo``, one dict per concern.  Every move gets a process-unique integer
-id when its word's move table is first computed, and each search graph
-numbers its states, so the value flood runs over integers: per object
-tuple, the model keeps one table from move id to the move's raw graph.
+``functools.cache``; a word's move table is built from its children's.
+Values at an object tuple go to the model's own ``memo``, one dict per
+concern.  Every move gets a process-unique integer id when its word's move
+table is first computed, and each search graph numbers its states, so the
+value flood runs over integers: per object tuple, the model keeps one table
+from move id to the move's raw graph.  Those graphs are shared through one
+memo keyed by the evaluated context of a move (``edge_morphism``).
 """
 
 from __future__ import annotations
@@ -41,22 +43,6 @@ from .words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Word, length,
 def to_key(w: Word) -> Word:
     """The identity: a word is its own search key."""
     return w
-
-
-def _replace(w: Word, path: tuple[int, ...], new: Word) -> Word:
-    if not path:
-        return new
-    op, left, right = w
-    if path[0] == 0:
-        return (op, _replace(left, path[1:], new), right)
-    return (op, left, _replace(right, path[1:], new))
-
-
-def _positions(w: Word, path=()):
-    yield path, w
-    if w not in LEAVES:
-        yield from _positions(w[1], path + (0,))
-        yield from _positions(w[2], path + (1,))
 
 
 # -- elementary moves ---------------------------------------------------------
@@ -110,11 +96,21 @@ def _local_moves(sub: Word, mode: str) -> list[tuple[str, bool, tuple, Word]]:
 @cache
 def moves(w: Word, mode: str) -> tuple[tuple[Edge, Word], ...]:
     """All single elementary moves out of ``w`` in the given mode, each
-    edge numbered with a fresh move id."""
-    return tuple(((path, kind, inverse, args, next(_move_ids)),
-                  _replace(w, path, new))
-                 for path, sub in _positions(w)
-                 for kind, inverse, args, new in _local_moves(sub, mode))
+    edge numbered with a fresh move id.
+
+    Built from the subwords' tables, in preorder: the moves at the root,
+    then each move inside the left child, then each inside the right."""
+    out = [(((), kind, inverse, args, next(_move_ids)), new)
+           for kind, inverse, args, new in _local_moves(w, mode)]
+    if w not in LEAVES:
+        op, left, right = w
+        for (path, kind, inverse, args, _), y in moves(left, mode):
+            out.append((((0,) + path, kind, inverse, args, next(_move_ids)),
+                        (op, y, right)))
+        for (path, kind, inverse, args, _), y in moves(right, mode):
+            out.append((((1,) + path, kind, inverse, args, next(_move_ids)),
+                        (op, left, y)))
+    return tuple(out)
 
 
 def _predecessors(w: Word, mode: str) -> list[Word]:
@@ -124,10 +120,13 @@ def _predecessors(w: Word, mode: str) -> list[Word]:
     other direction, which ``mode`` must allow.  Not memoised: the backward
     tables visit many more words than the forward search.
     """
-    return [_replace(w, path, new)
-            for path, sub in _positions(w)
-            for kind, inverse, _, new in _local_moves(sub, PARTIALLY_LINEAR)
-            if inverse or mode == PARTIALLY_LINEAR or kind in _ALWAYS_ISO]
+    out = [new for kind, inverse, _, new in _local_moves(w, PARTIALLY_LINEAR)
+           if inverse or mode == PARTIALLY_LINEAR or kind in _ALWAYS_ISO]
+    if w not in LEAVES:
+        op, left, right = w
+        out += [(op, y, right) for y in _predecessors(left, mode)]
+        out += [(op, left, y) for y in _predecessors(right, mode)]
+    return out
 
 
 @cache
@@ -212,40 +211,44 @@ def eval_object_cached(model: Model, w: Word, objects: tuple):
     return obj
 
 
-def _generator_mor(model: Model, kind, inverse, args, objects) -> Mor:
-    memo = model.memo["generator"]
-    ck = (kind, inverse, args, objects)
-    mor = memo.get(ck)
-    if mor is None:
-        mor = memo[ck] = eval_generator(model, Generator(kind, args, inverse),
-                                        objects)
-    return mor
-
-
 def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
     """Evaluate one elementary move out of ``x`` at an object tuple.
 
-    Not memoised here: ``value_flood`` keeps the graphs it has evaluated in
-    ``model.memo["edge"][objects][move id]``.
+    The value depends only on the generator at its evaluated argument
+    objects and on the chain of ``(op, side, sibling object)`` along the
+    path, so it is memoised under that key in ``model.memo["whisker"]``,
+    shared by every word and move with the same evaluated context.
+    ``value_flood`` keeps the graphs per move id in
+    ``model.memo["edge"][objects]``.
     """
     path, kind, inverse, args, _ = edge
-    return _edge_eval(model, x, path, kind, inverse, args, objects)
-
-
-def _edge_eval(model, w, path, kind, inverse, args, objects) -> Mor:
-    if not path:
-        return _generator_mor(model, kind, inverse, args, objects)
-    op, left, right = w
-    nl = length(left)
-    if path[0] == 0:
-        sub = _edge_eval(model, left, path[1:], kind, inverse, args, objects[:nl])
-        other = model.identity(eval_object_cached(model, right, objects[nl:]))
-        pair = (sub, other)
-    else:
-        other = model.identity(eval_object_cached(model, left, objects[:nl]))
-        sub = _edge_eval(model, right, path[1:], kind, inverse, args, objects[nl:])
-        pair = (other, sub)
-    return model.sum_mor(*pair) if op == SUM else model.prod_mor(*pair)
+    chain = []
+    for step in path:
+        op, left, right = x
+        nl = length(left)
+        if step == 0:
+            chain.append((op, 0, eval_object_cached(model, right, objects[nl:])))
+            x, objects = left, objects[:nl]
+        else:
+            chain.append((op, 1, eval_object_cached(model, left, objects[:nl])))
+            x, objects = right, objects[nl:]
+    arg_objs = []
+    rest = objects
+    for a in args:
+        n = length(a)
+        arg_objs.append(eval_object_cached(model, a, rest[:n]))
+        rest = rest[n:]
+    key = (kind, inverse, tuple(arg_objs), tuple(chain))
+    memo = model.memo["whisker"]
+    mor = memo.get(key)
+    if mor is None:
+        mor = eval_generator(model, Generator(kind, args, inverse), objects)
+        for op, side, sibling in reversed(chain):
+            other = model.identity(sibling)
+            pair = (mor, other) if side == 0 else (other, mor)
+            mor = model.sum_mor(*pair) if op == SUM else model.prod_mor(*pair)
+        memo[key] = mor
+    return mor
 
 
 def elementary_from_edge(x: Word, edge: Edge) -> ElementaryTerm:

@@ -152,6 +152,22 @@ def test_lineariser_is_checked_once_per_table(cmon2, pt3, monkeypatch):
         check_distributivity(pt3)
 
 
+def test_linearity_theorem_checks_lineariser_once(cmon, pt2, monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return is_lineariser(model)
+
+    monkeypatch.setattr("linearcat.centrality.is_lineariser", counting)
+    r = check_linearity_theorem(cmon)
+    assert r.passed and r.details["right"]
+    assert calls == [cmon]
+    calls.clear()
+    assert not check_linearity_theorem(pt2).details["right"]
+    assert calls == [pt2]
+
+
 def test_central_monoid_structure(cmon):
     z2 = [o for o in cmon.base_objects if o.size == 2][0]
     cm = central_monoid(cmon, z2, z2)

@@ -174,6 +174,21 @@ def test_bad_numeric_flags_exit_2(capsys):
     assert "--depth" in err
 
 
+@pytest.mark.parametrize("command", ["check", "coherence", "central"])
+def test_depth_above_cap_exit_2(capsys, command):
+    names = ["P2", "P2"] if command == "central" else []
+    code, out, err = run(capsys, command, *names, "--model",
+                         str(MODELS / "pointed_sets_3.json"), "--depth", "9")
+    assert code == 2 and out == ""
+    assert "--depth must be at most 8" in err
+
+
+def test_depth_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        run(capsys, "check", "--help")
+    assert "depth, 1 to 8" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("asked, used", [(3, 2), (1, 1)])
 def test_coherence_max_size_is_reported(capsys, asked, used):
     code, out, _ = run(capsys, "coherence", "--model",

@@ -6,16 +6,16 @@ from pathlib import Path
 import pytest
 
 from linearcat.evaluate import eval_canon
-from linearcat.models import PtObj, load_model
-from linearcat.search import (_predecessors, canonical_between,
+from linearcat.models import FinPtSet, PtObj, load_model
+from linearcat.search import (_local_moves, _predecessors, canonical_between,
                               elementary_from_edge, moves, pure_bracketings,
                               search_graph, to_key, value_flood, words_with)
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
                              identity_term, render_term, vcompose)
-from linearcat.words import (HOLE, ONE, PROD, SUM, ZERO, Prod, Sum, length,
-                             parse_word, render_word)
+from linearcat.words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Prod, Sum,
+                             length, parse_word, render_word, unit_count)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -216,6 +216,52 @@ def test_predecessors_are_exact_reverse_of_moves(mode):
     assert not wrong, wrong[:5]
 
 
+def _spine_moves(w, mode) -> list:
+    """The moves out of ``w`` found by visiting every position in preorder
+    and rebuilding the spine above it: the plain reference for ``moves``."""
+    def positions(x, path=()):
+        yield path, x
+        if x not in LEAVES:
+            yield from positions(x[1], path + (0,))
+            yield from positions(x[2], path + (1,))
+
+    def replace(x, path, new):
+        if not path:
+            return new
+        op, left, right = x
+        if path[0] == 0:
+            return (op, replace(left, path[1:], new), right)
+        return (op, left, replace(right, path[1:], new))
+
+    return [((path, kind, inverse, args), replace(w, path, new))
+            for path, sub in positions(w)
+            for kind, inverse, args, new in _local_moves(sub, mode)]
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_moves_match_spine_rebuild(mode):
+    # Move tables are built from the children's tables; they must list the
+    # same moves, with the same targets, in the same order as a rebuild of
+    # the spine at every position.  Words with 5 leaves are built unmemoised
+    # so that only the tables of their (smaller) children are kept.
+    ids = Counter()
+    for w in _keys_up_to(5):
+        leaves = length(w) + unit_count(w)
+        table = moves(w, mode) if leaves < 5 else moves.__wrapped__(w, mode)
+        assert [(edge[:4], y) for edge, y in table] == _spine_moves(w, mode), w
+        ids.update(edge[4] for edge, _ in table)
+    assert ids and max(ids.values()) == 1
+
+
+def test_override_clears_flood_memo():
+    model = FinPtSet((1, 2))
+    p2 = model.object_by_name("P2")
+    graph = search_graph(parse_word("(_+0)"), HOLE, 2, PRELINEAR)
+    assert set(value_flood(model, graph, (p2,)).values) == {(0, 1)}
+    model.override_table("runit_sum", (p2,), (0, 0))
+    assert set(value_flood(model, graph, (p2,)).values) == {(0, 0)}
+
+
 def _unpruned_values(model, v, w, depth, mode, objects) -> dict:
     """Value -> shortest path length, over every move path of length <= depth
     from v to w, found by a plain depth-first search over ``moves`` and
@@ -296,13 +342,17 @@ def _assert_sound(model, tables, owner):
 
 @pytest.mark.parametrize("model_file, mode", [
     ("pointed_sets_3.json", PRELINEAR),
+    ("pointed_sets_3_faulty.json", PRELINEAR),
     ("commutative_monoids_3.json", PARTIALLY_LINEAR),
 ])
 def test_edge_table_is_sound(model_file, mode):
     # Every graph value_flood keeps in model.memo["edge"][objects][move id]
-    # is the value of that move's elementary term.  Move ids are never
-    # reused: after the move tables are dropped, the fresh ids are new, the
-    # old entries stay as they were and the fresh floods stay sound.
+    # is the value of that move's elementary term, also where the model
+    # overrides a structure table.  The graphs are shared through the
+    # whisker memo, which holds fewer entries than the edge tables.  Move
+    # ids are never reused: after the move tables are dropped, the fresh ids
+    # are new, the old entries stay as they were and the fresh floods stay
+    # sound.
     model = load_model(MODELS / model_file)
     small = [o for o in model.base_objects if o.size <= 2]
 
@@ -315,6 +365,8 @@ def test_edge_table_is_sound(model_file, mode):
     values, owner = _flood_and_own(model, pairs, 4, mode, objects_for)
     before = _edge_tables(model)
     _assert_sound(model, before, owner)
+    entries = sum(len(table) for table in before.values())
+    assert len(model.memo["whisker"]) < entries
 
     moves.cache_clear()
     # in another order, so that reused ids would name other moves
