@@ -180,6 +180,10 @@ def central_monoid(model: Model, x, y) -> CentralMonoid:
 def _central_monoid(model: Model, x, y) -> CentralMonoid:
     """``central_monoid`` for callers that have checked the lineariser."""
     elements = central_hom(model, x, y)
+    for f in elements:
+        if realize(model, central_matrix(model, f)) is None:
+            raise IntegrityError(f"morphism {f.graph} is central by its covers"
+                                 " but its central matrix has no realizer")
     index = {m: k for k, m in enumerate(elements)}
     z = zero_morphism(model, x, y)
     if z not in index:

@@ -8,6 +8,7 @@ both sides of the offending equation) to replay the failure by hand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -64,185 +65,198 @@ def binary_projections(model: Model, a, b) -> tuple[Mor, Mor]:
 
 
 # -- category and monoidal laws ------------------------------------------------
+#
+# Each law is a generator of failure reports, and ``_law`` keeps the first
+# one, so every law is reported exactly once whatever fails before it.
 
-def _check_category(model: Model):
-    for x in model.base_objects:
-        for y in model.base_objects:
-            for f in model.hom(x, y):
-                if model.compose(f, model.identity(x)) != f \
-                        or model.compose(model.identity(y), f) != f:
-                    yield _fail("category/identity", f=f)
-                    break
-    yield _ok("category/identity")
-    objs = model.base_objects
-    for w, x, y, z in itertools.product(objs, repeat=4):
-        for f in model.hom(w, x):
-            for g in model.hom(x, y):
-                gf = model.compose(g, f)
-                for h in model.hom(y, z):
-                    if model.compose(h, gf) != model.compose(model.compose(h, g), f):
-                        yield _fail("category/associativity", f=f, g=g, h=h)
-                        return
-    yield _ok("category/associativity")
+def _law(law: str, failures) -> CheckReport:
+    """The first report ``failures`` yields, or a pass of ``law``."""
+    return next(failures, None) or _ok(law)
 
 
-def _check_bifunctor(model: Model, tag: str, obj, mor):
+def _check_category(model: Model) -> list[CheckReport]:
+    compose = model.compose
+
+    def identity():
+        for f in _all_morphisms(model):
+            if compose(f, model.identity(f.dom)) != f \
+                    or compose(model.identity(f.cod), f) != f:
+                yield _fail("category/identity", f=f)
+
+    def associativity():
+        for w, x, y, z in itertools.product(model.base_objects, repeat=4):
+            for f in model.hom(w, x):
+                for g in model.hom(x, y):
+                    gf = compose(g, f)
+                    for h in model.hom(y, z):
+                        if compose(h, gf) != compose(compose(h, g), f):
+                            yield _fail("category/associativity", f=f, g=g, h=h)
+
+    return [_law("category/identity", identity()),
+            _law("category/associativity", associativity())]
+
+
+def _check_bifunctor(model: Model, tag: str, obj, mor) -> list[CheckReport]:
     # Functoriality in each slot plus the exchange law; together these imply
     # the joint interchange equation without sweeping pairs of pairs.
-    for a in model.base_objects:
-        for b in model.base_objects:
-            ida, idb = model.identity(a), model.identity(b)
-            if mor(ida, idb) != model.identity(obj(a, b)):
+    objs = model.base_objects
+    compose = model.compose
+
+    def preserves_identity():
+        for a, b in itertools.product(objs, repeat=2):
+            if mor(model.identity(a), model.identity(b)) != model.identity(obj(a, b)):
                 yield _fail(f"{tag}/preserves-identity", a=a.name, b=b.name)
-                return
-    yield _ok(f"{tag}/preserves-identity")
-    pairs = [(f, g)
-             for x, y, z in itertools.product(model.base_objects, repeat=3)
-             for f in model.hom(x, y) for g in model.hom(y, z)]
-    for f, g in pairs:
-        gf = model.compose(g, f)
-        for c in model.base_objects:
-            idc = model.identity(c)
-            if mor(gf, idc) != model.compose(mor(g, idc), mor(f, idc)) \
-                    or mor(idc, gf) != model.compose(mor(idc, g), mor(idc, f)):
-                yield _fail(f"{tag}/functorial-each-slot", f=f, g=g, c=c.name)
-                return
-    yield _ok(f"{tag}/functorial-each-slot")
-    all_homs = [f for x, y in itertools.product(model.base_objects, repeat=2)
-                for f in model.hom(x, y)]
-    for f in all_homs:
-        for g in all_homs:
+
+    def functorial_each_slot():
+        for x, y, z in itertools.product(objs, repeat=3):
+            for f in model.hom(x, y):
+                for g in model.hom(y, z):
+                    gf = compose(g, f)
+                    for c in objs:
+                        idc = model.identity(c)
+                        if mor(gf, idc) != compose(mor(g, idc), mor(f, idc)) \
+                                or mor(idc, gf) != compose(mor(idc, g), mor(idc, f)):
+                            yield _fail(f"{tag}/functorial-each-slot",
+                                        f=f, g=g, c=c.name)
+
+    def interchange():
+        all_homs = list(_all_morphisms(model))
+        for f, g in itertools.product(all_homs, repeat=2):
             direct = mor(f, g)
-            via1 = model.compose(mor(model.identity(f.cod), g),
-                                 mor(f, model.identity(g.dom)))
-            via2 = model.compose(mor(f, model.identity(g.cod)),
-                                 mor(model.identity(f.dom), g))
+            via1 = compose(mor(model.identity(f.cod), g),
+                           mor(f, model.identity(g.dom)))
+            via2 = compose(mor(f, model.identity(g.cod)),
+                           mor(model.identity(f.dom), g))
             if direct != via1 or direct != via2:
                 yield _fail(f"{tag}/interchange", f=f, g=g)
-                return
-    yield _ok(f"{tag}/interchange")
+
+    return [_law(f"{tag}/preserves-identity", preserves_identity()),
+            _law(f"{tag}/functorial-each-slot", functorial_each_slot()),
+            _law(f"{tag}/interchange", interchange())]
 
 
-def _check_monoidal(model: Model, tag: str, obj, mor, unit, assoc, assoc_inv,
-                    lunit, lunit_inv, runit, runit_inv):
+def _check_monoidal(model: Model, tag: str, obj, mor, unit) -> list[CheckReport]:
+    """The monoidal laws of the structure whose tables end in ``_{tag}``."""
+    assoc, assoc_inv, lunit, lunit_inv, runit, runit_inv = (
+        functools.partial(model.structure, f"{kind}_{tag}{inv}")
+        for kind in ("assoc", "lunit", "runit") for inv in ("", "_inv"))
     objs = model.base_objects
-    for a in objs:
-        lu, lui = lunit(a), lunit_inv(a)
-        ru, rui = runit(a), runit_inv(a)
-        ok = (model.compose(lu, lui) == model.identity(a)
-              and model.compose(lui, lu) == model.identity(obj(unit, a))
-              and model.compose(ru, rui) == model.identity(a)
-              and model.compose(rui, ru) == model.identity(obj(a, unit)))
-        if not ok:
-            yield _fail(f"{tag}/unitor-iso", a=a.name, lunit=lu, runit=ru)
-            break
-    else:
-        yield _ok(f"{tag}/unitor-iso")
-    for a, b, c in itertools.product(objs, repeat=3):
-        al, ali = assoc(a, b, c), assoc_inv(a, b, c)
-        if model.compose(al, ali) != model.identity(al.cod) \
-                or model.compose(ali, al) != model.identity(al.dom):
-            yield _fail(f"{tag}/assoc-iso", a=a.name, b=b.name, c=c.name)
-            break
-    else:
-        yield _ok(f"{tag}/assoc-iso")
-    # naturality
-    all_homs = [f for x, y in itertools.product(objs, repeat=2)
-                for f in model.hom(x, y)]
-    for f in all_homs:
-        lu_nat = model.compose(lunit(f.cod), mor(model.identity(unit), f))
-        if lu_nat != model.compose(f, lunit(f.dom)):
-            yield _fail(f"{tag}/lunit-natural", f=f)
-            break
-        ru_nat = model.compose(runit(f.cod), mor(f, model.identity(unit)))
-        if ru_nat != model.compose(f, runit(f.dom)):
-            yield _fail(f"{tag}/runit-natural", f=f)
-            break
-    else:
-        yield _ok(f"{tag}/unitor-natural")
-    # slotwise naturality; joint naturality follows via functoriality
-    for f in all_homs:
-        for b, c in itertools.product(objs, repeat=2):
-            idb, idcc = model.identity(b), model.identity(c)
-            bc_id = model.identity(obj(b, c))
-            lhs = model.compose(assoc(f.cod, b, c), mor(f, bc_id))
-            rhs = model.compose(mor(mor(f, idb), idcc), assoc(f.dom, b, c))
-            if lhs != rhs:
-                yield _fail(f"{tag}/assoc-natural", slot=1, f=f, b=b.name, c=c.name)
-                return
-            lhs = model.compose(assoc(b, f.cod, c), mor(idb, mor(f, idcc)))
-            rhs = model.compose(mor(mor(idb, f), idcc), assoc(b, f.dom, c))
-            if lhs != rhs:
-                yield _fail(f"{tag}/assoc-natural", slot=2, f=f, b=b.name, c=c.name)
-                return
-            lhs = model.compose(assoc(b, c, f.cod), mor(idb, mor(idcc, f)))
-            rhs = model.compose(mor(model.identity(obj(b, c)), f), assoc(b, c, f.dom))
-            if lhs != rhs:
-                yield _fail(f"{tag}/assoc-natural", slot=3, f=f, b=b.name, c=c.name)
-                return
-    yield _ok(f"{tag}/assoc-natural")
-    for a, b, c, d in itertools.product(objs, repeat=4):
-        way1 = model.compose(assoc(obj(a, b), c, d), assoc(a, b, obj(c, d)))
-        way2 = model.compose(
-            mor(assoc(a, b, c), model.identity(d)),
-            model.compose(assoc(a, obj(b, c), d),
-                          mor(model.identity(a), assoc(b, c, d))))
-        if way1 != way2:
-            yield _fail(f"{tag}/pentagon", a=a.name, b=b.name, c=c.name, d=d.name)
-            return
-    yield _ok(f"{tag}/pentagon")
-    for a, b in itertools.product(objs, repeat=2):
-        lhs = model.compose(mor(runit(a), model.identity(b)), assoc(a, unit, b))
-        rhs = mor(model.identity(a), lunit(b))
-        if lhs != rhs:
-            yield _fail(f"{tag}/triangle", a=a.name, b=b.name)
-            return
-    yield _ok(f"{tag}/triangle")
+    all_homs = list(_all_morphisms(model))
+    identity, compose = model.identity, model.compose
+
+    def unitor_iso():
+        for a in objs:
+            lu, lui = lunit(a), lunit_inv(a)
+            ru, rui = runit(a), runit_inv(a)
+            if compose(lu, lui) != identity(a) \
+                    or compose(lui, lu) != identity(obj(unit, a)) \
+                    or compose(ru, rui) != identity(a) \
+                    or compose(rui, ru) != identity(obj(a, unit)):
+                yield _fail(f"{tag}/unitor-iso", a=a.name, lunit=lu, runit=ru)
+
+    def assoc_iso():
+        for a, b, c in itertools.product(objs, repeat=3):
+            al, ali = assoc(a, b, c), assoc_inv(a, b, c)
+            if compose(al, ali) != identity(al.cod) \
+                    or compose(ali, al) != identity(al.dom):
+                yield _fail(f"{tag}/assoc-iso", a=a.name, b=b.name, c=c.name)
+
+    def unitor_natural():  # fails as lunit-natural or runit-natural
+        for f in all_homs:
+            if compose(lunit(f.cod), mor(identity(unit), f)) \
+                    != compose(f, lunit(f.dom)):
+                yield _fail(f"{tag}/lunit-natural", f=f)
+            if compose(runit(f.cod), mor(f, identity(unit))) \
+                    != compose(f, runit(f.dom)):
+                yield _fail(f"{tag}/runit-natural", f=f)
+
+    def assoc_natural():
+        # slotwise naturality; joint naturality follows via functoriality
+        for f in all_homs:
+            for b, c in itertools.product(objs, repeat=2):
+                idb, idc = identity(b), identity(c)
+                lhs = compose(assoc(f.cod, b, c), mor(f, identity(obj(b, c))))
+                rhs = compose(mor(mor(f, idb), idc), assoc(f.dom, b, c))
+                if lhs != rhs:
+                    yield _fail(f"{tag}/assoc-natural", slot=1, f=f, b=b.name, c=c.name)
+                lhs = compose(assoc(b, f.cod, c), mor(idb, mor(f, idc)))
+                rhs = compose(mor(mor(idb, f), idc), assoc(b, f.dom, c))
+                if lhs != rhs:
+                    yield _fail(f"{tag}/assoc-natural", slot=2, f=f, b=b.name, c=c.name)
+                lhs = compose(assoc(b, c, f.cod), mor(idb, mor(idc, f)))
+                rhs = compose(mor(identity(obj(b, c)), f), assoc(b, c, f.dom))
+                if lhs != rhs:
+                    yield _fail(f"{tag}/assoc-natural", slot=3, f=f, b=b.name, c=c.name)
+
+    def pentagon():
+        for a, b, c, d in itertools.product(objs, repeat=4):
+            way1 = compose(assoc(obj(a, b), c, d), assoc(a, b, obj(c, d)))
+            way2 = compose(mor(assoc(a, b, c), identity(d)),
+                           compose(assoc(a, obj(b, c), d),
+                                   mor(identity(a), assoc(b, c, d))))
+            if way1 != way2:
+                yield _fail(f"{tag}/pentagon", a=a.name, b=b.name, c=c.name, d=d.name)
+
+    def triangle():
+        for a, b in itertools.product(objs, repeat=2):
+            lhs = compose(mor(runit(a), identity(b)), assoc(a, unit, b))
+            if lhs != mor(identity(a), lunit(b)):
+                yield _fail(f"{tag}/triangle", a=a.name, b=b.name)
+
+    return [_law(f"{tag}/unitor-iso", unitor_iso()),
+            _law(f"{tag}/assoc-iso", assoc_iso()),
+            _law(f"{tag}/unitor-natural", unitor_natural()),
+            _law(f"{tag}/assoc-natural", assoc_natural()),
+            _law(f"{tag}/pentagon", pentagon()),
+            _law(f"{tag}/triangle", triangle())]
 
 
-def _check_initial_terminal(model: Model):
-    for x in model.base_objects:
-        from_zero = model.hom(model.zero_obj, x)
-        if len(from_zero) != 1 or from_zero[0] != model.bang_from_zero(x):
-            yield _fail("zero-initial", x=x.name,
-                        homs=[list(m.graph) for m in from_zero])
-            break
-    else:
-        yield _ok("zero-initial")
-    for x in model.base_objects:
-        to_one = model.hom(x, model.one_obj)
-        if len(to_one) != 1 or to_one[0] != model.bang_to_one(x):
-            yield _fail("one-terminal", x=x.name,
-                        homs=[list(m.graph) for m in to_one])
-            break
-    else:
-        yield _ok("one-terminal")
+def _check_initial_terminal(model: Model) -> list[CheckReport]:
+    def zero_initial():
+        for x in model.base_objects:
+            from_zero = model.hom(model.zero_obj, x)
+            if len(from_zero) != 1 or from_zero[0] != model.bang_from_zero(x):
+                yield _fail("zero-initial", x=x.name,
+                            homs=[list(m.graph) for m in from_zero])
+
+    def one_terminal():
+        for x in model.base_objects:
+            to_one = model.hom(x, model.one_obj)
+            if len(to_one) != 1 or to_one[0] != model.bang_to_one(x):
+                yield _fail("one-terminal", x=x.name,
+                            homs=[list(m.graph) for m in to_one])
+
+    return [_law("zero-initial", zero_initial()),
+            _law("one-terminal", one_terminal())]
 
 
-def _check_joint_epi_mono(model: Model):
+def _check_joint_epi_mono(model: Model) -> list[CheckReport]:
     objs = model.base_objects
-    for a, b, c in itertools.product(objs, repeat=3):
-        i1, i2 = binary_inclusions(model, a, b)
-        seen = {}
-        for u in model.hom(model.sum_obj(a, b), c):
-            sig = (model.compose(u, i1).graph, model.compose(u, i2).graph)
-            if sig in seen:
-                yield _fail("inclusions-jointly-epi", a=a.name, b=b.name,
-                            c=c.name, u=u, v=seen[sig])
-                return
-            seen[sig] = u
-    yield _ok("inclusions-jointly-epi")
-    for a, b, c in itertools.product(objs, repeat=3):
-        p1, p2 = binary_projections(model, a, b)
-        seen = {}
-        for u in model.hom(c, model.prod_obj(a, b)):
-            sig = (model.compose(p1, u).graph, model.compose(p2, u).graph)
-            if sig in seen:
-                yield _fail("projections-jointly-mono", a=a.name, b=b.name,
-                            c=c.name, u=u, v=seen[sig])
-                return
-            seen[sig] = u
-    yield _ok("projections-jointly-mono")
+
+    def inclusions_jointly_epi():
+        for a, b, c in itertools.product(objs, repeat=3):
+            i1, i2 = binary_inclusions(model, a, b)
+            seen = {}
+            for u in model.hom(model.sum_obj(a, b), c):
+                sig = (model.compose(u, i1).graph, model.compose(u, i2).graph)
+                if sig in seen:
+                    yield _fail("inclusions-jointly-epi", a=a.name, b=b.name,
+                                c=c.name, u=u, v=seen[sig])
+                seen[sig] = u
+
+    def projections_jointly_mono():
+        for a, b, c in itertools.product(objs, repeat=3):
+            p1, p2 = binary_projections(model, a, b)
+            seen = {}
+            for u in model.hom(c, model.prod_obj(a, b)):
+                sig = (model.compose(p1, u).graph, model.compose(p2, u).graph)
+                if sig in seen:
+                    yield _fail("projections-jointly-mono", a=a.name, b=b.name,
+                                c=c.name, u=u, v=seen[sig])
+                seen[sig] = u
+
+    return [_law("inclusions-jointly-epi", inclusions_jointly_epi()),
+            _law("projections-jointly-mono", projections_jointly_mono())]
 
 
 def check_structure(model: Model) -> list[CheckReport]:
@@ -253,14 +267,10 @@ def check_structure(model: Model) -> list[CheckReport]:
                                     model.sum_obj, model.sum_mor))
     reports.extend(_check_bifunctor(model, "prod-bifunctor",
                                     model.prod_obj, model.prod_mor))
-    reports.extend(_check_monoidal(
-        model, "sum", model.sum_obj, model.sum_mor, model.zero_obj,
-        model.assoc_sum, model.assoc_sum_inv, model.lunit_sum,
-        model.lunit_sum_inv, model.runit_sum, model.runit_sum_inv))
-    reports.extend(_check_monoidal(
-        model, "prod", model.prod_obj, model.prod_mor, model.one_obj,
-        model.assoc_prod, model.assoc_prod_inv, model.lunit_prod,
-        model.lunit_prod_inv, model.runit_prod, model.runit_prod_inv))
+    reports.extend(_check_monoidal(model, "sum", model.sum_obj, model.sum_mor,
+                                   model.zero_obj))
+    reports.extend(_check_monoidal(model, "prod", model.prod_obj, model.prod_mor,
+                                   model.one_obj))
     reports.extend(_check_initial_terminal(model))
     reports.extend(_check_joint_epi_mono(model))
     return reports
@@ -271,28 +281,24 @@ def check_structure(model: Model) -> list[CheckReport]:
 def check_transformer(model: Model) -> list[CheckReport]:
     """Naturality of ``i`` plus both unitor-compatibility diagrams, the
     naturality-derived variants, and the entrywise sufficient conditions."""
-    reports: list[CheckReport] = []
     objs = model.base_objects
-    all_homs = [f for x in objs for y in objs for f in model.hom(x, y)]
+    all_homs = list(_all_morphisms(model))
     j = model.j_morphism()
+    i = functools.partial(model.structure, "i")
+    zero = model.zero_obj
 
-    ok = True
-    for f in all_homs:
-        for g in all_homs:
-            lhs = model.compose(model.i_component(f.cod, g.cod), model.sum_mor(f, g))
-            rhs = model.compose(model.prod_mor(f, g), model.i_component(f.dom, g.dom))
+    def i_natural():
+        for f, g in itertools.product(all_homs, repeat=2):
+            lhs = model.compose(i(f.cod, g.cod), model.sum_mor(f, g))
+            rhs = model.compose(model.prod_mor(f, g), i(f.dom, g.dom))
             if lhs != rhs:
-                reports.append(_fail("i-natural", f=f, g=g, lhs=lhs, rhs=rhs))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        reports.append(_ok("i-natural"))
+                yield _fail("i-natural", f=f, g=g, lhs=lhs, rhs=rhs)
 
-    def diagram(law, lhs_of, rhs_of):
+    reports = [_law("i-natural", i_natural())]
+
+    def diagram(law, lhs_of, rhs_table):
         for a in objs:
-            lhs, rhs = lhs_of(a), rhs_of(a)
+            lhs, rhs = lhs_of(a), model.structure(rhs_table, a)
             if lhs != rhs:
                 return _fail(law, a=a.name, lhs=lhs, rhs=rhs)
         return _ok(law)
@@ -300,68 +306,58 @@ def check_transformer(model: Model) -> list[CheckReport]:
     reports.append(diagram(
         "i-compatible-runit",
         lambda a: model.compose(
-            model.runit_prod(a),
-            model.compose(model.prod_mor(model.identity(a), j),
-                          model.i_component(a, model.zero_obj))),
-        model.runit_sum))
+            model.structure("runit_prod", a),
+            model.compose(model.prod_mor(model.identity(a), j), i(a, zero))),
+        "runit_sum"))
     reports.append(diagram(
         "i-compatible-lunit",
         lambda a: model.compose(
-            model.lunit_prod(a),
-            model.compose(model.prod_mor(j, model.identity(a)),
-                          model.i_component(model.zero_obj, a))),
-        model.lunit_sum))
+            model.structure("lunit_prod", a),
+            model.compose(model.prod_mor(j, model.identity(a)), i(zero, a))),
+        "lunit_sum"))
     reports.append(diagram(
         "i-compatible-runit-via-naturality",
         lambda a: model.compose(
-            model.runit_prod(a),
-            model.compose(model.i_component(a, model.one_obj),
-                          model.sum_mor(model.identity(a), j))),
-        model.runit_sum))
+            model.structure("runit_prod", a),
+            model.compose(i(a, model.one_obj), model.sum_mor(model.identity(a), j))),
+        "runit_sum"))
     reports.append(diagram(
         "i-compatible-lunit-via-naturality",
         lambda a: model.compose(
-            model.lunit_prod(a),
-            model.compose(model.i_component(model.one_obj, a),
-                          model.sum_mor(j, model.identity(a)))),
-        model.lunit_sum))
+            model.structure("lunit_prod", a),
+            model.compose(i(model.one_obj, a), model.sum_mor(j, model.identity(a)))),
+        "lunit_sum"))
+    compat_r, compat_l = reports[1:3]
 
     # entrywise sufficient conditions
-    first_ok = True
-    for a in objs:
-        i1, _ = binary_inclusions(model, a, model.zero_obj)
-        p1, _ = binary_projections(model, a, model.zero_obj)
-        entry = model.compose(p1, model.compose(
-            model.i_component(a, model.zero_obj), i1))
-        if entry != model.identity(a):
-            reports.append(_fail("i-first-entry-identity", a=a.name, entry=entry))
-            first_ok = False
-            break
-    if first_ok:
-        reports.append(_ok("i-first-entry-identity"))
-    second_ok = True
-    for b in objs:
-        _, i2 = binary_inclusions(model, model.zero_obj, b)
-        _, p2 = binary_projections(model, model.zero_obj, b)
-        entry = model.compose(p2, model.compose(
-            model.i_component(model.zero_obj, b), i2))
-        if entry != model.identity(b):
-            reports.append(_fail("i-second-entry-identity", b=b.name, entry=entry))
-            second_ok = False
-            break
-    if second_ok:
-        reports.append(_ok("i-second-entry-identity"))
+    def first_entry():
+        for a in objs:
+            i1, _ = binary_inclusions(model, a, zero)
+            p1, _ = binary_projections(model, a, zero)
+            entry = model.compose(p1, model.compose(i(a, zero), i1))
+            if entry != model.identity(a):
+                yield _fail("i-first-entry-identity", a=a.name, entry=entry)
+
+    def second_entry():
+        for b in objs:
+            _, i2 = binary_inclusions(model, zero, b)
+            _, p2 = binary_projections(model, zero, b)
+            entry = model.compose(p2, model.compose(i(zero, b), i2))
+            if entry != model.identity(b):
+                yield _fail("i-second-entry-identity", b=b.name, entry=entry)
+
+    first = _law("i-first-entry-identity", first_entry())
+    second = _law("i-second-entry-identity", second_entry())
+    reports += [first, second]
 
     # the entrywise conditions must imply the compatibility diagrams here
-    compat_r = next(r for r in reports if r.law == "i-compatible-runit")
-    compat_l = next(r for r in reports if r.law == "i-compatible-lunit")
-    implication = CheckReport(
+    reports.append(CheckReport(
         "entrywise-implies-compatibility",
-        (not first_ok or compat_r.passed) and (not second_ok or compat_l.passed),
+        (not first.passed or compat_r.passed)
+        and (not second.passed or compat_l.passed),
         None,
-        {"entrywise": [first_ok, second_ok],
-         "compatibility": [compat_r.passed, compat_l.passed]})
-    reports.append(implication)
+        {"entrywise": [first.passed, second.passed],
+         "compatibility": [compat_r.passed, compat_l.passed]}))
     return reports
 
 
@@ -374,32 +370,27 @@ def check_prelinear(model: Model,
     ``transformer`` takes the reports of :func:`check_transformer` when the
     caller already has them; otherwise they are computed here."""
     from .matrices import identity_matrix, matrix_of
-    reports: list[CheckReport] = []
     src_w, tgt_w = Sum(HOLE, HOLE), Prod(HOLE, HOLE)
-    ok = True
-    for a in model.base_objects:
-        for b in model.base_objects:
-            got = matrix_of(model, model.i_component(a, b),
+
+    def identity_matrices():
+        for a, b in itertools.product(model.base_objects, repeat=2):
+            got = matrix_of(model, model.structure("i", a, b),
                             (src_w, (a, b)), (tgt_w, (a, b)))
             want = identity_matrix(model, (a, b), src_w, tgt_w)
             if got.entries != want.entries:
-                reports.append(_fail(
+                yield _fail(
                     "i-matrix-identity", a=a.name, b=b.name,
                     got=[[list(m.graph) for m in row] for row in got.entries],
-                    want=[[list(m.graph) for m in row] for row in want.entries]))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
-        reports.append(_ok("i-matrix-identity"))
+                    want=[[list(m.graph) for m in row] for row in want.entries])
+
+    matrix_report = _law("i-matrix-identity", identity_matrices())
     if transformer is None:
         transformer = check_transformer(model)
     transformer_ok = all(r.passed for r in transformer)
-    reports.append(CheckReport(
-        "prelinear-iff-transformer", ok == transformer_ok, None,
-        {"identity_matrices": ok, "transformer_laws": transformer_ok}))
-    return reports
+    return [matrix_report, CheckReport(
+        "prelinear-iff-transformer", matrix_report.passed == transformer_ok, None,
+        {"identity_matrices": matrix_report.passed,
+         "transformer_laws": transformer_ok})]
 
 
 def is_lineariser(model: Model):

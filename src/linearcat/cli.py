@@ -102,14 +102,16 @@ def _grid(rows) -> str:
         "    [ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
+def _print_structured(doc: dict) -> None:
+    print(json.dumps(dict(doc, schema_version=SCHEMA_VERSION), indent=2,
+                     sort_keys=True))
+
+
 def _emit(args, doc: dict, reports: list[CheckReport]) -> None:
     if args.format == "structured":
-        doc = dict(doc)
-        doc["schema_version"] = SCHEMA_VERSION
-        doc["reports"] = [_report_dict(r) for r in reports]
-        doc["summary"] = {"total": len(reports),
-                          "failed": sum(not r.passed for r in reports)}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_structured(dict(doc, reports=[_report_dict(r) for r in reports],
+                               summary={"total": len(reports),
+                                        "failed": sum(not r.passed for r in reports)}))
     else:
         for r in reports:
             print(str(r))
@@ -136,9 +138,8 @@ def cmd_word(args) -> int:
     }
     if n > 2:
         if args.format == "structured":
-            info["schema_version"] = SCHEMA_VERSION
-            info["error"] = "unit cancellation is only defined for length <= 2"
-            print(json.dumps(info, indent=2, sort_keys=True))
+            _print_structured(dict(
+                info, error="unit cancellation is only defined for length <= 2"))
         else:
             print(f"word:      {info['word']}")
             print(f"length:    {n}")
@@ -161,8 +162,7 @@ def cmd_word(args) -> int:
     info["cancellation"] = render_term(cancel)
     info["cancellation_target"] = render_word(cancel.target)
     if args.format == "structured":
-        info["schema_version"] = SCHEMA_VERSION
-        print(json.dumps(info, indent=2, sort_keys=True))
+        _print_structured(info)
     else:
         print(f"word:        {info['word']}")
         print(f"length:      {n}")
@@ -277,17 +277,23 @@ def cmd_central(args) -> int:
     except KeyError as exc:
         print(f"object error: {exc}", file=sys.stderr)
         return 2
-    elements = central_hom(model, x, y)
-    doc = {"command": "central", "model": args.model,
-           "x": args.x, "y": args.y,
-           "central": [list(m.graph) for m in elements]}
+    doc = {"command": "central", "model": args.model, "x": args.x, "y": args.y}
+    try:
+        elements = central_hom(model, x, y)
+        lin, lin_data = is_lineariser(model)
+        cm = central_monoid(model, x, y) if lin else None
+    except LinearcatError as exc:
+        if args.format == "structured":
+            _print_structured(dict(doc, error=str(exc)))
+        else:
+            print(f"central error: {exc}", file=sys.stderr)
+        return 1
+    doc["central"] = [list(m.graph) for m in elements]
     lines = [f"Z({args.x}, {args.y}): {len(elements)} central morphism(s)"]
     for k, m in enumerate(elements):
         lines.append(f"  z{k}: {list(m.graph)}")
-    lin, lin_data = is_lineariser(model)
     doc["lineariser"] = lin
     if lin:
-        cm = central_monoid(model, x, y)
         doc["addition_table"] = [list(row) for row in cm.table]
         doc["unit_index"] = cm.unit_index
         doc["commutative_observed"] = cm.commutative
@@ -301,8 +307,7 @@ def cmd_central(args) -> int:
         doc["witness"] = lin_data
         lines.append(f"no lineariser: {lin_data['reason']}")
     if args.format == "structured":
-        doc["schema_version"] = SCHEMA_VERSION
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_structured(doc)
     else:
         print("\n".join(lines))
     return 0

@@ -72,6 +72,13 @@ def _split_objects(words, objects):
     return out
 
 
+# generator kind -> the structure table of its components
+_STRUCTURE_TABLE = {ASSOC_SUM: "assoc_sum", LUNIT_SUM: "lunit_sum",
+                    RUNIT_SUM: "runit_sum", ASSOC_PROD: "assoc_prod",
+                    LUNIT_PROD: "lunit_prod", RUNIT_PROD: "runit_prod",
+                    I_GEN: "i"}
+
+
 def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:
     """The component of a generator at the given objects."""
     k = gen.kind
@@ -83,17 +90,11 @@ def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:
         return model.j_morphism()
     arg_objs = _split_objects(gen.args, objects)
     objs = tuple(eval_object(model, w, o) for w, o in zip(gen.args, arg_objs))
+    if not gen.inverse:
+        return model.structure(_STRUCTURE_TABLE[k], *objs)
     if k == I_GEN:
-        return model.i_inverse(*objs) if gen.inverse else model.i_component(*objs)
-    table = {
-        ASSOC_SUM: ("assoc_sum", "assoc_sum_inv"),
-        LUNIT_SUM: ("lunit_sum", "lunit_sum_inv"),
-        RUNIT_SUM: ("runit_sum", "runit_sum_inv"),
-        ASSOC_PROD: ("assoc_prod", "assoc_prod_inv"),
-        LUNIT_PROD: ("lunit_prod", "lunit_prod_inv"),
-        RUNIT_PROD: ("runit_prod", "runit_prod_inv"),
-    }[k]
-    return model._structure(table[1] if gen.inverse else table[0], objs)
+        return model.i_inverse(*objs)
+    return model.structure(_STRUCTURE_TABLE[k] + "_inv", *objs)
 
 
 def eval_canon(model: Model, t: CanonTerm, objects: tuple) -> Mor:

@@ -8,10 +8,11 @@ commutative monoids with the direct product playing both roles and the
 identity carrier map as ``i``; there ``i`` is invertible.
 
 Morphisms are stored as explicit graphs (tuples of carrier indices), and all
-structure components (associators, unitors, ``i``) live in a table keyed by
-component name and object tuple.  Tables are filled lazily but, once
-computed, stay fixed; loading a model file may pre-seed arbitrary entries,
-which is how fault injection works.
+structure components (associators, unitors, ``i``) are read through
+``Model.structure(name, *objects)``.  A model is fixed once built: the
+overrides given to its constructor replace arbitrary components, which is
+how fault injection works, and components are computed lazily into the
+model's ``memo``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import json
 from collections import defaultdict
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ModelFileError, NotInvertibleInModel
 
@@ -147,20 +149,54 @@ def _invert_mor(m: Mor) -> Mor:
     return Mor(m.cod, m.dom, tuple(inv))
 
 
+# The structure tables of a model, by name: associators and unitors of the
+# sum and of the product structure, each with its inverse, and ``i``.
+STRUCTURE_TABLES = (
+    "assoc_sum", "assoc_sum_inv", "lunit_sum", "lunit_sum_inv",
+    "runit_sum", "runit_sum_inv", "assoc_prod", "assoc_prod_inv",
+    "lunit_prod", "lunit_prod_inv", "runit_prod", "runit_prod_inv", "i")
+
+
 class Model:
-    """Common machinery shared by the bundled finite instances."""
+    """Common machinery shared by the bundled finite instances.
+
+    A model is fixed once built: its objects, its zero object and the
+    structure components that ``overrides`` replace, given as
+    ``(table name, object names, graph)`` triples.  ``memo`` is its only
+    mutable state.  It holds values derived from that data (hom-sets,
+    structure components, and what other layers compute from them), one
+    dict per concern, so they never outlive or cross models.
+    """
 
     kind: str
 
-    def __init__(self, objects, overrides=None):
+    def __init__(self, objects, zero, overrides=()):
         self.base_objects = tuple(objects)
-        self._by_name = {o.name: o for o in self.base_objects}
-        self._tables: dict[tuple, Mor] = {}
-        self._hom_cache: dict[tuple, tuple[Mor, ...]] = {}
-        self._pending_overrides = list(overrides or [])
-        # Values derived from this model by other layers (search, matrices),
-        # one dict per concern, so they never outlive or cross models.
+        self._by_name = MappingProxyType({o.name: o for o in self.base_objects})
+        self._zero = zero
         self.memo: defaultdict[str, dict] = defaultdict(dict)
+        self._overrides = MappingProxyType(self._check_overrides(overrides))
+
+    def _check_overrides(self, overrides) -> dict:
+        """(table name, objects) -> replacing component, for each override;
+        an unknown object raises KeyError, any other bad entry ValueError."""
+        installed = {}
+        for name, names, graph in overrides:
+            where = f"override for {name} at {tuple(names)}"
+            if name not in STRUCTURE_TABLES:
+                raise ValueError(f"unknown structure table {name!r}")
+            key = (name, tuple(self.object_by_name(n) for n in names))
+            if key in installed:
+                raise ValueError(f"{where} is given twice")
+            pristine = self._compute_structure(*key)
+            if len(graph) != len(pristine.graph):
+                raise ValueError(
+                    f"{where} needs {len(pristine.graph)} entries, got {len(graph)}")
+            top = pristine.cod.size - 1
+            if any(type(v) is not int or not 0 <= v <= top for v in graph):
+                raise ValueError(f"{where} needs integer entries in 0..{top}")
+            installed[key] = Mor(pristine.dom, pristine.cod, tuple(graph))
+        return installed
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -181,12 +217,12 @@ class Model:
         return Mor(f.dom, g.cod, tuple(gg[v] for v in f.graph))
 
     def hom(self, dom, cod) -> tuple[Mor, ...]:
+        homs = self.memo["hom"]
         key = (dom, cod)
-        cached = self._hom_cache.get(key)
+        cached = homs.get(key)
         if cached is None:
-            cached = tuple(sorted(self._enumerate_hom(dom, cod),
-                                  key=lambda m: m.graph))
-            self._hom_cache[key] = cached
+            cached = homs[key] = tuple(sorted(self._enumerate_hom(dom, cod),
+                                              key=lambda m: m.graph))
         return cached
 
     def hom_count(self, dom, cod) -> int:
@@ -210,66 +246,18 @@ class Model:
 
     # -- structure tables ------------------------------------------------------
 
-    def _structure(self, name: str, objs: tuple) -> Mor:
-        key = (name, objs)
-        mor = self._tables.get(key)
+    def structure(self, name: str, *objects) -> Mor:
+        """The component of the structure table ``name`` (one of
+        ``STRUCTURE_TABLES``) at ``objects``, e.g. ``structure("i", a, b)``."""
+        tables = self.memo["structure"]
+        key = (name, objects)
+        mor = tables.get(key)
         if mor is None:
-            mor = self._compute_structure(name, objs)
-            self._tables[key] = mor
+            if name not in STRUCTURE_TABLES:
+                raise ValueError(f"unknown structure table {name!r}")
+            mor = tables[key] = self._overrides.get(key) \
+                or self._compute_structure(name, objects)
         return mor
-
-    def override_table(self, name: str, objs: tuple, graph: tuple[int, ...]) -> None:
-        """Replace one structure component (fault injection hook)."""
-        pristine = self._compute_structure(name, objs)
-        where = f"override for {name} at {tuple(o.name for o in objs)}"
-        if len(graph) != len(pristine.graph):
-            raise ValueError(
-                f"{where} needs {len(pristine.graph)} entries, got {len(graph)}")
-        top = pristine.cod.size - 1
-        if any(type(v) is not int or not 0 <= v <= top for v in graph):
-            raise ValueError(f"{where} needs integer entries in 0..{top}")
-        self._tables[(name, objs)] = Mor(pristine.dom, pristine.cod, tuple(graph))
-        # derived values (flood edges, whiskered generators) may embed the old one
-        self.memo.clear()
-
-    def assoc_sum(self, a, b, c) -> Mor:
-        return self._structure("assoc_sum", (a, b, c))
-
-    def assoc_sum_inv(self, a, b, c) -> Mor:
-        return self._structure("assoc_sum_inv", (a, b, c))
-
-    def lunit_sum(self, a) -> Mor:
-        return self._structure("lunit_sum", (a,))
-
-    def lunit_sum_inv(self, a) -> Mor:
-        return self._structure("lunit_sum_inv", (a,))
-
-    def runit_sum(self, a) -> Mor:
-        return self._structure("runit_sum", (a,))
-
-    def runit_sum_inv(self, a) -> Mor:
-        return self._structure("runit_sum_inv", (a,))
-
-    def assoc_prod(self, a, b, c) -> Mor:
-        return self._structure("assoc_prod", (a, b, c))
-
-    def assoc_prod_inv(self, a, b, c) -> Mor:
-        return self._structure("assoc_prod_inv", (a, b, c))
-
-    def lunit_prod(self, a) -> Mor:
-        return self._structure("lunit_prod", (a,))
-
-    def lunit_prod_inv(self, a) -> Mor:
-        return self._structure("lunit_prod_inv", (a,))
-
-    def runit_prod(self, a) -> Mor:
-        return self._structure("runit_prod", (a,))
-
-    def runit_prod_inv(self, a) -> Mor:
-        return self._structure("runit_prod_inv", (a,))
-
-    def i_component(self, a, b) -> Mor:
-        return self._structure("i", (a, b))
 
     def j_morphism(self) -> Mor:
         """The unique map from the sum unit to the product unit."""
@@ -277,7 +265,7 @@ class Model:
 
     def i_inverse(self, a, b) -> Mor:
         """Two-sided inverse of ``i`` at (a, b); raises when there is none."""
-        i = self.i_component(a, b)
+        i = self.structure("i", a, b)
         n = len(i.graph)
         if i.cod.size != n or len(set(i.graph)) != n:
             raise NotInvertibleInModel(
@@ -310,6 +298,7 @@ class Model:
         raise NotImplementedError
 
     def _compute_structure(self, name: str, objs: tuple) -> Mor:
+        """The pristine component; ``name`` is in ``STRUCTURE_TABLES``."""
         raise NotImplementedError
 
 
@@ -327,14 +316,11 @@ class FinPtSet(Model):
 
     kind = "pointed_sets"
 
-    def __init__(self, sizes=(1, 2, 3), overrides=None):
-        super().__init__((PtObj(n) for n in sorted(set(sizes) | {1})), overrides)
-        if any(o.size < 1 for o in self.base_objects):
+    def __init__(self, sizes=(1, 2, 3), overrides=()):
+        objects = tuple(PtObj(n) for n in sorted(set(sizes) | {1}))
+        if objects[0].size < 1:
             raise ValueError("pointed sets need at least a basepoint")
-        self._zero = self.base_objects[0]
-        assert self._zero.size == 1
-        for name, objs, graph in self._pending_overrides:
-            self.override_table(name, objs, graph)
+        super().__init__(objects, objects[0], overrides)
 
     # wedge numbering helpers
     @staticmethod
@@ -425,19 +411,17 @@ class FinPtSet(Model):
                 graph.append(_lex_pair_encode(nc, _lex_pair_encode(nb, x, y), z))
             mor = Mor(dom, cod, tuple(graph))
             return mor if name == "assoc_prod" else _invert_mor(mor)
-        if name.startswith(("lunit_sum", "runit_sum", "lunit_prod", "runit_prod")):
-            (a,) = objs
-            if name.startswith("lunit_sum"):
-                dom = self.sum_obj(self.zero_obj, a)
-            elif name.startswith("runit_sum"):
-                dom = self.sum_obj(a, self.zero_obj)
-            elif name.startswith("lunit_prod"):
-                dom = self.prod_obj(self.one_obj, a)
-            else:
-                dom = self.prod_obj(a, self.one_obj)
-            mor = Mor(dom, a, _identity_graph(a.size))
-            return mor if name.endswith(("sum", "prod")) else _invert_mor(mor)
-        raise ValueError(f"unknown structure table {name!r}")
+        (a,) = objs  # a unitor
+        if name.startswith("lunit_sum"):
+            dom = self.sum_obj(self.zero_obj, a)
+        elif name.startswith("runit_sum"):
+            dom = self.sum_obj(a, self.zero_obj)
+        elif name.startswith("lunit_prod"):
+            dom = self.prod_obj(self.one_obj, a)
+        else:
+            dom = self.prod_obj(a, self.one_obj)
+        mor = Mor(dom, a, _identity_graph(a.size))
+        return mor if name.endswith(("sum", "prod")) else _invert_mor(mor)
 
 
 class FinCMon(Model):
@@ -446,25 +430,19 @@ class FinCMon(Model):
 
     kind = "commutative_monoids"
 
-    def __init__(self, objects=None, overrides=None):
-        if objects is None:
-            objects = all_commutative_monoids(3)
-        super().__init__(objects, overrides)
-        trivial = [o for o in self.base_objects if o.size == 1]
+    def __init__(self, objects=None, overrides=()):
+        objects = tuple(all_commutative_monoids(3) if objects is None else objects)
+        trivial = [o for o in objects if o.size == 1]
         if not trivial:
             raise ValueError("the trivial monoid must be present")
-        self._zero = trivial[0]
-        self._gen_cache: dict = {}
-        self._prod_cache: dict = {}
-        for name, objs, graph in self._pending_overrides:
-            self.override_table(name, objs, graph)
+        super().__init__(objects, trivial[0], overrides)
 
     def _product(self, a: CMonObj, b: CMonObj) -> CMonObj:
+        products = self.memo["product"]
         key = (a, b)
-        p = self._prod_cache.get(key)
+        p = products.get(key)
         if p is None:
-            p = CMonObj(factors=(a, b))
-            self._prod_cache[key] = p
+            p = products[key] = CMonObj(factors=(a, b))
         return p
 
     def sum_obj(self, a: CMonObj, b: CMonObj) -> CMonObj:
@@ -485,7 +463,7 @@ class FinCMon(Model):
 
     def _generators(self, m: CMonObj):
         """A generating set plus, per element, one exponent vector over it."""
-        cached = self._gen_cache.get(m)
+        cached = self.memo["generators"].get(m)
         if cached is not None:
             return cached
         gens: list[int] = []
@@ -506,8 +484,7 @@ class FinCMon(Model):
                             expr[c] = tuple(x + y for x, y in zip(ea, eb))
                             changed = True
         exprs = tuple(expr[x] for x in range(m.size))
-        result = (tuple(gens), exprs)
-        self._gen_cache[m] = result
+        result = self.memo["generators"][m] = (tuple(gens), exprs)
         return result
 
     def _enumerate_hom(self, dom: CMonObj, cod: CMonObj):
@@ -575,14 +552,12 @@ class FinCMon(Model):
                 graph.append(_lex_pair_encode(nc, _lex_pair_encode(nb, x, y), z))
             mor = Mor(dom, cod, tuple(graph))
             return mor if name in ("assoc_sum", "assoc_prod") else _invert_mor(mor)
-        if name.startswith(("lunit", "runit")):
-            (a,) = objs
-            unit = self.zero_obj
-            dom = self._product(unit, a) if name.startswith("lunit") \
-                else self._product(a, unit)
-            mor = Mor(dom, a, _identity_graph(a.size))
-            return mor if name.endswith(("sum", "prod")) else _invert_mor(mor)
-        raise ValueError(f"unknown structure table {name!r}")
+        (a,) = objs  # a unitor
+        unit = self.zero_obj
+        dom = self._product(unit, a) if name.startswith("lunit") \
+            else self._product(a, unit)
+        mor = Mor(dom, a, _identity_graph(a.size))
+        return mor if name.endswith(("sum", "prod")) else _invert_mor(mor)
 
 
 def all_commutative_monoids(max_size: int) -> tuple[CMonObj, ...]:
@@ -640,7 +615,8 @@ def _canonical_table(table) -> tuple[tuple[int, ...], ...]:
 #
 # Pointed-set objects are sizes; monoid objects are row-major Cayley tables
 # (flat integer arrays), optionally wrapped with a name.  An optional
-# "overrides" list replaces structure components for fault injection:
+# "overrides" list replaces structure components for fault injection, each
+# table at each object tuple at most once:
 #
 #   {"overrides": [{"table": "lunit_sum", "objects": ["P2"], "graph": [0, 0]}]}
 
@@ -667,24 +643,28 @@ def model_from_dict(doc) -> Model:
     if kind == "pointed_sets":
         if not all(type(o) is int and o >= 1 for o in objects):
             raise ModelFileError("pointed_sets objects must be positive sizes")
-        model = FinPtSet(objects)
+        cls = FinPtSet
     elif kind == "commutative_monoids":
-        objs = [_parse_monoid(o, idx) for idx, o in enumerate(objects)]
-        if not any(o.size == 1 for o in objs):
-            objs.insert(0, CMonObj(((0,),), "T"))
-        names = [o.name for o in objs]
+        objects = [_parse_monoid(o, idx) for idx, o in enumerate(objects)]
+        if not any(o.size == 1 for o in objects):
+            objects.insert(0, CMonObj(((0,),), "T"))
+        names = [o.name for o in objects]
         for name in names:
             if names.count(name) > 1:
                 raise ModelFileError(f"object name {name!r} is used twice")
-        model = FinCMon(tuple(objs))
+        cls = FinCMon
     else:
         raise ModelFileError(f"unknown model kind {kind!r}")
     overrides = doc.get("overrides", [])
     if not isinstance(overrides, list):
         raise ModelFileError("'overrides' must be a list")
-    for ov in overrides:
-        _install_override(model, ov)
-    return model
+    overrides = [_parse_override(ov) for ov in overrides]
+    try:
+        return cls(objects, overrides)
+    except KeyError as exc:
+        raise ModelFileError(str(exc)) from exc
+    except (ValueError, TypeError) as exc:
+        raise ModelFileError(f"bad override: {exc}") from exc
 
 
 def _parse_monoid(entry, idx: int) -> CMonObj:
@@ -713,7 +693,7 @@ def _parse_monoid(entry, idx: int) -> CMonObj:
     return CMonObj(table, name or f"M{idx}")
 
 
-def _install_override(model: Model, ov) -> None:
+def _parse_override(ov) -> tuple[str, tuple[str, ...], tuple]:
     if not isinstance(ov, dict) or "table" not in ov or "graph" not in ov:
         raise ModelFileError("override entries need 'table', 'objects', 'graph'")
     table, names, graph = ov["table"], ov.get("objects", []), ov["graph"]
@@ -722,11 +702,4 @@ def _install_override(model: Model, ov) -> None:
             or not all(isinstance(n, str) for n in names):
         raise ModelFileError("an override needs a table name, a list of object"
                              " names and a graph list")
-    try:
-        objs = tuple(model.object_by_name(n) for n in names)
-    except KeyError as exc:
-        raise ModelFileError(str(exc)) from exc
-    try:
-        model.override_table(table, objs, tuple(graph))
-    except (ValueError, TypeError) as exc:
-        raise ModelFileError(f"bad override: {exc}") from exc
+    return table, tuple(names), tuple(graph)

@@ -155,7 +155,7 @@ def test_criterion_7_lineariser_witnesses(pt3, cmon):
     else:
         for (a_name, b_name), inv in inverses.items():
             a, b = cmon.object_by_name(a_name), cmon.object_by_name(b_name)
-            i = cmon.i_component(a, b)
+            i = cmon.structure("i", a, b)
             if cmon.compose(inv, i) != cmon.identity(i.dom) \
                     or cmon.compose(i, inv) != cmon.identity(i.cod):
                 ok = False
@@ -209,8 +209,8 @@ def test_criterion_9_fault_injection(cmon):
         notes.append("unitor corruption went unnoticed")
     else:
         p2 = faulty.object_by_name("P2")
-        forward = faulty.lunit_sum(p2)
-        backward = faulty.lunit_sum_inv(p2)
+        forward = faulty.structure("lunit_sum", p2)
+        backward = faulty.structure("lunit_sum_inv", p2)
         if faulty.compose(forward, backward) == faulty.identity(p2):
             ok = False
             notes.append("unitor counterexample did not replay")
@@ -229,7 +229,7 @@ def test_criterion_9_fault_injection(cmon):
     else:
         a = twisted.object_by_name(matrix_report.counterexample["a"])
         b = twisted.object_by_name(matrix_report.counterexample["b"])
-        got = matrix_of(twisted, twisted.i_component(a, b),
+        got = matrix_of(twisted, twisted.structure("i", a, b),
                         (S2, (a, b)), (P2, (a, b)))
         want = identity_matrix(twisted, (a, b), S2, P2)
         if got.entry_key() == want.entry_key():

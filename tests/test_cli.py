@@ -160,6 +160,44 @@ def test_central_structured(capsys):
     assert len(doc["addition_table"]) == len(doc["central"]) == 2
 
 
+def test_check_reports_centrality_disagreement_exit_1(capsys, tmp_path):
+    # collapsing one inverse unitor makes cover centrality and matrix
+    # centrality disagree; the linearity theorem reports it as a failure
+    doc = tmp_path / "disagree.json"
+    doc.write_text(json.dumps(
+        {"kind": "commutative_monoids",
+         "objects": [[0], [0, 1, 1, 0], [0, 1, 1, 1]],
+         "overrides": [{"table": "runit_sum_inv", "objects": ["M1"],
+                        "graph": [1, 1]}]}))
+    code, out, _ = run(capsys, "check", "--model", str(doc),
+                       "--format", "structured", *FAST)
+    assert code == 1
+    theorem = json.loads(out)["reports"][-1]
+    assert theorem["law"] == "linearity-theorem" and not theorem["passed"]
+    assert "no realizer" in theorem["counterexample"]["error"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("table, objects, graph", [
+    ("i", ["M1", "M1"], [0, 2, 1, 3]),
+    ("lunit_sum_inv", ["M1"], [0, 0]),
+])
+def test_central_integrity_failure_exit_1(capsys, tmp_path, table, objects,
+                                          graph, fmt):
+    doc = tmp_path / "broken.json"
+    doc.write_text(json.dumps(
+        {"kind": "commutative_monoids", "objects": [[0], [0, 1, 1, 0]],
+         "overrides": [{"table": table, "objects": objects, "graph": graph}]}))
+    code, out, err = run(capsys, "central", "M1", "M1", "--model", str(doc),
+                         "--format", fmt)
+    assert code == 1
+    if fmt == "structured":
+        assert json.loads(out)["error"] and err == ""
+    else:
+        assert out == "" and err.startswith("central error:")
+        assert len(err.splitlines()) == 1
+
+
 def test_central_bad_object_exit_2(capsys):
     code, _, err = run(capsys, "central", "P9", "P2", "--model",
                        str(MODELS / "pointed_sets_3.json"))

@@ -19,7 +19,7 @@ def test_matrix_of_transformer_is_identity(pt3, cmon):
                         (cmon, tuple(o for o in cmon.base_objects
                                      if o.size == 2))):
         a, b = pair
-        got = matrix_of(model, model.i_component(a, b), (S2, (a, b)), (P2, (a, b)))
+        got = matrix_of(model, model.structure("i", a, b), (S2, (a, b)), (P2, (a, b)))
         want = identity_matrix(model, (a, b), S2, P2)
         assert got.entry_key() == want.entry_key()
 
@@ -77,7 +77,7 @@ def test_identity_matrix_realizer_is_transformer_in_cmon(cmon):
     for a, b in itertools.product(
             [o for o in cmon.base_objects if o.size <= 2], repeat=2):
         m = identity_matrix(cmon, (a, b), S2, P2)
-        assert realize(cmon, m) == cmon.i_component(a, b)
+        assert realize(cmon, m) == cmon.structure("i", a, b)
 
 
 def test_both_models_realize_every_matrix(pt2, cmon2):
@@ -91,10 +91,9 @@ def test_both_models_realize_every_matrix(pt2, cmon2):
 def test_corrupted_inclusion_breaks_realization_uniqueness():
     from linearcat.errors import IntegrityError
     from linearcat.models import FinPtSet
-    model = FinPtSet((1, 2))
     # collapse the inverse right sum-unitor: the first inclusion now factors
     # through the basepoint and distinct morphisms share one matrix
-    model.override_table("runit_sum_inv", (PtObj(2),), (0, 0))
+    model = FinPtSet((1, 2), overrides=[("runit_sum_inv", ("P2",), (0, 0))])
     a = b = PtObj(2)
     with pytest.raises(IntegrityError):
         realize(model, identity_matrix(model, (a, b), S2, P2))

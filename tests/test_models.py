@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from linearcat.checks import (binary_inclusions, check_prelinear,
 from linearcat.errors import ArityMismatch, ModelFileError, NotInvertibleInModel
 from linearcat.evaluate import (eval_canon, eval_morphism, eval_object,
                                 inclusion, projection, zero_morphism)
-from linearcat.models import (FinCMon, FinPtSet, Model, PtObj,
-                              all_commutative_monoids, load_model,
+from linearcat.models import (STRUCTURE_TABLES, FinCMon, FinPtSet, Model,
+                              PtObj, all_commutative_monoids, load_model,
                               model_from_dict)
 from linearcat.search import pure_bracketings, words_with
 from linearcat.terms import Generator, GenTerm, unit_cancel
@@ -64,9 +65,9 @@ def test_inclusion_matches_unitor_formula(pt3):
     a, b = PtObj(3), PtObj(2)
     i1, i2 = binary_inclusions(pt3, a, b)
     expected1 = pt3.compose(pt3.sum_mor(pt3.identity(a), pt3.bang_from_zero(b)),
-                            pt3.runit_sum_inv(a))
+                            pt3.structure("runit_sum_inv", a))
     expected2 = pt3.compose(pt3.sum_mor(pt3.bang_from_zero(a), pt3.identity(b)),
-                            pt3.lunit_sum_inv(b))
+                            pt3.structure("lunit_sum_inv", b))
     assert i1 == expected1
     assert i2 == expected2
 
@@ -153,13 +154,44 @@ def test_check_structure_passes(pt3, cmon):
 
 
 def test_check_structure_catches_corrupted_unitor():
-    model = FinPtSet((1, 2, 3))
-    model.override_table("lunit_sum", (PtObj(2),), (0, 0))
+    model = FinPtSet((1, 2, 3), overrides=[("lunit_sum", ("P2",), (0, 0))])
     reports = check_structure(model)
     failed = [r for r in reports if not r.passed]
     assert failed
     assert any("unitor" in r.law or "triangle" in r.law for r in failed)
     assert all(r.counterexample for r in failed)
+
+
+class _CollapsedSum(FinPtSet):
+    """Pointed sets whose sum of morphisms sends everything to the basepoint."""
+
+    def sum_mor(self, f, g):
+        m = super().sum_mor(f, g)
+        return type(m)(m.dom, m.cod, (0,) * len(m.graph))
+
+
+@pytest.mark.parametrize("table, objects, graph", [
+    ("assoc_sum", ("P2", "P2", "P2"), (0, 1, 3, 2)),
+    ("lunit_sum_inv", ("P2",), (0, 0)),
+])
+def test_every_structure_law_is_reported_once(table, objects, graph):
+    # a failed law does not hide the later laws of its family
+    pristine = [r.law for r in check_structure(FinPtSet((1, 2)))]
+    reports = check_structure(FinPtSet((1, 2), [(table, objects, graph)]))
+    assert not all(r.passed for r in reports)
+    assert [r.law for r in reports] == pristine
+
+
+def test_every_bifunctor_law_is_reported_once():
+    def names(reports):
+        # unitor naturality fails under the name of the unitor that broke
+        return [r.law.replace("lunit-natural", "unitor-natural") for r in reports]
+
+    pristine = check_structure(FinPtSet((1, 2)))
+    reports = check_structure(_CollapsedSum((1, 2)))
+    failed = {r.law for r in reports if not r.passed}
+    assert "sum-bifunctor/preserves-identity" in failed
+    assert names(reports) == names(pristine)
 
 
 def test_check_transformer_passes(pt3, cmon):
@@ -169,9 +201,8 @@ def test_check_transformer_passes(pt3, cmon):
 
 
 def test_check_transformer_catches_twisted_i():
-    model = FinPtSet((1, 2, 3))
     # swap the two coordinates of i at (P2, P2): breaks naturality
-    model.override_table("i", (PtObj(2), PtObj(2)), (0, 1, 2))
+    model = FinPtSet((1, 2, 3), overrides=[("i", ("P2", "P2"), (0, 1, 2))])
     reports = check_transformer(model)
     failed = [r.law for r in reports if not r.passed]
     assert failed
@@ -184,8 +215,7 @@ def test_check_prelinear_passes(pt3, cmon):
 
 
 def test_check_prelinear_fault_breaks_matrix_and_transformer():
-    model = FinPtSet((1, 2, 3))
-    model.override_table("i", (PtObj(2), PtObj(2)), (0, 1, 2))
+    model = FinPtSet((1, 2, 3), overrides=[("i", ("P2", "P2"), (0, 1, 2))])
     pre = check_prelinear(model)
     matrix_report = next(r for r in pre if r.law == "i-matrix-identity")
     assert not matrix_report.passed
@@ -206,7 +236,7 @@ def test_is_lineariser(pt3, cmon):
     for (a_name, b_name), inv in inverses.items():
         a = cmon.object_by_name(a_name)
         b = cmon.object_by_name(b_name)
-        i = cmon.i_component(a, b)
+        i = cmon.structure("i", a, b)
         assert cmon.compose(inv, i) == cmon.identity(i.dom)
         assert cmon.compose(i, inv) == cmon.identity(i.cod)
 
@@ -257,7 +287,7 @@ def test_model_file_overrides(tmp_path):
          "overrides": [
              {"table": "lunit_sum", "objects": ["P2"], "graph": [0, 0]}]}))
     model = load_model(path)
-    assert model.lunit_sum(PtObj(2)).graph == (0, 0)
+    assert model.structure("lunit_sum", PtObj(2)).graph == (0, 0)
 
 
 @pytest.mark.parametrize("doc", [
@@ -298,6 +328,10 @@ def test_model_file_overrides(tmp_path):
      "objects": [[0], {"name": "M2", "table": [0, 1, 1, 0]}, [0, 1, 1, 1]]},
     {"kind": "commutative_monoids",
      "objects": [{"name": "T", "table": [0, 1, 1, 0]}]},
+    # one table at one object tuple is overridden at most once
+    {"kind": "pointed_sets", "objects": [2],
+     "overrides": [{"table": "lunit_sum", "objects": ["P2"], "graph": [0, 0]},
+                   {"table": "lunit_sum", "objects": ["P2"], "graph": [0, 1]}]},
 ])
 def test_model_file_rejects_malformed(doc):
     with pytest.raises(ModelFileError):
@@ -374,6 +408,32 @@ def test_model_from_dict_fuzz_fails_closed(data):
     except ModelFileError:
         return
     assert isinstance(model, Model)
+
+
+def test_built_model_is_immutable_but_for_its_memo(pt3, cmon):
+    model = load_model(MODELS / "pointed_sets_3_faulty.json")
+    for m in (model, pt3, cmon):
+        m.structure("lunit_sum", m.base_objects[-1])
+        m.hom(m.base_objects[-1], m.base_objects[-1])
+        mutable = {k for k, v in vars(m).items()
+                   if isinstance(v, (dict, list, set, bytearray))}
+        assert mutable == {"memo"}
+    assert not any(hasattr(Model, name) for name in STRUCTURE_TABLES)
+    assert not hasattr(Model, "i_component")
+    # the memo holds derived values only: clearing it keeps the override
+    model.memo.clear()
+    assert model.structure("lunit_sum", PtObj(2)).graph == (0, 0)
+
+
+def test_structure_rejects_unknown_table(pt3):
+    with pytest.raises(ValueError, match="unknown structure table"):
+        pt3.structure("j", PtObj(2))
+
+
+def test_table_names_are_documented():
+    readme = (MODELS.parent / "README.md").read_text()
+    sentence = readme.split("Table names:", 1)[1].split(".", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == STRUCTURE_TABLES
 
 
 def test_model_file_schema_is_optional():

@@ -253,13 +253,13 @@ def test_moves_match_spine_rebuild(mode):
     assert ids and max(ids.values()) == 1
 
 
-def test_override_clears_flood_memo():
-    model = FinPtSet((1, 2))
-    p2 = model.object_by_name("P2")
+def test_override_at_construction_sets_flood_value():
     graph = search_graph(parse_word("(_+0)"), HOLE, 2, PRELINEAR)
-    assert set(value_flood(model, graph, (p2,)).values) == {(0, 1)}
-    model.override_table("runit_sum", (p2,), (0, 0))
-    assert set(value_flood(model, graph, (p2,)).values) == {(0, 0)}
+    pristine = FinPtSet((1, 2))
+    overridden = FinPtSet((1, 2), overrides=[("runit_sum", ("P2",), (0, 0))])
+    p2 = PtObj(2)
+    assert set(value_flood(pristine, graph, (p2,)).values) == {(0, 1)}
+    assert set(value_flood(overridden, graph, (p2,)).values) == {(0, 0)}
 
 
 def _unpruned_values(model, v, w, depth, mode, objects) -> dict:
