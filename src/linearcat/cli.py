@@ -207,9 +207,14 @@ def _coherence_reports(model: Model, args) -> list[CheckReport]:
         for n in (0, 1, 2):
             corpus = equal_length_pairs(n, args.max_units, args.mixed_stride,
                                         args.heavy_stride)
-            reports.append(coherence_sweep(
-                model, corpus, objects_for, args.depth, PARTIALLY_LINEAR,
-                law=f"coherence/partially-linear/n={n}"))
+            law = f"coherence/partially-linear/n={n}"
+            try:
+                reports.append(coherence_sweep(
+                    model, corpus, objects_for, args.depth, PARTIALLY_LINEAR,
+                    law=law))
+            except LinearcatError as exc:
+                # e.g. a move through i's inverse where i is not invertible
+                reports.append(CheckReport(law, False, {"error": str(exc)}))
     corpus = equal_length_pairs(2, args.max_units, args.mixed_stride,
                                 args.heavy_stride)
     reports.append(unit_square_sweep(model, corpus, objects_for,

@@ -10,8 +10,12 @@ the same generator in the other direction.
 Enumerating every path of length <= depth is exponential, so the search is
 pruned meet-in-the-middle: a backward distance table of radius depth // 2 is
 computed from the target, and forward exploration drops any state that
-provably cannot reach the target within the remaining budget.  The pruning
-is exact: no path within the depth bound is ever lost.
+provably cannot reach the target within the remaining budget.  A move
+changes the number of unit leaves by at most one, so that number bounds the
+distance to the target from below (an admissible heuristic in the sense of
+A*), and unit insertions the bound rules out are skipped before their
+targets are looked up.  The pruning is exact: no path within the depth bound
+is ever lost.
 
 Symbolic results (moves, distance tables) are memoised with
 ``functools.cache``; a word's move table is built from its children's.
@@ -21,6 +25,14 @@ table is first computed, and each search graph numbers its states, so the
 value flood runs over integers: per object tuple, the model keeps one table
 from move id to the move's raw graph.  Those graphs are shared through one
 memo keyed by the evaluated context of a move (``edge_morphism``).
+
+One flood serves every object tuple of a sweep at once (``flood_values``):
+a value is its graphs at the K tuples laid end to end, each shifted past
+the carriers of the tuples before it, and a move's graph is batched the
+same way, so one tuple map applies the move at all K tuples.  The batched
+graphs live in ``model.memo["batch"]``, keyed by the tuple of object tuples
+and then by move id; ``value_flood`` is the one-tuple case and keeps its
+graphs in ``model.memo["edge"][objects]``.
 """
 
 from __future__ import annotations
@@ -147,6 +159,12 @@ def backward_table(target: Word, radius: int, mode: str) -> dict:
 
 # -- exact pruned exploration --------------------------------------------------
 
+_UNITORS = frozenset((LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD))
+# (kind, inverse) -> change in unit leaves; every other move keeps them
+_UNIT_STEP = {**{(k, True): 1 for k in _UNITORS},
+              **{(k, False): -1 for k in _UNITORS}}
+
+
 @dataclass
 class SearchGraph:
     """Static admitted subgraph for one (source, target, depth, mode).
@@ -175,15 +193,28 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
     words = [v]
+    units = [unit_count(v)]  # state -> number of unit leaves
+    w_units = unit_count(w)
     index = {v: 0}
     frontier = [0]
     layer = 0
     while frontier and layer < depth:
         layer += 1
         nxt = []
+        # Past free_last a move is admitted only into a word within
+        # depth - layer moves of w, and a move changes the number of unit
+        # leaves by at most one.  So out of a state with more than
+        # ``crowded`` unit leaves no unit insertion is admitted: skip them
+        # before hashing their targets.
+        crowded = depth - layer + w_units - 1
+        past = layer > free_last
         for xi in frontier:
+            ux = units[xi]
+            dead = past and ux > crowded
             kept = []
             for edge, y in moves(words[xi], mode):
+                if dead and edge[2] and edge[1] in _UNITORS:
+                    continue
                 bty = bt.get(y)
                 last = free_last if bty is None else depth - bty
                 if layer > last:
@@ -192,6 +223,7 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
                 if yi is None:
                     yi = index[y] = len(words)
                     words.append(y)
+                    units.append(ux + _UNIT_STEP.get(edge[1:3], 0))
                     nxt.append(yi)
                 kept.append((edge, yi, last))
             edges[xi] = tuple(kept)
@@ -293,22 +325,47 @@ class FloodResult:
         return term
 
 
-def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult:
-    """Breadth-first flood over (state, value) pairs within the budget.
+def _move_graph(model: Model, x: Word, edge: Edge, tuples: tuple) -> tuple:
+    """The graphs of one move at each object tuple, laid end to end, each
+    shifted past the codomain carriers of the tuples before it."""
+    if len(tuples) == 1:
+        return edge_morphism(model, x, edge, tuples[0]).graph
+    out = []
+    shift = 0
+    for objects in tuples:
+        mor = edge_morphism(model, x, edge, objects)
+        out.extend([t + shift for t in mor.graph])
+        shift += mor.cod.size
+    return tuple(out)
 
-    Every canonical term from source to target with at most ``depth``
-    elementary steps realizes one of the returned values, and every returned
-    value is realized by such a term.  Values travel as raw graphs: all
-    values arriving at one state share their boundary objects.
+
+def _flood(model: Model, graph: SearchGraph, tuples: tuple,
+           parents: dict | None = None) -> dict:
+    """Breadth-first flood over (state, value) pairs within the budget, at
+    every object tuple of ``tuples`` at once.
+
+    A value is its graphs at the K tuples laid end to end, each shifted past
+    the carriers of the tuples before it, and so is a move's graph (see
+    ``_move_graph``), so one tuple map applies a move at all K tuples.  The
+    graphs of the moves live in ``model.memo["edge"][objects]`` when K = 1
+    and in ``model.memo["batch"][tuples]`` otherwise, keyed by move id.
+    Returns the target's values, each with the first layer realizing it;
+    ``parents``, when given, maps each (state, value) to the
+    ``(prev_state, prev_value, edge)`` that first reached it.
     """
-    src_obj = eval_object_cached(model, graph.source, objects)
-    id_graph = tuple(range(src_obj.size))
+    size = sum(eval_object_cached(model, graph.source, objects).size
+               for objects in tuples)
+    id_graph = tuple(range(size))
     words = graph.words
     visited: list = [None] * len(words)  # state -> {graph: first layer}
     visited[0] = {id_graph: 0}
-    parents: dict = {(0, id_graph): None}
+    if parents is not None:
+        parents[(0, id_graph)] = None
     frontier = [(0, id_graph)]
-    table = model.memo["edge"].setdefault(objects, {})  # move id -> graph
+    if len(tuples) == 1:
+        table = model.memo["edge"].setdefault(tuples[0], {})  # move id -> graph
+    else:
+        table = model.memo["batch"].setdefault(tuples, {})
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges
@@ -321,8 +378,8 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
                     continue
                 eg = table.get(edge[4])
                 if eg is None:
-                    eg = table[edge[4]] = edge_morphism(
-                        model, words[xi], edge, objects).graph
+                    eg = table[edge[4]] = _move_graph(model, words[xi], edge,
+                                                      tuples)
                 my = tuple(map(eg.__getitem__, m))
                 bucket = visited[yi]
                 if bucket is None:
@@ -330,14 +387,50 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
                 elif my in bucket:
                     continue
                 bucket[my] = layer_out
-                parents[(yi, my)] = (xi, m, edge)
+                if parents is not None:
+                    parents[(yi, my)] = (xi, m, edge)
                 nxt.append((yi, my))
         frontier = nxt
         layer = layer_out
     target = graph.target_index
-    return FloodResult(Mor(src_obj, src_obj, id_graph),
+    return {} if target is None else visited[target]
+
+
+def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult:
+    """Breadth-first flood over (state, value) pairs within the budget.
+
+    Every canonical term from source to target with at most ``depth``
+    elementary steps realizes one of the returned values, and every returned
+    value is realized by such a term.  Values travel as raw graphs: all
+    values arriving at one state share their boundary objects.
+    """
+    src_obj = eval_object_cached(model, graph.source, objects)
+    parents: dict = {}
+    values = _flood(model, graph, (objects,), parents)
+    return FloodResult(Mor(src_obj, src_obj, tuple(range(src_obj.size))),
                        eval_object_cached(model, graph.target, objects),
-                       {} if target is None else visited[target], parents)
+                       values, parents)
+
+
+def flood_values(model: Model, graph: SearchGraph, tuples) -> list[dict]:
+    """``value_flood(model, graph, objects).values`` for each object tuple
+    of ``tuples``, from one flood over all of them."""
+    tuples = tuple(tuples)
+    values = _flood(model, graph, tuples)
+    cuts = []  # per tuple: the slice of a value it owns, and its shift
+    start = shift = 0
+    for objects in tuples:
+        stop = start + eval_object_cached(model, graph.source, objects).size
+        cuts.append((start, stop, shift))
+        start = stop
+        shift += eval_object_cached(model, graph.target, objects).size
+    out: list[dict] = [{} for _ in tuples]
+    for g, layer in values.items():
+        for found, (start, stop, shift) in zip(out, cuts):
+            piece = tuple([t - shift for t in g[start:stop]])
+            if found.get(piece, layer) >= layer:
+                found[piece] = layer
+    return out
 
 
 # -- the term-list interface ----------------------------------------------------

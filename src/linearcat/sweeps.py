@@ -10,12 +10,15 @@ and finish at desk scale.  Strides can be widened or disabled per call.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .checks import CheckReport
+from .errors import LinearcatError
 from .evaluate import eval_canon
 from .models import Model, Mor
-from .search import search_graph, value_flood, words_with
+from .search import (SearchGraph, eval_object_cached, flood_values,
+                     search_graph, value_flood, words_with)
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length, render_word
@@ -82,11 +85,19 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             continue
         seen.add((v, w))
         graph = search_graph(v, w, depth, mode)
-        for objects in objects_for(length(v)):
-            flood = value_flood(model, graph, objects)
-            if not flood.values:
+        tuples = objects_for(length(v))
+        for objects, values in zip(tuples, _values_at(model, graph, tuples)):
+            if not values:
                 continue
             checked += 1
+            if len(values) == 1:
+                [g] = values
+                if not require_iso or _invertible(model, Mor(
+                        eval_object_cached(model, v, objects),
+                        eval_object_cached(model, w, objects), g)):
+                    continue
+            # flood this tuple alone, for its witness terms
+            flood = value_flood(model, graph, objects)
             if len(flood.values) > 1:
                 terms = [str(flood.witness_term(graph, g)) for g in flood.values]
                 return CheckReport(law, False, {
@@ -95,15 +106,27 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
                     "terms": terms,
                     "values": [list(g) for g in flood.values]})
             [value] = flood.value_morphisms(model)
-            if require_iso and not _invertible(model, value):
-                return CheckReport(law, False, {
-                    "source": render_word(v), "target": render_word(w),
-                    "objects": [o.name for o in objects],
-                    "reason": "canonical morphism is not invertible",
-                    "value": list(value.graph)})
+            return CheckReport(law, False, {
+                "source": render_word(v), "target": render_word(w),
+                "objects": [o.name for o in objects],
+                "reason": "canonical morphism is not invertible",
+                "value": list(value.graph)})
     return CheckReport(law, True, None,
                        {"corpus": corpus.description, "pairs": len(corpus.pairs),
                         "evaluations": checked, "depth": depth})
+
+
+def _values_at(model: Model, graph: SearchGraph,
+               tuples: list) -> Iterable[dict]:
+    """The flood values at each object tuple, from one flood over all of
+    them.  If that flood raises, they come from one flood per tuple, made
+    as they are read, so that the caller meets the same first report or
+    exception as with per-tuple floods."""
+    try:
+        return flood_values(model, graph, tuples)
+    except LinearcatError:
+        return (value_flood(model, graph, objects).values
+                for objects in tuples)
 
 
 def _invertible(model: Model, m: Mor) -> bool:
@@ -139,13 +162,20 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
     checked = 0
     for v, w in corpus.pairs:
         graph = search_graph(v, w, depth, mode)
-        for objects in objects_for(2):
+        tuples = objects_for(2)
+        per_tuple = iter(_values_at(model, graph, tuples))
+        for objects in tuples:
             u_v = normalized_cancellation(model, v, objects)
             u_w = normalized_cancellation(model, w, objects)
-            flood = value_flood(model, graph, objects)
-            for value in flood.value_morphisms(model):
+            values = next(per_tuple)
+            src = eval_object_cached(model, v, objects)
+            tgt = eval_object_cached(model, w, objects)
+            for g in sorted(values):
                 checked += 1
+                value = Mor(src, tgt, g)
                 if model.compose(u_w, value) != u_v:
+                    # flood this tuple alone, for the witness term
+                    flood = value_flood(model, graph, objects)
                     term = str(flood.witness_term(graph, value))
                     return CheckReport(law, False, {
                         "source": render_word(v), "target": render_word(w),

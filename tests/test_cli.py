@@ -80,6 +80,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("pointed_sets_3_faulty.json", [], 1, "pointed_sets_3_faulty.json"),
     ("pointed_sets_3.json", FAST, 0, "pointed_sets_3_fast.json"),
     ("commutative_monoids_3.json", FAST, 0, "commutative_monoids_3_fast.json"),
+    # the partially-linear sweeps' first failures and their witness terms
+    ("pointed_sets_3_faulty.json", ["--mode", "partially-linear"], 1,
+     "pointed_sets_3_faulty_plin.json"),
 ])
 def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                                          code, golden):
@@ -90,6 +93,29 @@ def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                       "--format", "structured", *flags)
     assert got == code
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "coherence"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_partially_linear_sweep_error_is_a_failed_law(capsys, command, fmt):
+    # On pointed sets i is not invertible, so a partially-linear sweep
+    # meets a move through its inverse: that sweep fails with the error,
+    # and the run goes on and exits 1.
+    code, out, err = run(capsys, command, "--model",
+                         str(MODELS / "pointed_sets_3.json"), "--mode",
+                         "partially-linear", "--format", fmt, *FAST)
+    assert code == 1
+    assert "Traceback" not in out + err
+    if fmt == "text":
+        assert "[FAIL] coherence/partially-linear/n=2" in out
+        assert "unit-cancellation-square" in out
+        return
+    doc = json.loads(out)
+    failed = [r for r in doc["reports"] if not r["passed"]]
+    assert [r["law"] for r in failed] == ["coherence/partially-linear/n=2"]
+    assert "is not bijective" in failed[0]["counterexample"]["error"]
+    assert doc["reports"][-1]["law"] == ("linearity-theorem" if command == "check"
+                                         else "unit-cancellation-square")
 
 
 def test_check_monoids_reports_lineariser(capsys):

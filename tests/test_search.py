@@ -7,8 +7,9 @@ import pytest
 
 from linearcat.evaluate import eval_canon
 from linearcat.models import FinPtSet, PtObj, load_model
-from linearcat.search import (_local_moves, _predecessors, canonical_between,
-                              elementary_from_edge, moves, pure_bracketings,
+from linearcat.search import (_local_moves, _predecessors, backward_table,
+                              canonical_between, elementary_from_edge,
+                              flood_values, moves, pure_bracketings,
                               search_graph, to_key, value_flood, words_with)
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
@@ -377,3 +378,113 @@ def test_edge_table_is_sound(model_file, mode):
     for objects, table in before.items():
         assert {mid: after[objects][mid] for mid in table} == table
     _assert_sound(model, after, {**owner, **fresh})
+
+
+def _unskipped_search_graph(v, w, depth, mode):
+    """The plain reference for ``search_graph``: every move is looked up in
+    the backward table, with no unit insertion skipped.  Returns (words,
+    edges, target index)."""
+    if length(v) + unit_count(v) > length(w) + unit_count(w) + 1:
+        radius = depth - 1
+    else:
+        radius = depth // 2
+    bt = backward_table(w, radius, mode)
+    free_last = depth - radius - 1
+    edges, words, index = {}, [v], {v: 0}
+    frontier = [0]
+    layer = 0
+    while frontier and layer < depth:
+        layer += 1
+        nxt = []
+        for xi in frontier:
+            kept = []
+            for edge, y in moves(words[xi], mode):
+                bty = bt.get(y)
+                last = free_last if bty is None else depth - bty
+                if layer > last:
+                    continue
+                yi = index.get(y)
+                if yi is None:
+                    yi = index[y] = len(words)
+                    words.append(y)
+                    nxt.append(yi)
+                kept.append((edge, yi, last))
+            edges[xi] = tuple(kept)
+        frontier = nxt
+    for xi in frontier:
+        edges.setdefault(xi, ())
+    return words, edges, index.get(w)
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+@pytest.mark.parametrize("depth", [4, 6])
+def test_unit_insertion_skip_is_exact(depth, mode):
+    # search_graph skips unit insertions that the backward table would
+    # reject; the admitted graph must not change: the same words in the same
+    # order, the same edges (move ids included) and the same target state.
+    cases = [
+        # bulky sources: the backward table has radius depth - 1
+        ("((0+_)*1)", "_"), ("((0+1)*(_+0))", "_"),
+        # sources of similar size: radius depth // 2
+        ("(_*1)", "(0+_)"), ("((_+0)*_)", "(_+(1*_))"), ("(_+_)", "(_*_)"),
+        ("(0*1)", "1"), ("1", "0"),
+    ]
+    if depth == 4:
+        # a radius-5 table toward a length-2 word takes seconds to build
+        cases.append(("((1*(_*0))+_)", "(_*_)"))
+    for v_text, w_text in cases:
+        v, w = parse_word(v_text), parse_word(w_text)
+        graph = search_graph(v, w, depth, mode)
+        words, edges, target = _unskipped_search_graph(v, w, depth, mode)
+        assert graph.words == words, (v_text, w_text)
+        assert graph.edges == edges, (v_text, w_text)
+        assert graph.target_index == target, (v_text, w_text)
+
+
+@pytest.mark.parametrize("model_file, mode", [
+    ("pointed_sets_3.json", PRELINEAR),
+    ("pointed_sets_3_faulty.json", PRELINEAR),
+    ("commutative_monoids_3.json", PARTIALLY_LINEAR),
+])
+def test_flood_values_match_value_flood(model_file, mode):
+    # One flood over all object tuples gives each tuple the values, with
+    # their first layers, of a flood at that tuple alone.  Its move graphs
+    # are the moves' graphs at each tuple laid end to end, each shifted past
+    # the codomain carriers of the tuples before it, and they are kept apart
+    # from the per-tuple edge tables.
+    model = load_model(MODELS / model_file)
+    small = [o for o in model.base_objects if o.size <= 2]
+    pairs = [(parse_word(v), parse_word(w)) for v, w in [
+        ("0", "1"), ("(0*1)", "1"), ("1", "0"),
+        ("_", "_"), ("(0+_)", "(_*1)"), ("((0*1)+_)", "_"),
+        ("(_*_)", "(_*_)"), ("(_+_)", "(_*_)"), ("((_+0)*_)", "(_+(1*_))")]]
+    batched, owner = [], {}
+    for v, w in pairs:
+        graph = search_graph(v, w, 4, mode)
+        for xi, out in graph.edges.items():
+            for edge, _, _ in out:
+                owner[edge[4]] = (graph.words[xi], edge)
+        tuples = list(itertools.product(small, repeat=length(v)))
+        batched.append((graph, tuples, flood_values(model, graph, tuples)))
+    # only the one-tuple floods (length 0) use the per-tuple edge tables
+    assert set(model.memo["edge"]) == {()}
+    many = 0
+    for graph, tuples, got in batched:
+        want = [value_flood(model, graph, objects).values for objects in tuples]
+        assert got == want, (graph.source, graph.target)
+        many += sum(len(values) > 1 for values in got)
+    # the faulty model's unitor gives (_*_) -> (_*_) two values
+    assert many > 0 if "faulty" in model_file else many == 0
+    checked = 0
+    for tuples, table in model.memo["batch"].items():
+        for mid, eg in table.items():
+            x, edge = owner[mid]
+            term = elementary_from_edge(x, edge).to_canon()
+            want, shift = [], 0
+            for objects in tuples:
+                mor = eval_canon(model, term, objects)
+                want += [t + shift for t in mor.graph]
+                shift += mor.cod.size
+            assert eg == tuple(want), (x, edge, tuples)
+            checked += 1
+    assert checked > 100
