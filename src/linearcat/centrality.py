@@ -10,10 +10,7 @@ from .errors import IntegrityError, LineariserRequired
 from .evaluate import zero_morphism
 from .matrices import MatrixPresentation, matrix_of, realize
 from .models import Model, Mor
-from .words import HOLE, Prod, Sum
-
-_S2 = Sum(HOLE, HOLE)
-_P2 = Prod(HOLE, HOLE)
+from .words import PROD2, SUM2
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ def central_matrix(model: Model, f: Mor) -> MatrixPresentation:
         (model.identity(y), f),
         (zero_morphism(model, y, x), model.identity(x)),
     )
-    return MatrixPresentation(_S2, (y, x), _P2, (y, x), entries)
+    return MatrixPresentation(SUM2, (y, x), PROD2, (y, x), entries)
 
 
 def is_central_matrix(model: Model, f: Mor) -> bool:
@@ -122,7 +119,7 @@ def _central_sum(model: Model, f: Mor, g: Mor) -> Mor:
         raise ValueError(f"morphism {bad.graph} is not central")
     i_inv = model.i_inverse(y, x)
     composite = model.compose(mg, model.compose(i_inv, mf))
-    m = matrix_of(model, composite, (_S2, (y, x)), (_P2, (y, x)))
+    m = matrix_of(model, composite, (SUM2, (y, x)), (PROD2, (y, x)))
     h = m.entries[0][1]
     ok = (m.entries[0][0] == model.identity(y)
           and m.entries[1][0] == zero_morphism(model, y, x)

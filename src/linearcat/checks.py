@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from .errors import NotInvertibleInModel
 from .evaluate import inclusion, projection
 from .models import Model, Mor
-from .words import HOLE, Prod, Sum
-
-_INCLUSION_WORD = Sum(HOLE, HOLE)
+from .words import PROD2, SUM2
 
 
 @dataclass
@@ -55,13 +53,11 @@ def _all_morphisms(model: Model):
 
 
 def binary_inclusions(model: Model, a, b) -> tuple[Mor, Mor]:
-    return (inclusion(model, _INCLUSION_WORD, (a, b), 1),
-            inclusion(model, _INCLUSION_WORD, (a, b), 2))
+    return (inclusion(model, SUM2, (a, b), 1), inclusion(model, SUM2, (a, b), 2))
 
 
 def binary_projections(model: Model, a, b) -> tuple[Mor, Mor]:
-    w = Prod(HOLE, HOLE)
-    return (projection(model, w, (a, b), 1), projection(model, w, (a, b), 2))
+    return (projection(model, PROD2, (a, b), 1), projection(model, PROD2, (a, b), 2))
 
 
 # -- category and monoidal laws ------------------------------------------------
@@ -370,13 +366,12 @@ def check_prelinear(model: Model,
     ``transformer`` takes the reports of :func:`check_transformer` when the
     caller already has them; otherwise they are computed here."""
     from .matrices import identity_matrix, matrix_of
-    src_w, tgt_w = Sum(HOLE, HOLE), Prod(HOLE, HOLE)
 
     def identity_matrices():
         for a, b in itertools.product(model.base_objects, repeat=2):
             got = matrix_of(model, model.structure("i", a, b),
-                            (src_w, (a, b)), (tgt_w, (a, b)))
-            want = identity_matrix(model, (a, b), src_w, tgt_w)
+                            (SUM2, (a, b)), (PROD2, (a, b)))
+            want = identity_matrix(model, (a, b), SUM2, PROD2)
             if got.entries != want.entries:
                 yield _fail(
                     "i-matrix-identity", a=a.name, b=b.name,

@@ -134,6 +134,18 @@ def eval_elementary_chain(model: Model, src: Word,
 
 # ---------------------------------------------------------------------------
 # Inclusions, projections, zero morphisms.
+#
+# Each depends only on the model and its arguments, and a model is fixed once
+# built, so each is computed once into its own concern of ``model.memo``.  A
+# call that raises stores nothing.
+
+def _memoised(model: Model, concern: str, compute, *args) -> Mor:
+    memo = model.memo[concern]
+    mor = memo.get(args)
+    if mor is None:
+        mor = memo[args] = compute(model, *args)
+    return mor
+
 
 def is_pure_word(w: Word, op: str) -> bool:
     """True when ``w`` is built from holes and ``op`` alone (units excluded)."""
@@ -161,8 +173,13 @@ def inclusion(model: Model, w: Word, objects: tuple, index: int) -> Mor:
     """The inclusion of the index-th summand into an n-fold sum word.
 
     Built as the canonical isomorphism onto the word with every other hole
-    zeroed out, followed by the word functor applied to bang maps.
+    zeroed out, followed by the word functor applied to bang maps.  Computed
+    once per model and ``(w, objects, index)``.
     """
+    return _memoised(model, "inclusion", _inclusion, w, tuple(objects), index)
+
+
+def _inclusion(model: Model, w: Word, objects: tuple, index: int) -> Mor:
     if not is_pure_word(w, SUM):
         raise ValueError(f"inclusion needs a pure sum word, got {render_word(w)}")
     n = length(w)
@@ -181,7 +198,12 @@ def inclusion(model: Model, w: Word, objects: tuple, index: int) -> Mor:
 
 
 def projection(model: Model, w: Word, objects: tuple, index: int) -> Mor:
-    """The projection onto the index-th factor of an n-fold product word."""
+    """The projection onto the index-th factor of an n-fold product word,
+    computed once per model and ``(w, objects, index)``."""
+    return _memoised(model, "projection", _projection, w, tuple(objects), index)
+
+
+def _projection(model: Model, w: Word, objects: tuple, index: int) -> Mor:
     if not is_pure_word(w, PROD):
         raise ValueError(f"projection needs a pure product word, got {render_word(w)}")
     n = length(w)
@@ -199,7 +221,12 @@ def projection(model: Model, w: Word, objects: tuple, index: int) -> Mor:
 
 
 def zero_morphism(model: Model, x, y) -> Mor:
-    """The map factoring through the product unit and then the sum unit."""
+    """The map factoring through the product unit and then the sum unit,
+    computed once per model and ``(x, y)``."""
+    return _memoised(model, "zero", _zero_morphism, x, y)
+
+
+def _zero_morphism(model: Model, x, y) -> Mor:
     point = eval_canon(model, point_morphism(), ())
     return model.compose(model.bang_from_zero(y),
                          model.compose(point, model.bang_to_one(x)))

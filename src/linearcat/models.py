@@ -17,6 +17,7 @@ model's ``memo``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import defaultdict
@@ -45,7 +46,7 @@ class PtObj:
         return isinstance(other, PtObj) and self.size == other.size
 
     def __hash__(self) -> int:
-        return hash(("PtObj", self.size))
+        return self.size
 
 
 class CMonObj:
@@ -138,7 +139,9 @@ class Mor:
         return h
 
 
+@functools.cache
 def _identity_graph(n: int) -> tuple[int, ...]:
+    """The identity carrier map on n elements, one shared tuple per size."""
     return tuple(range(n))
 
 
@@ -213,8 +216,7 @@ class Model:
     def compose(self, g: Mor, f: Mor) -> Mor:
         if f.cod != g.dom:
             raise ValueError(f"cannot compose: {f.cod!r} != {g.dom!r}")
-        gg = g.graph
-        return Mor(f.dom, g.cod, tuple(gg[v] for v in f.graph))
+        return Mor(f.dom, g.cod, tuple(map(g.graph.__getitem__, f.graph)))
 
     def hom(self, dom, cod) -> tuple[Mor, ...]:
         homs = self.memo["hom"]
@@ -306,6 +308,23 @@ def _lex_pair_encode(b_size: int, a: int, b: int) -> int:
     return a * b_size + b
 
 
+def _pair_graph(f: Mor, g: Mor) -> tuple[int, ...]:
+    """The graph of f x g on lexicographically numbered pairs."""
+    n = g.cod.size
+    return tuple([x + y for x in [a * n for a in f.graph] for y in g.graph])
+
+
+def _identity_associator(name: str, obj, objs: tuple) -> Mor:
+    """The associator ``name`` (or its inverse) of the structure ``obj`` at
+    ``objs``.  Both bracketings of a triple number their elements alike
+    (x|bc| + y|c| + z = (x|b| + y)|c| + z for products; for wedges the
+    non-base points of a, then b, then c), so it is the identity carrier map."""
+    a, b, c = objs
+    dom, cod = obj(a, obj(b, c)), obj(obj(a, b), c)
+    graph = _identity_graph(dom.size)
+    return Mor(cod, dom, graph) if name.endswith("_inv") else Mor(dom, cod, graph)
+
+
 class FinPtSet(Model):
     """Pointed sets; sum is the wedge, product is the cartesian product.
 
@@ -350,13 +369,8 @@ class FinPtSet(Model):
         return PtObj(a.size * b.size)
 
     def prod_mor(self, f: Mor, g: Mor) -> Mor:
-        a, b = f.dom, g.dom
-        nb, nb2 = b.size, g.cod.size
-        dom = self.prod_obj(a, b)
-        cod = self.prod_obj(f.cod, g.cod)
-        fg, gg = f.graph, g.graph
-        graph = tuple(fg[v // nb] * nb2 + gg[v % nb] for v in range(dom.size))
-        return Mor(dom, cod, graph)
+        return Mor(self.prod_obj(f.dom, g.dom), self.prod_obj(f.cod, g.cod),
+                   _pair_graph(f, g))
 
     def _enumerate_hom(self, dom: PtObj, cod: PtObj):
         for rest in itertools.product(range(cod.size), repeat=dom.size - 1):
@@ -382,35 +396,9 @@ class FinPtSet(Model):
                 graph[self._wedge_right(a, y)] = _lex_pair_encode(b.size, 0, y)
             return Mor(dom, cod, tuple(graph))
         if name.startswith("assoc_sum"):
-            a, b, c = objs
-            bc = self.sum_obj(b, c)
-            dom = self.sum_obj(a, bc)
-            ab = self.sum_obj(a, b)
-            cod = self.sum_obj(ab, c)
-            graph = [0] * dom.size
-            for x in range(1, a.size):
-                graph[x] = x
-            for y in range(1, b.size):
-                graph[self._wedge_right(a, y)] = self._wedge_right(a, y)
-            for z in range(1, c.size):
-                graph[self._wedge_right(a, self._wedge_right(b, z))] = \
-                    self._wedge_right(ab, z)
-            mor = Mor(dom, cod, tuple(graph))
-            return mor if name == "assoc_sum" else _invert_mor(mor)
+            return _identity_associator(name, self.sum_obj, objs)
         if name.startswith("assoc_prod"):
-            a, b, c = objs
-            bc = self.prod_obj(b, c)
-            dom = self.prod_obj(a, bc)
-            ab = self.prod_obj(a, b)
-            cod = self.prod_obj(ab, c)
-            nbc, nb, nc = bc.size, b.size, c.size
-            graph = []
-            for v in range(dom.size):
-                x, yz = divmod(v, nbc)
-                y, z = divmod(yz, nc)
-                graph.append(_lex_pair_encode(nc, _lex_pair_encode(nb, x, y), z))
-            mor = Mor(dom, cod, tuple(graph))
-            return mor if name == "assoc_prod" else _invert_mor(mor)
+            return _identity_associator(name, self.prod_obj, objs)
         (a,) = objs  # a unitor
         if name.startswith("lunit_sum"):
             dom = self.sum_obj(self.zero_obj, a)
@@ -451,12 +439,8 @@ class FinCMon(Model):
     prod_obj = sum_obj
 
     def _pair_mor(self, f: Mor, g: Mor) -> Mor:
-        nb, nb2 = g.dom.size, g.cod.size
-        dom = self._product(f.dom, g.dom)
-        cod = self._product(f.cod, g.cod)
-        fg, gg = f.graph, g.graph
-        graph = tuple(fg[v // nb] * nb2 + gg[v % nb] for v in range(dom.size))
-        return Mor(dom, cod, graph)
+        return Mor(self._product(f.dom, g.dom), self._product(f.cod, g.cod),
+                   _pair_graph(f, g))
 
     sum_mor = _pair_mor
     prod_mor = _pair_mor
@@ -539,19 +523,7 @@ class FinCMon(Model):
             p = self._product(a, b)
             return Mor(p, p, _identity_graph(p.size))
         if name.startswith("assoc"):
-            a, b, c = objs
-            bc = self._product(b, c)
-            dom = self._product(a, bc)
-            ab = self._product(a, b)
-            cod = self._product(ab, c)
-            nbc, nc, nb = bc.size, c.size, b.size
-            graph = []
-            for v in range(dom.size):
-                x, yz = divmod(v, nbc)
-                y, z = divmod(yz, nc)
-                graph.append(_lex_pair_encode(nc, _lex_pair_encode(nb, x, y), z))
-            mor = Mor(dom, cod, tuple(graph))
-            return mor if name in ("assoc_sum", "assoc_prod") else _invert_mor(mor)
+            return _identity_associator(name, self._product, objs)
         (a,) = objs  # a unitor
         unit = self.zero_obj
         dom = self._product(unit, a) if name.startswith("lunit") \

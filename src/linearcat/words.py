@@ -46,6 +46,11 @@ def Prod(left: Word, right: Word) -> Word:
     return (PROD, left, right)
 
 
+# The binary pure words (_+_) and (_*_).
+SUM2 = Sum(HOLE, HOLE)
+PROD2 = Prod(HOLE, HOLE)
+
+
 @cache
 def length(w: Word) -> int:
     """Number of hole occurrences in ``w``."""

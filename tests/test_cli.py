@@ -278,3 +278,10 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "runit+" in proc.stdout
+
+
+@pytest.mark.parametrize("word, code", [("_", 0), ("x", 2)])
+def test_package_runs_as_module(word, code):
+    proc = subprocess.run([sys.executable, "-m", "linearcat", "word", word],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr

@@ -1,0 +1,101 @@
+"""The morphism kernels and associators against their index formulas."""
+
+import itertools
+
+import pytest
+
+from linearcat.checks import check_structure
+from linearcat.models import FinCMon, FinPtSet, Mor, all_commutative_monoids
+
+
+def _pair_graph(f, g):
+    """The graph of f x g, one divmod per entry of the lexicographic pairs."""
+    nb, nb2 = g.dom.size, g.cod.size
+    return tuple(f.graph[v // nb] * nb2 + g.graph[v % nb]
+                 for v in range(f.dom.size * nb))
+
+
+def _assoc_prod_graph(a, b, c):
+    """(x, (y, z)) -> ((x, y), z) on lexicographically numbered triples."""
+    graph = []
+    for v in range(a.size * b.size * c.size):
+        x, yz = divmod(v, b.size * c.size)
+        y, z = divmod(yz, c.size)
+        graph.append((x * b.size + y) * c.size + z)
+    return tuple(graph)
+
+
+def _assoc_wedge_graph(a, b, c):
+    """a+(b+c) -> (a+b)+c on wedges numbered basepoint, then the non-base
+    points of the left summand, then those of the right one shifted up."""
+    def right(n, y):
+        return 0 if y == 0 else n - 1 + y
+
+    graph = [0] * (a.size + b.size + c.size - 2)
+    for x in range(1, a.size):
+        graph[x] = x
+    for y in range(1, b.size):
+        graph[right(a.size, y)] = right(a.size, y)
+    for z in range(1, c.size):
+        graph[right(a.size, right(b.size, z))] = right(a.size + b.size - 1, z)
+    return tuple(graph)
+
+
+def _inverse(graph):
+    inv = [0] * len(graph)
+    for x, y in enumerate(graph):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _all_homs(model):
+    return [f for x, y in itertools.product(model.base_objects, repeat=2)
+            for f in model.hom(x, y)]
+
+
+@pytest.mark.parametrize("name", ["pt3", "cmon2"])
+def test_kernels_equal_index_formulas(request, name):
+    model = request.getfixturevalue(name)
+    homs = _all_homs(model)
+    for f, g in itertools.product(homs, repeat=2):
+        want = _pair_graph(f, g)
+        assert model.prod_mor(f, g) == Mor(model.prod_obj(f.dom, g.dom),
+                                           model.prod_obj(f.cod, g.cod), want)
+        if isinstance(model, FinCMon):
+            assert model.sum_mor(f, g).graph == want
+        if f.cod == g.dom:
+            assert model.compose(g, f).graph == tuple(g.graph[v] for v in f.graph)
+
+
+@pytest.mark.parametrize("name", ["pt3", "cmon2"])
+def test_associators_equal_index_formulas(request, name):
+    model = request.getfixturevalue(name)
+    sum_graph = _assoc_wedge_graph if isinstance(model, FinPtSet) \
+        else _assoc_prod_graph
+    objs = model.base_objects
+    triples = list(itertools.product(objs, repeat=3))
+    triples += [(model.prod_obj(a, b), c, d)
+                for a, b, c, d in itertools.product(objs, repeat=4)]
+    for tag, obj, formula in (("sum", model.sum_obj, sum_graph),
+                              ("prod", model.prod_obj, _assoc_prod_graph)):
+        for a, b, c in triples:
+            dom, cod = obj(a, obj(b, c)), obj(obj(a, b), c)
+            want = formula(a, b, c)
+            assert model.structure(f"assoc_{tag}", a, b, c) == Mor(dom, cod, want)
+            assert model.structure(f"assoc_{tag}_inv", a, b, c) \
+                == Mor(cod, dom, _inverse(want))
+
+
+@pytest.mark.parametrize("build, objects", [
+    (lambda overrides=(): FinPtSet((1, 2), overrides), ("P2", "P2", "P2")),
+    (lambda overrides=(): FinCMon(all_commutative_monoids(2), overrides),
+     ("M1_2", "M2_2", "M1_2")),
+], ids=["pt2", "cmon2"])
+def test_corrupted_product_associator_is_caught(build, objects):
+    pristine = build()
+    graph = pristine.structure(
+        "assoc_prod", *map(pristine.object_by_name, objects)).graph
+    corrupted = (graph[0], graph[2]) + graph[2:]
+    reports = check_structure(build([("assoc_prod", objects, corrupted)]))
+    failed = {r.law for r in reports if not r.passed}
+    assert failed & {"prod/pentagon", "prod/assoc-natural"}

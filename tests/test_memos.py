@@ -1,0 +1,68 @@
+"""The per-model memos of inclusions, projections and zero morphisms."""
+
+import itertools
+
+from linearcat import evaluate
+from linearcat.centrality import check_linearity_theorem
+from linearcat.evaluate import inclusion, projection, zero_morphism
+from linearcat.models import FinCMon, FinPtSet, PtObj, all_commutative_monoids
+from linearcat.search import pure_bracketings
+from linearcat.words import PROD, PROD2, SUM, SUM2, length
+
+
+def _derived_maps(model):
+    """(function, arguments) for every memoised map over base objects:
+    inclusions and projections of the binary and ternary pure words, and
+    zero morphisms."""
+    objs = model.base_objects
+    for fn, op in ((inclusion, SUM), (projection, PROD)):
+        for w in pure_bracketings(op, 2) + pure_bracketings(op, 3):
+            for tup in itertools.product(objs, repeat=length(w)):
+                for index in range(1, len(tup) + 1):
+                    yield fn, (model, w, tup, index)
+    for x, y in itertools.product(objs, repeat=2):
+        yield zero_morphism, (model, x, y)
+
+
+def test_memoised_maps_equal_fresh_computation():
+    for model in (FinPtSet((1, 2)), FinCMon(all_commutative_monoids(2))):
+        cached = [(fn, args, fn(*args)) for fn, args in _derived_maps(model)]
+        assert {"inclusion", "projection", "zero"} <= set(model.memo)
+        assert all(fn(*args) is got for fn, args, got in cached)
+        for fn, args, got in cached:
+            model.memo.clear()
+            assert fn(*args) == got
+
+
+def test_memos_never_cross_models():
+    p2 = PtObj(2)
+    pristine = FinPtSet((1, 2))
+    inc = inclusion(pristine, SUM2, (p2, p2), 1)
+    proj = projection(pristine, PROD2, (p2, p2), 2)
+    # the inclusion runs through runit_sum_inv at P2, the projection
+    # through lunit_prod at P2
+    bad_inc = FinPtSet((1, 2), [("runit_sum_inv", ("P2",), (0, 0))])
+    bad_proj = FinPtSet((1, 2), [("lunit_prod", ("P2",), (0, 0))])
+    assert inclusion(bad_inc, SUM2, (p2, p2), 1) != inc
+    assert projection(bad_proj, PROD2, (p2, p2), 2) != proj
+    assert inclusion(pristine, SUM2, (p2, p2), 1) is inc
+    assert projection(pristine, PROD2, (p2, p2), 2) is proj
+
+
+def test_second_linearity_check_evaluates_no_term(monkeypatch):
+    calls = []
+    inner = evaluate._eval_canon
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(evaluate, "_eval_canon", counted)
+    model = FinCMon(all_commutative_monoids(2))
+    first = check_linearity_theorem(model)
+    assert calls
+    calls.clear()
+    second = check_linearity_theorem(model)
+    assert calls == []
+    assert first.passed and second.passed
+    assert first.details == second.details
