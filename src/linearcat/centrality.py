@@ -105,12 +105,6 @@ def add_central(model: Model, f: Mor, g: Mor) -> Mor:
     if f.dom != g.dom or f.cod != g.cod:
         raise ValueError("addition needs parallel morphisms")
     _require_lineariser(model)
-    return _central_sum(model, f, g)
-
-
-def _central_sum(model: Model, f: Mor, g: Mor) -> Mor:
-    """``add_central`` of two parallel morphisms, for callers that have
-    checked the lineariser once."""
     x, y = f.dom, f.cod
     mf = realize(model, central_matrix(model, f))
     mg = realize(model, central_matrix(model, g))
@@ -171,11 +165,6 @@ class CentralMonoid:
 def central_monoid(model: Model, x, y) -> CentralMonoid:
     """Tabulate central addition on Z(x, y) and verify the monoid laws."""
     _require_lineariser(model)
-    return _central_monoid(model, x, y)
-
-
-def _central_monoid(model: Model, x, y) -> CentralMonoid:
-    """``central_monoid`` for callers that have checked the lineariser."""
     elements = central_hom(model, x, y)
     for f in elements:
         if realize(model, central_matrix(model, f)) is None:
@@ -189,7 +178,7 @@ def _central_monoid(model: Model, x, y) -> CentralMonoid:
     for f in elements:
         row = []
         for g in elements:
-            s = _central_sum(model, f, g)
+            s = add_central(model, f, g)
             if s not in index:
                 raise IntegrityError(
                     f"central addition left the central class: {s.graph}")
@@ -201,17 +190,12 @@ def _central_monoid(model: Model, x, y) -> CentralMonoid:
 def check_distributivity(model: Model) -> CheckReport:
     """Both distributive laws of composition over central addition."""
     _require_lineariser(model)
-    return _distributivity(model)
-
-
-def _distributivity(model: Model) -> CheckReport:
-    """``check_distributivity`` for callers that have checked the lineariser."""
     add_cache: dict = {}
 
     def add(f, g):
         key = (f, g)
         if key not in add_cache:
-            add_cache[key] = _central_sum(model, f, g)
+            add_cache[key] = add_central(model, f, g)
         return add_cache[key]
 
     objs = model.base_objects
@@ -280,13 +264,13 @@ def check_linearity_theorem(model: Model) -> CheckReport:
         distributive_ok = True
         witness = None
         for x, y in itertools.product(model.base_objects, repeat=2):
-            cm = _central_monoid(model, x, y)
+            cm = central_monoid(model, x, y)
             if not all(r.passed for r in cm.verify()):
                 monoids_ok = False
                 witness = {"x": x.name, "y": y.name}
                 break
         if monoids_ok:
-            dist = _distributivity(model)
+            dist = check_distributivity(model)
             distributive_ok = dist.passed
             witness = dist.counterexample
         right = monoids_ok and distributive_ok

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import NotInvertibleInModel
-from .evaluate import inclusion, projection
+from .evaluate import _memoised, inclusion, projection
 from .models import Model, Mor
 from .words import PROD2, SUM2
 
@@ -393,7 +393,13 @@ def is_lineariser(model: Model):
 
     Returns ``(flag, data)``: on success the inverse table indexed by object
     name pairs, on failure a witness describing one non-invertible component.
+    The verdict is computed once per model, into ``model.memo["lineariser"]``,
+    so every caller shares the returned table and must not mutate it.
     """
+    return _memoised(model, "lineariser", _lineariser)
+
+
+def _lineariser(model: Model):
     inverses = {}
     for a in model.base_objects:
         for b in model.base_objects:

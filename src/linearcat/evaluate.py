@@ -139,7 +139,7 @@ def eval_elementary_chain(model: Model, src: Word,
 # built, so each is computed once into its own concern of ``model.memo``.  A
 # call that raises stores nothing.
 
-def _memoised(model: Model, concern: str, compute, *args) -> Mor:
+def _memoised(model: Model, concern: str, compute, *args):
     memo = model.memo[concern]
     mor = memo.get(args)
     if mor is None:

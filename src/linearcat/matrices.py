@@ -32,13 +32,6 @@ class MatrixPresentation:
     def entry_key(self) -> tuple:
         return tuple(tuple(m.graph for m in row) for row in self.entries)
 
-    def render(self) -> str:
-        cells = [[",".join(str(v) for v in m.graph) for m in row]
-                 for row in self.entries]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
-
 
 def _validate_words(src, tgt):
     src_word, src_objects = src

@@ -120,9 +120,6 @@ class Mor:
         self.graph = graph
         self._hash = None  # computed on first use: most morphisms are never hashed
 
-    def __call__(self, x: int) -> int:
-        return self.graph[x]
-
     def __repr__(self) -> str:
         return f"Mor({self.dom!r} -> {self.cod!r}, {self.graph})"
 
@@ -261,6 +258,30 @@ class Model:
                 or self._compute_structure(name, objects)
         return mor
 
+    def _compute_structure(self, name: str, objs: tuple) -> Mor:
+        """The pristine component; ``name`` is in ``STRUCTURE_TABLES``.
+
+        Both bracketings of a triple number their elements alike
+        (x|bc| + y|c| + z = (x|b| + y)|c| + z for products; for wedges the
+        non-base points of a, then b, then c), and so do ``a`` and its sum
+        with 0 or product with 1 on either side.  So every associator and
+        unitor, and each inverse, is the identity carrier map, and a model
+        supplies only ``i``.
+        """
+        if name == "i":
+            a, b = objs
+            return self._i(a, b)
+        obj, unit = (self.sum_obj, self.zero_obj) if "_sum" in name \
+            else (self.prod_obj, self.one_obj)
+        if name.startswith("assoc"):
+            a, b, c = objs
+            dom, cod = obj(a, obj(b, c)), obj(obj(a, b), c)
+        else:
+            (cod,) = objs
+            dom = obj(unit, cod) if name.startswith("lunit") else obj(cod, unit)
+        graph = _identity_graph(dom.size)
+        return Mor(cod, dom, graph) if name.endswith("_inv") else Mor(dom, cod, graph)
+
     def j_morphism(self) -> Mor:
         """The unique map from the sum unit to the product unit."""
         return self.bang_from_zero(self.one_obj)
@@ -299,30 +320,15 @@ class Model:
     def is_morphism(self, m: Mor) -> bool:
         raise NotImplementedError
 
-    def _compute_structure(self, name: str, objs: tuple) -> Mor:
-        """The pristine component; ``name`` is in ``STRUCTURE_TABLES``."""
+    def _i(self, a, b) -> Mor:
+        """The pristine component of ``i`` at (a, b)."""
         raise NotImplementedError
-
-
-def _lex_pair_encode(b_size: int, a: int, b: int) -> int:
-    return a * b_size + b
 
 
 def _pair_graph(f: Mor, g: Mor) -> tuple[int, ...]:
     """The graph of f x g on lexicographically numbered pairs."""
     n = g.cod.size
     return tuple([x + y for x in [a * n for a in f.graph] for y in g.graph])
-
-
-def _identity_associator(name: str, obj, objs: tuple) -> Mor:
-    """The associator ``name`` (or its inverse) of the structure ``obj`` at
-    ``objs``.  Both bracketings of a triple number their elements alike
-    (x|bc| + y|c| + z = (x|b| + y)|c| + z for products; for wedges the
-    non-base points of a, then b, then c), so it is the identity carrier map."""
-    a, b, c = objs
-    dom, cod = obj(a, obj(b, c)), obj(obj(a, b), c)
-    graph = _identity_graph(dom.size)
-    return Mor(cod, dom, graph) if name.endswith("_inv") else Mor(dom, cod, graph)
 
 
 class FinPtSet(Model):
@@ -340,11 +346,6 @@ class FinPtSet(Model):
         if objects[0].size < 1:
             raise ValueError("pointed sets need at least a basepoint")
         super().__init__(objects, objects[0], overrides)
-
-    # wedge numbering helpers
-    @staticmethod
-    def _wedge_right(a: PtObj, y: int) -> int:
-        return 0 if y == 0 else a.size - 1 + y
 
     def sum_obj(self, a: PtObj, b: PtObj) -> PtObj:
         return PtObj(a.size + b.size - 1)
@@ -384,32 +385,10 @@ class FinPtSet(Model):
         return len(m.graph) == m.dom.size and m.graph[0] == 0 \
             and all(0 <= v < m.cod.size for v in m.graph)
 
-    def _compute_structure(self, name: str, objs: tuple) -> Mor:
-        if name == "i":
-            a, b = objs
-            dom = self.sum_obj(a, b)
-            cod = self.prod_obj(a, b)
-            graph = [0] * dom.size
-            for x in range(1, a.size):
-                graph[x] = _lex_pair_encode(b.size, x, 0)
-            for y in range(1, b.size):
-                graph[self._wedge_right(a, y)] = _lex_pair_encode(b.size, 0, y)
-            return Mor(dom, cod, tuple(graph))
-        if name.startswith("assoc_sum"):
-            return _identity_associator(name, self.sum_obj, objs)
-        if name.startswith("assoc_prod"):
-            return _identity_associator(name, self.prod_obj, objs)
-        (a,) = objs  # a unitor
-        if name.startswith("lunit_sum"):
-            dom = self.sum_obj(self.zero_obj, a)
-        elif name.startswith("runit_sum"):
-            dom = self.sum_obj(a, self.zero_obj)
-        elif name.startswith("lunit_prod"):
-            dom = self.prod_obj(self.one_obj, a)
-        else:
-            dom = self.prod_obj(a, self.one_obj)
-        mor = Mor(dom, a, _identity_graph(a.size))
-        return mor if name.endswith(("sum", "prod")) else _invert_mor(mor)
+    def _i(self, a: PtObj, b: PtObj) -> Mor:
+        # a non-base x of a goes to the pair (x, 0), a non-base y of b to (0, y)
+        graph = (0, *range(b.size, a.size * b.size, b.size), *range(1, b.size))
+        return Mor(self.sum_obj(a, b), self.prod_obj(a, b), graph)
 
 
 class FinCMon(Model):
@@ -517,19 +496,9 @@ class FinCMon(Model):
             g[dt[a][b]] == ct[g[a]][g[b]]
             for a in range(dom.size) for b in range(dom.size))
 
-    def _compute_structure(self, name: str, objs: tuple) -> Mor:
-        if name == "i":
-            a, b = objs
-            p = self._product(a, b)
-            return Mor(p, p, _identity_graph(p.size))
-        if name.startswith("assoc"):
-            return _identity_associator(name, self._product, objs)
-        (a,) = objs  # a unitor
-        unit = self.zero_obj
-        dom = self._product(unit, a) if name.startswith("lunit") \
-            else self._product(a, unit)
-        mor = Mor(dom, a, _identity_graph(a.size))
-        return mor if name.endswith(("sum", "prod")) else _invert_mor(mor)
+    def _i(self, a: CMonObj, b: CMonObj) -> Mor:
+        p = self._product(a, b)
+        return Mor(p, p, _identity_graph(p.size))
 
 
 def all_commutative_monoids(max_size: int) -> tuple[CMonObj, ...]:

@@ -31,8 +31,8 @@ a value is its graphs at the K tuples laid end to end, each shifted past
 the carriers of the tuples before it, and a move's graph is batched the
 same way, so one tuple map applies the move at all K tuples.  The batched
 graphs live in ``model.memo["batch"]``, keyed by the tuple of object tuples
-and then by move id; ``value_flood`` is the one-tuple case and keeps its
-graphs in ``model.memo["edge"][objects]``.
+and then by move id; ``value_flood`` is the one-tuple case, keyed by
+``(objects,)``.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
     path, so it is memoised under that key in ``model.memo["whisker"]``,
     shared by every word and move with the same evaluated context.
     ``value_flood`` keeps the graphs per move id in
-    ``model.memo["edge"][objects]``.
+    ``model.memo["batch"][(objects,)]``.
     """
     path, kind, inverse, args, _ = edge
     chain = []
@@ -347,8 +347,8 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     A value is its graphs at the K tuples laid end to end, each shifted past
     the carriers of the tuples before it, and so is a move's graph (see
     ``_move_graph``), so one tuple map applies a move at all K tuples.  The
-    graphs of the moves live in ``model.memo["edge"][objects]`` when K = 1
-    and in ``model.memo["batch"][tuples]`` otherwise, keyed by move id.
+    graphs of the moves live in ``model.memo["batch"][tuples]``, keyed by
+    move id.
     Returns the target's values, each with the first layer realizing it;
     ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, edge)`` that first reached it.
@@ -362,10 +362,7 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     if parents is not None:
         parents[(0, id_graph)] = None
     frontier = [(0, id_graph)]
-    if len(tuples) == 1:
-        table = model.memo["edge"].setdefault(tuples[0], {})  # move id -> graph
-    else:
-        table = model.memo["batch"].setdefault(tuples, {})
+    table = model.memo["batch"].setdefault(tuples, {})  # move id -> graph
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges

@@ -44,10 +44,15 @@ def equal_length_pairs(n: int, max_units: int, mixed_stride: int = 1,
     exhaustive.  The one-unit-each block is thinned by ``mixed_stride``.
     Words with two or more unit leaves pair with the barest words of the
     same length, thinned by ``heavy_stride`` (scaled by 8 per extra unit
-    leaf, since those strata grow roughly eightfold per leaf).
+    leaf, since those strata grow roughly eightfold per leaf).  When no
+    length-``n`` word fits the budget, the corpus is empty.
     """
+    description = (f"length {n}, <= {max_units} unit leaves,"
+                   f" mixed stride {mixed_stride}, heavy stride {heavy_stride}")
     by_units = {u: words_with(n, u) for u in range(max_units + 1)}
-    base_units = min(u for u in range(max_units + 1) if by_units[u])
+    if not any(by_units.values()):
+        return PairCorpus((), description)
+    base_units = min(u for u in by_units if by_units[u])
     bare = by_units[base_units]
     pairs: list[tuple[Word, Word]] = []
     light = base_units + 1
@@ -65,17 +70,14 @@ def equal_length_pairs(n: int, max_units: int, mixed_stride: int = 1,
             for b in bare:
                 pairs.append((hw, b))
                 pairs.append((b, hw))
-    return PairCorpus(tuple(pairs),
-                      f"length {n}, <= {max_units} unit leaves,"
-                      f" mixed stride {mixed_stride}, heavy stride {heavy_stride}")
+    return PairCorpus(tuple(pairs), description)
 
 
 def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
                     depth: int = 6, mode: str = PARTIALLY_LINEAR,
-                    require_iso: bool = True,
                     law: str = "coherence/partially-linear") -> CheckReport:
     """All depth-bounded canonical terms within each pair must agree, and
-    (optionally) their common value must be invertible in the model."""
+    their common value must be invertible in the model."""
     checked = 0
     seen: set = set()
     for v, w in corpus.pairs:
@@ -92,7 +94,7 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             checked += 1
             if len(values) == 1:
                 [g] = values
-                if not require_iso or _invertible(model, Mor(
+                if _invertible(model, Mor(
                         eval_object_cached(model, v, objects),
                         eval_object_cached(model, w, objects), g)):
                     continue

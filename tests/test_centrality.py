@@ -6,10 +6,11 @@ from linearcat.centrality import (CentralMonoid, add_central, central_hom,
                                   central_monoid, check_distributivity,
                                   check_linearity_theorem, covers_prod,
                                   covers_sum, is_central, is_central_matrix)
-from linearcat.checks import binary_inclusions, is_lineariser
+from linearcat import checks
+from linearcat.checks import binary_inclusions
 from linearcat.errors import LineariserRequired
 from linearcat.evaluate import zero_morphism
-from linearcat.models import FinCMon, FinPtSet, Mor, PtObj
+from linearcat.models import FinCMon, FinPtSet, Mor, PtObj, all_commutative_monoids
 
 
 def pointwise_sum(model, f, g):
@@ -131,41 +132,62 @@ def test_add_central_requires_lineariser(pt3):
         add_central(pt3, f, f)
 
 
-def test_lineariser_is_checked_once_per_table(cmon2, pt3, monkeypatch):
+def _count_lineariser_verdicts(monkeypatch) -> list:
+    """The models whose lineariser verdict is computed from here on; the
+    models must be built after this call, so that no memo holds a verdict."""
     calls = []
+    compute = checks._lineariser
 
     def counting(model):
         calls.append(model)
-        return is_lineariser(model)
+        return compute(model)
 
-    monkeypatch.setattr("linearcat.centrality.is_lineariser", counting)
-    z2 = [o for o in cmon2.base_objects if o.size == 2][0]
-    cm = central_monoid(cmon2, z2, z2)
-    assert len(cm.elements) > 1 and calls == [cmon2]
-    calls.clear()
-    assert check_distributivity(cmon2).passed
-    assert calls == [cmon2]
+    monkeypatch.setattr(checks, "_lineariser", counting)
+    return calls
+
+
+def test_lineariser_is_checked_once_per_table(monkeypatch):
+    calls = _count_lineariser_verdicts(monkeypatch)
+    cm2, p3 = FinCMon(all_commutative_monoids(2)), FinPtSet((1, 2, 3))
+    z2 = [o for o in cm2.base_objects if o.size == 2][0]
+    cm = central_monoid(cm2, z2, z2)
+    assert len(cm.elements) > 1 and calls == [cm2]
+    assert check_distributivity(cm2).passed
+    assert calls == [cm2]
     # without a lineariser, both still refuse
     with pytest.raises(LineariserRequired):
-        central_monoid(pt3, PtObj(2), PtObj(2))
+        central_monoid(p3, PtObj(2), PtObj(2))
     with pytest.raises(LineariserRequired):
-        check_distributivity(pt3)
+        check_distributivity(p3)
+    assert calls == [cm2, p3]
 
 
-def test_linearity_theorem_checks_lineariser_once(cmon, pt2, monkeypatch):
+def test_linearity_theorem_checks_lineariser_once(monkeypatch):
+    calls = _count_lineariser_verdicts(monkeypatch)
+    cm, p2 = FinCMon(), FinPtSet((1, 2))
+    r = check_linearity_theorem(cm)
+    assert r.passed and r.details["right"]
+    assert calls == [cm]
+    assert not check_linearity_theorem(p2).details["right"]
+    assert calls == [cm, p2]
+
+
+def test_central_operations_go_through_add_central(cmon2, monkeypatch):
+    # central_monoid and check_distributivity add through the public
+    # add_central, so that a wrapper (the benchmark's tracer) sees each sum
     calls = []
 
-    def counting(model):
-        calls.append(model)
-        return is_lineariser(model)
+    def counting(model, f, g):
+        calls.append((f, g))
+        return add_central(model, f, g)
 
-    monkeypatch.setattr("linearcat.centrality.is_lineariser", counting)
-    r = check_linearity_theorem(cmon)
-    assert r.passed and r.details["right"]
-    assert calls == [cmon]
+    monkeypatch.setattr("linearcat.centrality.add_central", counting)
+    z2 = [o for o in cmon2.base_objects if o.size == 2][0]
+    central_monoid(cmon2, z2, z2)
+    assert len(calls) == len(central_hom(cmon2, z2, z2)) ** 2
     calls.clear()
-    assert not check_linearity_theorem(pt2).details["right"]
-    assert calls == [pt2]
+    assert check_linearity_theorem(cmon2).passed
+    assert calls
 
 
 def test_central_monoid_structure(cmon):

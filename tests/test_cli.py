@@ -272,6 +272,19 @@ def test_coherence_subcommand(capsys):
     assert "coherence-identity-matrix/n=3" in out
 
 
+def test_zero_max_units_gives_empty_length_0_corpus(capsys):
+    # no length-0 word has zero unit leaves, so that sweep checks no pair
+    code, out, err = run(capsys, "coherence", "--model",
+                         str(MODELS / "commutative_monoids_3.json"), "--mode",
+                         "partially-linear", "--max-units", "0", "--depth", "6",
+                         "--max-size", "1", "--format", "structured")
+    assert code == 0
+    assert "Traceback" not in out + err
+    reports = {r["law"]: r for r in json.loads(out)["reports"]}
+    n0 = reports["coherence/partially-linear/n=0"]
+    assert n0["passed"] and n0["details"]["pairs"] == 0
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "linearcat.cli", "word", "(_+0)"],

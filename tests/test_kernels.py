@@ -1,11 +1,13 @@
-"""The morphism kernels and associators against their index formulas."""
+"""The morphism kernels and structure components against their index
+formulas."""
 
 import itertools
 
 import pytest
 
 from linearcat.checks import check_structure
-from linearcat.models import FinCMon, FinPtSet, Mor, all_commutative_monoids
+from linearcat.models import (CMonObj, FinCMon, FinPtSet, Mor, PtObj,
+                               all_commutative_monoids)
 
 
 def _pair_graph(f, g):
@@ -84,6 +86,46 @@ def test_associators_equal_index_formulas(request, name):
             assert model.structure(f"assoc_{tag}", a, b, c) == Mor(dom, cod, want)
             assert model.structure(f"assoc_{tag}_inv", a, b, c) \
                 == Mor(cod, dom, _inverse(want))
+
+
+def _unitor_domains(model, a) -> dict:
+    """The domain of each unitor at ``a``, built without the model."""
+    if isinstance(model, FinPtSet):
+        # the wedge with, and the product with, the one-point set
+        return dict.fromkeys(
+            ("lunit_sum", "runit_sum", "lunit_prod", "runit_prod"), PtObj(a.size))
+    unit = next(o for o in model.base_objects if o.size == 1)
+    left, right = CMonObj(factors=(unit, a)), CMonObj(factors=(a, unit))
+    return {"lunit_sum": left, "runit_sum": right,
+            "lunit_prod": left, "runit_prod": right}
+
+
+def _i_formula(model, a, b) -> Mor:
+    """Pointed sets: the wedge onto lexicographic pairs, a non-base x to
+    (x, 0) and a non-base y to (0, y).  Monoids: the identity on a x b."""
+    if isinstance(model, FinPtSet):
+        pairs = [(0, 0)] + [(x, 0) for x in range(1, a.size)] \
+            + [(0, y) for y in range(1, b.size)]
+        return Mor(PtObj(a.size + b.size - 1), PtObj(a.size * b.size),
+                   tuple(x * b.size + y for x, y in pairs))
+    p = CMonObj(factors=(a, b))
+    return Mor(p, p, tuple(range(p.size)))
+
+
+@pytest.mark.parametrize("name", ["pt3", "cmon2"])
+def test_unitors_and_i_equal_index_formulas(request, name):
+    model = request.getfixturevalue(name)
+    objs = model.base_objects
+    checked = 0
+    for a in objs + (model.prod_obj(*objs[-2:]),):
+        ident = tuple(range(a.size))
+        for table, dom in _unitor_domains(model, a).items():
+            assert model.structure(table, a) == Mor(dom, a, ident), (table, a)
+            assert model.structure(f"{table}_inv", a) == Mor(a, dom, ident), (table, a)
+            checked += 2
+    assert checked == 8 * (len(objs) + 1)
+    for a, b in itertools.product(objs, repeat=2):
+        assert model.structure("i", a, b) == _i_formula(model, a, b), (a, b)
 
 
 @pytest.mark.parametrize("build, objects", [

@@ -118,6 +118,12 @@ def test_equal_length_pairs_deterministic():
     assert all(len(p) == 2 for p in a.pairs)
 
 
+def test_equal_length_pairs_empty_when_no_word_fits():
+    # no length-0 word has zero unit leaves
+    assert equal_length_pairs(0, 0).pairs == ()
+    assert equal_length_pairs(0, 2).pairs
+
+
 @pytest.mark.parametrize("n, count, prefix", [
     (0, 52, "fa5076cb2af745c2"),
     (1, 57, "bf13c0a1b8de5d0d"),
@@ -327,7 +333,9 @@ def _flood_and_own(model, pairs, depth, mode, objects_for):
 
 
 def _edge_tables(model) -> dict:
-    return {objects: dict(table) for objects, table in model.memo["edge"].items()}
+    """The one-tuple move tables of the flood memo, by object tuple."""
+    return {tuples[0]: dict(table) for tuples, table in model.memo["batch"].items()
+            if len(tuples) == 1}
 
 
 def _assert_sound(model, tables, owner):
@@ -347,7 +355,7 @@ def _assert_sound(model, tables, owner):
     ("commutative_monoids_3.json", PARTIALLY_LINEAR),
 ])
 def test_edge_table_is_sound(model_file, mode):
-    # Every graph value_flood keeps in model.memo["edge"][objects][move id]
+    # Every graph value_flood keeps in model.memo["batch"][(objects,)][move id]
     # is the value of that move's elementary term, also where the model
     # overrides a structure table.  The graphs are shared through the
     # whisker memo, which holds fewer entries than the edge tables.  Move
@@ -450,8 +458,8 @@ def test_flood_values_match_value_flood(model_file, mode):
     # One flood over all object tuples gives each tuple the values, with
     # their first layers, of a flood at that tuple alone.  Its move graphs
     # are the moves' graphs at each tuple laid end to end, each shifted past
-    # the codomain carriers of the tuples before it, and they are kept apart
-    # from the per-tuple edge tables.
+    # the codomain carriers of the tuples before it, and the flood memo keys
+    # them by the tuple of object tuples, as it keys the one-tuple floods.
     model = load_model(MODELS / model_file)
     small = [o for o in model.base_objects if o.size <= 2]
     pairs = [(parse_word(v), parse_word(w)) for v, w in [
@@ -466,8 +474,8 @@ def test_flood_values_match_value_flood(model_file, mode):
                 owner[edge[4]] = (graph.words[xi], edge)
         tuples = list(itertools.product(small, repeat=length(v)))
         batched.append((graph, tuples, flood_values(model, graph, tuples)))
-    # only the one-tuple floods (length 0) use the per-tuple edge tables
-    assert set(model.memo["edge"]) == {()}
+    # only the length-0 floods, over the one empty tuple, have one tuple
+    assert {t for t in model.memo["batch"] if len(t) == 1} == {((),)}
     many = 0
     for graph, tuples, got in batched:
         want = [value_flood(model, graph, objects).values for objects in tuples]
