@@ -14,7 +14,8 @@ from .errors import (ArityMismatch, BoundaryMismatch, IntegrityError,
 from .evaluate import (eval_canon, eval_morphism, eval_object, inclusion,
                        projection, zero_morphism)
 from .matrices import (MatrixPresentation, coherence_identity_check,
-                       identity_matrix, matrix_of, realize)
+                       identity_matrix, identity_matrix_sweep, matrix_of,
+                       realize)
 from .models import (CMonObj, FinCMon, FinPtSet, Model, Mor, PtObj,
                      all_commutative_monoids, load_model, model_from_dict)
 from .search import canonical_between, pure_bracketings, words_with

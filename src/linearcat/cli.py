@@ -17,7 +17,7 @@ from .centrality import central_hom, central_monoid, check_linearity_theorem
 from .checks import (CheckReport, check_prelinear, check_structure,
                      check_transformer, is_lineariser)
 from .errors import LinearcatError, ModelFileError, ParseError
-from .matrices import coherence_identity_check
+from .matrices import identity_matrix_sweep
 from .models import Model, load_model
 from .sweeps import coherence_sweep, equal_length_pairs, unit_square_sweep
 from .terms import PARTIALLY_LINEAR, PRELINEAR, render_term, unit_cancel
@@ -195,14 +195,8 @@ def _coherence_reports(model: Model, args) -> list[CheckReport]:
         return list(itertools.product(objs, repeat=n))
 
     for n in (1, 2, 3):
-        passed = True
-        ce = None
-        for tup in objects_for(n):
-            r = coherence_identity_check(model, n, tup, args.depth, PRELINEAR)
-            if not r.passed:
-                passed, ce = False, r.counterexample
-                break
-        reports.append(CheckReport(f"coherence-identity-matrix/n={n}", passed, ce))
+        reports.append(identity_matrix_sweep(model, n, objects_for(n),
+                                             args.depth, PRELINEAR))
     if args.mode == PARTIALLY_LINEAR:
         for n in (0, 1, 2):
             corpus = equal_length_pairs(n, args.max_units, args.mixed_stride,

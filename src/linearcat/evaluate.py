@@ -6,8 +6,8 @@ from .errors import ArityMismatch
 from .models import Model, Mor
 from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, IDENTITY, J_GEN, LUNIT_PROD,
                     LUNIT_SUM, PRELINEAR, RUNIT_PROD, RUNIT_SUM, CanonTerm,
-                    ElementaryTerm, Generator, GenTerm, SumPar, VComp,
-                    invert, point_morphism, unit_cancel)
+                    Generator, GenTerm, SumPar, VComp, invert, point_morphism,
+                    unit_cancel)
 from .words import (HOLE, ONE, PROD, SUM, ZERO, Word, length, node,
                     render_word)
 
@@ -120,16 +120,6 @@ def _eval_canon(model: Model, t: CanonTerm, objects: tuple) -> Mor:
     if isinstance(t, SumPar):
         return model.sum_mor(left, right)
     return model.prod_mor(left, right)
-
-
-def eval_elementary_chain(model: Model, src: Word,
-                          elems: tuple[ElementaryTerm, ...],
-                          objects: tuple) -> Mor:
-    """Evaluate a factorization as a composite, starting from ``src``."""
-    mor = model.identity(eval_object(model, src, objects))
-    for e in elems:
-        mor = model.compose(_eval_canon(model, e.to_canon(), objects), mor)
-    return mor
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 from .checks import CheckReport
 from .errors import IntegrityError
-from .evaluate import eval_object, inclusion, is_pure_word, projection, zero_morphism
+from .evaluate import (_memoised, eval_object, inclusion, is_pure_word,
+                       projection, zero_morphism)
 from .models import Model, Mor
-from .search import pure_bracketings, search_graph, value_flood
+from .search import (eval_object_cached, flood_check, pure_bracketings,
+                     search_graph)
 from .terms import PRELINEAR
 from .words import PROD, SUM, Word, length, render_word
 
@@ -79,11 +81,6 @@ def identity_matrix(model: Model, objects: tuple, src_word: Word,
 
 def _realization_map(model: Model, src, tgt) -> dict:
     """matrix entry-key -> unique realizing morphism, for one boundary."""
-    cache = model.memo["realization"]
-    key = (src, tgt)
-    table = cache.get(key)
-    if table is not None:
-        return table
     src_word, src_objects = src
     tgt_word, tgt_objects = tgt
     dom = eval_object(model, src_word, src_objects)
@@ -97,7 +94,6 @@ def _realization_map(model: Model, src, tgt) -> dict:
                 f" {render_word(src_word)} and {render_word(tgt_word)}:"
                 f" {table[sig].graph} and {f.graph}")
         table[sig] = f
-    cache[key] = table
     return table
 
 
@@ -108,48 +104,58 @@ def realize(model: Model, p: MatrixPresentation) -> Mor | None:
     monomorphy of projections; finding two realizers raises
     :class:`IntegrityError`.
     """
-    table = _realization_map(model, (p.src_word, p.src_objects),
-                             (p.tgt_word, p.tgt_objects))
+    table = _memoised(model, "realization", _realization_map,
+                      (p.src_word, p.src_objects), (p.tgt_word, p.tgt_objects))
     return table.get(p.entry_key())
+
+
+def identity_matrix_sweep(model: Model, n: int, tuples, depth: int = 6,
+                          mode: str = PRELINEAR) -> CheckReport:
+    """For every sum bracketing to every product bracketing of length ``n``,
+    at each object tuple of ``tuples``: all depth-bounded canonical terms
+    must evaluate to one morphism whose matrix is the identity matrix.
+
+    Each pair's search graph is built once per call.  Each tuple is checked
+    against every pair, and flooded alone, before the next tuple, so the
+    sweep stops at the first failing tuple."""
+    if not 1 <= n <= 3:
+        raise ValueError("the identity-matrix sweep is desk scale: n must be 1..3")
+    if any(len(objects) != n for objects in tuples):
+        raise ValueError("need exactly n objects")
+    law = f"coherence-identity-matrix/n={n}"
+    pairs = [(v, w, search_graph(v, w, depth, mode))
+             for v in pure_bracketings(SUM, n) for w in pure_bracketings(PROD, n)]
+    for objects in tuples:
+        for v, w, graph in pairs:
+
+            def fault(objects, values):
+                if not values:
+                    return {"reason": f"no canonical term within depth {depth}"}
+                names = [o.name for o in objects]
+                if len(values) > 1:
+                    return {"reason": "two canonical terms evaluate differently",
+                            "objects": names}
+                [g] = values
+                value = Mor(eval_object_cached(model, v, objects),
+                            eval_object_cached(model, w, objects), g)
+                got = matrix_of(model, value, (v, objects), (w, objects))
+                if got.entry_key() == identity_matrix(model, objects, v, w).entry_key():
+                    return None
+                return {"objects": names,
+                        "matrix": [[list(m.graph) for m in row] for row in got.entries],
+                        "reason": "canonical morphism matrix is not the identity"}
+
+            failure = flood_check(model, graph, [objects], fault)
+            if failure is not None:
+                _, flood, ce = failure
+                ce = {"source": render_word(v), "target": render_word(w), **ce}
+                if len(flood.values) > 1:
+                    ce.update(flood.disagreement(graph))
+                return CheckReport(law, False, ce)
+    return CheckReport(law, True)
 
 
 def coherence_identity_check(model: Model, n: int, objects: tuple,
                              depth: int = 6, mode: str = PRELINEAR) -> CheckReport:
-    """For every sum bracketing to every product bracketing of length ``n``:
-    all depth-bounded canonical terms must evaluate to one morphism whose
-    matrix is the identity matrix."""
-    if not 1 <= n <= 3:
-        raise ValueError("the identity-matrix sweep is desk scale: n must be 1..3")
-    if len(objects) != n:
-        raise ValueError("need exactly n objects")
-    law = f"coherence-identity-matrix/n={n}"
-    graphs = model.memo["graph"]  # one search graph per word pair, not per object tuple
-    for v in pure_bracketings(SUM, n):
-        for w in pure_bracketings(PROD, n):
-            key = (v, w, depth, mode)
-            graph = graphs.get(key)
-            if graph is None:
-                graph = graphs[key] = search_graph(v, w, depth, mode)
-            flood = value_flood(model, graph, objects)
-            if not flood.values:
-                return CheckReport(law, False, {
-                    "source": render_word(v), "target": render_word(w),
-                    "reason": f"no canonical term within depth {depth}"})
-            if len(flood.values) > 1:
-                terms = [str(flood.witness_term(graph, g)) for g in flood.values]
-                return CheckReport(law, False, {
-                    "source": render_word(v), "target": render_word(w),
-                    "reason": "two canonical terms evaluate differently",
-                    "objects": [o.name for o in objects],
-                    "terms": terms,
-                    "values": [list(g) for g in flood.values]})
-            [value] = flood.value_morphisms(model)
-            got = matrix_of(model, value, (v, objects), (w, objects))
-            want = identity_matrix(model, objects, v, w)
-            if got.entry_key() != want.entry_key():
-                return CheckReport(law, False, {
-                    "source": render_word(v), "target": render_word(w),
-                    "objects": [o.name for o in objects],
-                    "matrix": [[list(m.graph) for m in row] for row in got.entries],
-                    "reason": "canonical morphism matrix is not the identity"})
-    return CheckReport(law, True, None, {"objects": [o.name for o in objects]})
+    """``identity_matrix_sweep`` at the one object tuple ``objects``."""
+    return identity_matrix_sweep(model, n, [objects], depth, mode)

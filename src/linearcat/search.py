@@ -33,6 +33,13 @@ same way, so one tuple map applies the move at all K tuples.  The batched
 graphs live in ``model.memo["batch"]``, keyed by the tuple of object tuples
 and then by move id; ``value_flood`` is the one-tuple case, keyed by
 ``(objects,)``.
+
+All three coherence sweeps take one path, ``flood_check``: flood a search
+graph over a list of object tuples, check each tuple's values in order, and
+re-flood the first failing tuple alone with ``value_flood`` for witness
+terms.  No search graph is memoised per model.  The sweeps' unit
+cancellations go to ``model.memo["cancellation"]``, keyed by
+``(word, objects)``.
 """
 
 from __future__ import annotations
@@ -41,13 +48,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .evaluate import eval_generator, eval_object
+from .errors import LinearcatError
+from .evaluate import _memoised, eval_generator, eval_object
 from .models import Model, Mor
 from .terms import (_ALWAYS_ISO, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
                     LUNIT_PROD, LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR,
                     RUNIT_PROD, RUNIT_SUM, CanonTerm, ElementaryTerm,
-                    Generator, context_at, identity_term, render_term,
-                    vcompose)
+                    Generator, identity_term, render_term, vcompose)
 from .words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Word, length,
                     unit_count)
 
@@ -235,12 +242,7 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
 
 def eval_object_cached(model: Model, w: Word, objects: tuple):
     """The word functor on objects, memoised per model."""
-    memo = model.memo["object"]
-    ck = (w, objects)
-    obj = memo.get(ck)
-    if obj is None:
-        obj = memo[ck] = eval_object(model, w, objects)
-    return obj
+    return _memoised(model, "object", eval_object, w, objects)
 
 
 def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
@@ -285,27 +287,24 @@ def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
 
 def elementary_from_edge(x: Word, edge: Edge) -> ElementaryTerm:
     path, kind, inverse, args, _ = edge
-    context, _ = context_at(x, path)
-    return ElementaryTerm(context, Generator(kind, args, inverse))
+    return ElementaryTerm(x, path, Generator(kind, args, inverse))
 
 
 @dataclass
 class FloodResult:
     """Values of all depth-bounded canonical terms from source to target."""
 
-    source: Mor | None  # identity at the evaluated source object
-    target_obj: object
     values: dict  # value graph (tuple) -> layer of first realization
     parents: dict  # (state, graph) -> (prev_state, prev_graph, edge) | None
 
-    def value_morphisms(self, model: Model) -> list[Mor]:
-        return [Mor(self.source.dom, self.target_obj, g)
-                for g in sorted(self.values)]
+    def disagreement(self, graph: SearchGraph) -> dict:
+        """Every value, each with one term realizing it, in discovery order."""
+        return {"terms": [str(self.witness_term(graph, g)) for g in self.values],
+                "values": [list(g) for g in self.values]}
 
-    def witness_term(self, graph: SearchGraph, value) -> CanonTerm:
-        """Reconstruct one canonical term realizing ``value`` at the target."""
-        if isinstance(value, Mor):
-            value = value.graph
+    def witness_term(self, graph: SearchGraph, value: tuple) -> CanonTerm:
+        """Reconstruct one canonical term realizing the value graph ``value``
+        at the target."""
         state = (graph.target_index, value)
         steps = []
         while True:
@@ -401,12 +400,8 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
     value is realized by such a term.  Values travel as raw graphs: all
     values arriving at one state share their boundary objects.
     """
-    src_obj = eval_object_cached(model, graph.source, objects)
     parents: dict = {}
-    values = _flood(model, graph, (objects,), parents)
-    return FloodResult(Mor(src_obj, src_obj, tuple(range(src_obj.size))),
-                       eval_object_cached(model, graph.target, objects),
-                       values, parents)
+    return FloodResult(_flood(model, graph, (objects,), parents), parents)
 
 
 def flood_values(model: Model, graph: SearchGraph, tuples) -> list[dict]:
@@ -428,6 +423,29 @@ def flood_values(model: Model, graph: SearchGraph, tuples) -> list[dict]:
             if found.get(piece, layer) >= layer:
                 found[piece] = layer
     return out
+
+
+def flood_check(model: Model, graph: SearchGraph, tuples, check):
+    """Flood ``graph`` at every object tuple of ``tuples`` and call
+    ``check(objects, values)`` on each tuple's values, in tuple order.
+
+    ``check`` returns None when the values pass, else what is wrong.  Returns
+    None if every tuple passes, else the first failing tuple's index, its
+    ``value_flood`` for witness terms, and what ``check`` returned.  If the
+    flood over all tuples raises, each tuple is flooded alone as it is
+    checked, so the caller meets the first failure or exception of per-tuple
+    floods."""
+    tuples = tuple(tuples)
+    try:
+        batched = flood_values(model, graph, tuples)
+    except LinearcatError:
+        batched = None
+    for k, objects in enumerate(tuples):
+        flood = value_flood(model, graph, objects) if batched is None else None
+        fault = check(objects, batched[k] if flood is None else flood.values)
+        if fault is not None:
+            return k, flood or value_flood(model, graph, objects), fault
+    return None
 
 
 # -- the term-list interface ----------------------------------------------------

@@ -10,15 +10,12 @@ and finish at desk scale.  Strides can be widened or disabled per call.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .checks import CheckReport
-from .errors import LinearcatError
-from .evaluate import eval_canon
+from .evaluate import _memoised, eval_canon
 from .models import Model, Mor
-from .search import (SearchGraph, eval_object_cached, flood_values,
-                     search_graph, value_flood, words_with)
+from .search import eval_object_cached, flood_check, search_graph, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length, render_word
@@ -86,49 +83,33 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             # two directions, so the mirrored pair carries the same content
             continue
         seen.add((v, w))
+
+        def fault(objects, values):
+            nonlocal checked
+            if not values:
+                return None
+            checked += 1
+            if len(values) > 1:
+                return {}
+            [g] = values
+            if _invertible(model, Mor(eval_object_cached(model, v, objects),
+                                      eval_object_cached(model, w, objects), g)):
+                return None
+            return {"reason": "canonical morphism is not invertible", "value": list(g)}
+
         graph = search_graph(v, w, depth, mode)
         tuples = objects_for(length(v))
-        for objects, values in zip(tuples, _values_at(model, graph, tuples)):
-            if not values:
-                continue
-            checked += 1
-            if len(values) == 1:
-                [g] = values
-                if _invertible(model, Mor(
-                        eval_object_cached(model, v, objects),
-                        eval_object_cached(model, w, objects), g)):
-                    continue
-            # flood this tuple alone, for its witness terms
-            flood = value_flood(model, graph, objects)
+        failure = flood_check(model, graph, tuples, fault)
+        if failure is not None:
+            k, flood, fields = failure
+            ce = {"source": render_word(v), "target": render_word(w),
+                  "objects": [o.name for o in tuples[k]], **fields}
             if len(flood.values) > 1:
-                terms = [str(flood.witness_term(graph, g)) for g in flood.values]
-                return CheckReport(law, False, {
-                    "source": render_word(v), "target": render_word(w),
-                    "objects": [o.name for o in objects],
-                    "terms": terms,
-                    "values": [list(g) for g in flood.values]})
-            [value] = flood.value_morphisms(model)
-            return CheckReport(law, False, {
-                "source": render_word(v), "target": render_word(w),
-                "objects": [o.name for o in objects],
-                "reason": "canonical morphism is not invertible",
-                "value": list(value.graph)})
+                ce.update(flood.disagreement(graph))
+            return CheckReport(law, False, ce)
     return CheckReport(law, True, None,
                        {"corpus": corpus.description, "pairs": len(corpus.pairs),
                         "evaluations": checked, "depth": depth})
-
-
-def _values_at(model: Model, graph: SearchGraph,
-               tuples: list) -> Iterable[dict]:
-    """The flood values at each object tuple, from one flood over all of
-    them.  If that flood raises, they come from one flood per tuple, made
-    as they are read, so that the caller meets the same first report or
-    exception as with per-tuple floods."""
-    try:
-        return flood_values(model, graph, tuples)
-    except LinearcatError:
-        return (value_flood(model, graph, objects).values
-                for objects in tuples)
 
 
 def _invertible(model: Model, m: Mor) -> bool:
@@ -146,8 +127,14 @@ def normalized_cancellation(model: Model, w: Word, objects: tuple) -> Mor:
 
     Cancellation of a length-2 word lands on its unit-free core; when the
     core is a sum the transformer is applied on top, so that every length-2
-    word normalizes into the same product object.
+    word normalizes into the same product object.  Computed once per model
+    and ``(w, objects)``, into ``model.memo["cancellation"]``.
     """
+    return _memoised(model, "cancellation", _normalized_cancellation, w,
+                     tuple(objects))
+
+
+def _normalized_cancellation(model: Model, w: Word, objects: tuple) -> Mor:
     term = unit_cancel(w)
     split = core_split(w)
     if split.op == SUM:
@@ -162,29 +149,32 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
     normalized cancellation of the source."""
     law = "unit-cancellation-square"
     checked = 0
+    tuples = objects_for(2)
     for v, w in corpus.pairs:
-        graph = search_graph(v, w, depth, mode)
-        tuples = objects_for(2)
-        per_tuple = iter(_values_at(model, graph, tuples))
-        for objects in tuples:
+
+        def fault(objects, values):
+            nonlocal checked
             u_v = normalized_cancellation(model, v, objects)
             u_w = normalized_cancellation(model, w, objects)
-            values = next(per_tuple)
             src = eval_object_cached(model, v, objects)
             tgt = eval_object_cached(model, w, objects)
             for g in sorted(values):
                 checked += 1
-                value = Mor(src, tgt, g)
-                if model.compose(u_w, value) != u_v:
-                    # flood this tuple alone, for the witness term
-                    flood = value_flood(model, graph, objects)
-                    term = str(flood.witness_term(graph, value))
-                    return CheckReport(law, False, {
-                        "source": render_word(v), "target": render_word(w),
-                        "objects": [o.name for o in objects],
-                        "term": term,
-                        "lhs": list(model.compose(u_w, value).graph),
-                        "rhs": list(u_v.graph)})
+                lhs = model.compose(u_w, Mor(src, tgt, g))
+                if lhs != u_v:
+                    return g, lhs, u_v
+            return None
+
+        graph = search_graph(v, w, depth, mode)
+        failure = flood_check(model, graph, tuples, fault)
+        if failure is not None:
+            k, flood, (g, lhs, u_v) = failure
+            return CheckReport(law, False, {
+                "source": render_word(v), "target": render_word(w),
+                "objects": [o.name for o in tuples[k]],
+                "term": str(flood.witness_term(graph, g)),
+                "lhs": list(lhs.graph),
+                "rhs": list(u_v.graph)})
     return CheckReport(law, True, None,
                        {"corpus": corpus.description, "terms_checked": checked,
                         "depth": depth})

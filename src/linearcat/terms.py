@@ -175,6 +175,10 @@ def prod_par(left: CanonTerm, right: CanonTerm) -> ProdPar:
     return ProdPar(left, right)
 
 
+def _par(op: str, left: CanonTerm, right: CanonTerm) -> CanonTerm:
+    return SumPar(left, right) if op == SUM else ProdPar(left, right)
+
+
 def invert(t: CanonTerm, mode: str = PRELINEAR) -> CanonTerm:
     """Syntactic inverse of ``t``; fails on generators the mode cannot invert."""
     if mode not in MODES:
@@ -239,8 +243,7 @@ def collapse_to_one(w: Word) -> CanonTerm:
 def _par_unless_trivial(op: str, lt: CanonTerm, rt: CanonTerm) -> CanonTerm | None:
     if is_identity_term(lt) and is_identity_term(rt):
         return None
-    par = sum_par if op == SUM else prod_par
-    return par(lt, rt)
+    return _par(op, lt, rt)
 
 
 def _kill_attachments(attachments: tuple[Attachment, ...], inner: Word) -> CanonTerm:
@@ -267,9 +270,8 @@ def _kill_attachments(attachments: tuple[Attachment, ...], inner: Word) -> Canon
         }[(att.op, att.side)]
         u_k: CanonTerm = GenTerm(Generator(unitor_kind, (stage,)))
         if not is_identity_term(collapse):
-            par = sum_par if att.op == SUM else prod_par
-            pre = par(collapse, identity_term(stage)) if att.side == "left" \
-                else par(identity_term(stage), collapse)
+            pre = _par(att.op, collapse, identity_term(stage)) if att.side == "left" \
+                else _par(att.op, identity_term(stage), collapse)
             u_k = vcompose(u_k, pre)
         term = u_k if term is None else vcompose(u_k, term)
     return identity_term(inner) if term is None else term
@@ -297,8 +299,7 @@ def unit_cancel(w: Word) -> CanonTerm:
         u2 = unit_cancel(split.w2)
         if is_identity_term(u1) and is_identity_term(u2):
             return outer
-        par = sum_par if split.op == SUM else prod_par
-        inner = par(u1, u2)
+        inner = _par(split.op, u1, u2)
         if is_identity_term(outer):
             return inner
         return vcompose(inner, outer)
@@ -306,90 +307,46 @@ def unit_cancel(w: Word) -> CanonTerm:
 
 
 # ---------------------------------------------------------------------------
-# Elementary terms: a single generator inside a word context.
+# Elementary terms: a single generator at one position of a word.
 
-class Context:
-    """A word with one distinguished position."""
-
-    __slots__ = ()
-
-    def fill(self, w: Word) -> Word:
-        raise NotImplementedError
-
-    def wrap(self, t: CanonTerm) -> CanonTerm:
-        """Embed a term at the distinguished position, identities elsewhere."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True, slots=True)
-class CtxHole(Context):
-    def fill(self, w: Word) -> Word:
-        return w
-
-    def wrap(self, t: CanonTerm) -> CanonTerm:
-        return t
-
-
-@dataclass(frozen=True, slots=True)
-class CtxNode(Context):
-    op: str
-    side: str  # side holding the distinguished position
-    inner: Context
-    other: Word
-
-    def fill(self, w: Word) -> Word:
-        filled = self.inner.fill(w)
-        if self.side == "left":
-            return node(self.op, filled, self.other)
-        return node(self.op, self.other, filled)
-
-    def wrap(self, t: CanonTerm) -> CanonTerm:
-        wrapped = self.inner.wrap(t)
-        par = sum_par if self.op == SUM else prod_par
-        if self.side == "left":
-            return par(wrapped, identity_term(self.other))
-        return par(identity_term(self.other), wrapped)
-
-
-CTX_HOLE = CtxHole()
-
-
-def context_at(w: Word, path: tuple[int, ...]) -> tuple[Context, Word]:
-    """Split ``w`` into the context around ``path`` and the subword there.
-
-    Path steps are 0 (left child) or 1 (right child).
-    """
+def _around(w: Word, path: tuple[int, ...], inner, join, lift):
+    """Rebuild ``w`` with ``inner`` at ``path``, joining each rebuilt child
+    to its lifted sibling with ``join(op, left, right)``."""
     if not path:
-        return CTX_HOLE, w
+        return inner
     op, left, right = w
     if path[0] == 0:
-        inner, sub = context_at(left, path[1:])
-        return CtxNode(op, "left", inner, right), sub
-    inner, sub = context_at(right, path[1:])
-    return CtxNode(op, "right", inner, left), sub
+        return join(op, _around(left, path[1:], inner, join, lift), lift(right))
+    return join(op, lift(left), _around(right, path[1:], inner, join, lift))
 
 
 @dataclass(frozen=True)
 class ElementaryTerm:
-    """A single generator acting at one position of an outer word."""
+    """The generator ``gen`` acting on the subword of ``source`` at ``path``,
+    which is the generator's source.  Path steps are 0 (left child) or 1
+    (right child)."""
 
-    context: Context
+    source: Word
+    path: tuple[int, ...]
     gen: Generator
-    source: Word = field(init=False, compare=False, repr=False)
-    target: Word = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", self.context.fill(self.gen.source))
-        object.__setattr__(self, "target", self.context.fill(self.gen.target))
+    @property
+    def target(self) -> Word:
+        return _around(self.source, self.path, self.gen.target, node,
+                       lambda w: w)
 
     def to_canon(self) -> CanonTerm:
-        return self.context.wrap(GenTerm(self.gen))
+        """The generator at ``path``, identities on every sibling."""
+        return _around(self.source, self.path, GenTerm(self.gen), _par,
+                       identity_term)
 
 
-def _embed(elems: tuple[ElementaryTerm, ...], op: str, side: str,
+def _embed(elems: tuple[ElementaryTerm, ...], op: str, side: int,
            other: Word) -> tuple[ElementaryTerm, ...]:
     return tuple(
-        ElementaryTerm(CtxNode(op, side, e.context, other), e.gen) for e in elems)
+        ElementaryTerm(node(op, e.source, other) if side == 0
+                       else node(op, other, e.source), (side,) + e.path, e.gen)
+        for e in elems)
 
 
 def elementary_factorization(t: CanonTerm) -> tuple[ElementaryTerm, ...]:
@@ -402,12 +359,12 @@ def elementary_factorization(t: CanonTerm) -> tuple[ElementaryTerm, ...]:
     if isinstance(t, GenTerm):
         if t.gen.kind == IDENTITY:
             return ()
-        return (ElementaryTerm(CTX_HOLE, t.gen),)
+        return (ElementaryTerm(t.gen.source, (), t.gen),)
     if isinstance(t, VComp):
         return elementary_factorization(t.earlier) + elementary_factorization(t.later)
     op = SUM if isinstance(t, SumPar) else PROD
-    left = _embed(elementary_factorization(t.left), op, "left", t.right.source)
-    right = _embed(elementary_factorization(t.right), op, "right", t.left.target)
+    left = _embed(elementary_factorization(t.left), op, 0, t.right.source)
+    right = _embed(elementary_factorization(t.right), op, 1, t.left.target)
     return left + right
 
 

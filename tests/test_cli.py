@@ -83,12 +83,23 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     # the partially-linear sweeps' first failures and their witness terms
     ("pointed_sets_3_faulty.json", ["--mode", "partially-linear"], 1,
      "pointed_sets_3_faulty_plin.json"),
+    # one zero-map override each, under tests/models: the identity-matrix
+    # sweep fails first at (P1, P2, P2), tuple 3 of 8 at n = 3, in the
+    # first two, and at every n in the third
+    ("pointed_sets_3_zero_assoc_prod.json", [], 1,
+     "pointed_sets_3_zero_assoc_prod.json"),
+    ("pointed_sets_3_zero_assoc_sum_inv.json", [], 1,
+     "pointed_sets_3_zero_assoc_sum_inv.json"),
+    ("pointed_sets_3_zero_i.json", [], 1, "pointed_sets_3_zero_i.json"),
 ])
 def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                                          code, golden):
-    # The golden files are the output of, from the repository root,
-    # `linearcat check --model models/<model> --format structured <flags>`.
-    monkeypatch.chdir(MODELS.parent)
+    # The golden files are the output of
+    # `linearcat check --model models/<model> --format structured <flags>`,
+    # run from the repository root for a bundled model and from tests/ for
+    # one under tests/models.
+    bundled = (MODELS / model).exists()
+    monkeypatch.chdir(MODELS.parent if bundled else GOLDEN.parent)
     got, out, _ = run(capsys, "check", "--model", f"models/{model}",
                       "--format", "structured", *flags)
     assert got == code

@@ -4,11 +4,14 @@ import pytest
 
 from linearcat.centrality import matrix_completeness
 from linearcat.evaluate import eval_object, zero_morphism
+from linearcat.checks import CheckReport
 from linearcat.matrices import (MatrixPresentation, coherence_identity_check,
-                                identity_matrix, matrix_of, realize)
+                                identity_matrix, identity_matrix_sweep,
+                                matrix_of, realize)
 from linearcat.models import FinPtSet, Mor, PtObj
-from linearcat.search import search_graph
-from linearcat.words import HOLE, Prod, Sum
+from linearcat.search import pure_bracketings, search_graph, value_flood
+from linearcat.terms import PRELINEAR
+from linearcat.words import HOLE, PROD, SUM, Prod, Sum, render_word
 
 S2 = Sum(HOLE, HOLE)
 P2 = Prod(HOLE, HOLE)
@@ -144,8 +147,64 @@ def test_identity_check_builds_each_graph_once(monkeypatch):
 
     monkeypatch.setattr("linearcat.matrices.search_graph", counting)
     model = FinPtSet((1, 2))
-    objs = model.base_objects
-    for objects in itertools.product(objs, repeat=2):
-        assert coherence_identity_check(model, 2, objects, depth=4).passed
+    tuples = list(itertools.product(model.base_objects, repeat=2))
+    assert len(tuples) == 4
+    assert identity_matrix_sweep(model, 2, tuples, depth=4).passed
     # one sum bracketing and one product bracketing of length 2
     assert len(built) == len(set(built)) == 1
+
+
+def _reference_identity_sweep(model, n, tuples, depth):
+    """The identity-matrix sweep as one value flood per tuple and pair."""
+    law = f"coherence-identity-matrix/n={n}"
+    for objects in tuples:
+        for v in pure_bracketings(SUM, n):
+            for w in pure_bracketings(PROD, n):
+                graph = search_graph(v, w, depth, PRELINEAR)
+                flood = value_flood(model, graph, objects)
+                where = {"source": render_word(v), "target": render_word(w)}
+                names = [o.name for o in objects]
+                if not flood.values:
+                    return CheckReport(law, False, dict(
+                        where, reason=f"no canonical term within depth {depth}"))
+                if len(flood.values) > 1:
+                    return CheckReport(law, False, dict(
+                        where, reason="two canonical terms evaluate differently",
+                        objects=names,
+                        terms=[str(flood.witness_term(graph, g))
+                               for g in flood.values],
+                        values=[list(g) for g in flood.values]))
+                [g] = flood.values
+                value = Mor(eval_object(model, v, objects),
+                            eval_object(model, w, objects), g)
+                got = matrix_of(model, value, (v, objects), (w, objects))
+                want = identity_matrix(model, objects, v, w)
+                if got.entry_key() != want.entry_key():
+                    return CheckReport(law, False, dict(
+                        where, objects=names,
+                        matrix=[[list(m.graph) for m in row]
+                                for row in got.entries],
+                        reason="canonical morphism matrix is not the identity"))
+    return CheckReport(law, True)
+
+
+@pytest.mark.parametrize("override", [
+    None,
+    ("lunit_sum", ("P2",), (0, 0)),
+    ("assoc_prod", ("P1", "P2", "P2"), (0,) * 4),
+    ("assoc_sum_inv", ("P2", "P1", "P2"), (0,) * 3),
+    ("i", ("P1", "P2"), (0, 0)),
+])
+def test_identity_matrix_sweep_matches_per_tuple_floods(override):
+    # the first failing tuple, pair and reason, and the witness terms, in
+    # the order of one flood per tuple and pair
+    model = FinPtSet((1, 2, 3), [override] if override else [])
+    objs = [o for o in model.base_objects if o.size <= 2]
+    for n in (1, 2, 3):
+        tuples = list(itertools.product(objs, repeat=n))
+        got = identity_matrix_sweep(model, n, tuples, depth=6)
+        want = _reference_identity_sweep(model, n, tuples, 6)
+        assert (got.law, got.passed, got.counterexample) == \
+            (want.law, want.passed, want.counterexample)
+    if override and override[0] != "lunit_sum":
+        assert not got.passed

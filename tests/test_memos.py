@@ -1,6 +1,9 @@
-"""The per-model memos of inclusions, projections and zero morphisms."""
+"""The per-model memos of inclusions, projections and zero morphisms, and
+the README's list of memo concerns."""
 
 import itertools
+import re
+from pathlib import Path
 
 from linearcat import evaluate
 from linearcat.centrality import check_linearity_theorem
@@ -66,3 +69,17 @@ def test_second_linearity_check_evaluates_no_term(monkeypatch):
     assert calls == []
     assert first.passed and second.passed
     assert first.details == second.details
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_names_every_memo_concern():
+    concerns = set()
+    for path in (ROOT / "src" / "linearcat").glob("*.py"):
+        text = path.read_text()
+        concerns |= set(re.findall(r'memo\["(\w+)"\]', text))
+        concerns |= set(re.findall(r'_memoised\(\w+, "(\w+)"', text))
+    assert {"batch", "cancellation", "whisker"} <= concerns
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(c for c in concerns if f'memo["{c}"]' not in readme) == []

@@ -105,10 +105,11 @@ def test_flood_witness_reconstruction(pt3):
     v, w = Sum(ZERO, HOLE), HOLE
     graph = search_graph(to_key(v), to_key(w), 3, PRELINEAR)
     flood = value_flood(pt3, graph, (PtObj(3),))
-    for value in flood.value_morphisms(pt3):
+    assert flood.values
+    for value in flood.values:
         term = flood.witness_term(graph, value)
         assert term.source == v and term.target == w
-        assert eval_canon(pt3, term, (PtObj(3),)) == value
+        assert eval_canon(pt3, term, (PtObj(3),)).graph == value
 
 
 def test_equal_length_pairs_deterministic():

@@ -1,7 +1,7 @@
 import pytest
 
 from linearcat.errors import BoundaryMismatch, NonInvertibleGenerator
-from linearcat.evaluate import eval_canon, eval_elementary_chain
+from linearcat.evaluate import eval_canon, eval_object
 from linearcat.models import PtObj
 from linearcat.search import canonical_between, words_with
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, CanonTerm,
@@ -211,7 +211,10 @@ def test_factorization_is_sound_in_both_models(pt3, cmon):
         for model, obj in ((pt3, PtObj(3)), (cmon, z2)):
             objs = (obj,) * n
             direct = eval_canon(model, t, objs)
-            chained = eval_elementary_chain(model, t.source, elems, objs)
+            chained = model.identity(eval_object(model, t.source, objs))
+            for e in elems:
+                chained = model.compose(eval_canon(model, e.to_canon(), objs),
+                                        chained)
             assert direct == chained
 
 
