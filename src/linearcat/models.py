@@ -563,11 +563,15 @@ def _canonical_table(table) -> tuple[tuple[int, ...], ...]:
 
 def load_model(path: str | Path) -> Model:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ModelFileError(f"cannot read model file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"model file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelFileError("model file is nested too deeply") from exc
     return model_from_dict(doc)
 
 

@@ -17,14 +17,21 @@ A*), and unit insertions the bound rules out are skipped before their
 targets are looked up.  The pruning is exact: no path within the depth bound
 is ever lost.
 
-Symbolic results (moves, distance tables) are memoised with
-``functools.cache``; a word's move table is built from its children's.
-Values at an object tuple go to the model's own ``memo``, one dict per
-concern.  Every move gets a process-unique integer id when its word's move
-table is first computed, and each search graph numbers its states, so the
-value flood runs over integers: per object tuple, the model keeps one table
-from move id to the move's raw graph.  Those graphs are shared through one
-memo keyed by the evaluated context of a move (``edge_morphism``).
+Symbolic results (move tables, distance tables) are memoised with
+``functools.cache``.  A word's ``MoveTable`` is built from its children's in
+compressed-sparse-row style: per move it stores only the target word and a
+one-byte code for (kind, inverse), about 83 bytes a move together with the
+cache, where a stored edge tuple per move took 280.  Each table takes one
+block of process-unique move ids, ``first + k``, and rebuilds a move's edge
+``(path, kind, inverse, args, id)`` on demand by walking down the child
+tables.  Values at an object tuple go to the model's own ``memo``, one dict
+per concern.  A search graph numbers its states, keeps each state's table,
+and lists its edges as ``(move id, target state, last layer)``, so the value
+flood runs over integers: per object tuple, the model keeps one table from
+move id to the move's raw graph.  On a miss the flood walks the move tables
+once for all its tuples, for the hole slices of the move's arguments and
+siblings, and ``edge_morphism`` evaluates the move at each tuple through one
+memo keyed by the move's evaluated context.
 
 One flood serves every object tuple of a sweep at once (``flood_values``):
 a value is its graphs at the K tuples laid end to end, each shifted past
@@ -69,8 +76,19 @@ def to_key(w: Word) -> Word:
 # An edge is (path, kind, inverse, args, move id) with args given as words.
 Edge = tuple[tuple[int, ...], str, bool, tuple, int]
 
+# A move's code is 2 * (index of its kind) + inverse, one byte per move.
+_KINDS = (ASSOC_SUM, ASSOC_PROD, I_GEN, J_GEN,
+          LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD)
+_CODE = {(kind, inverse): 2 * k + inverse
+         for k, kind in enumerate(_KINDS) for inverse in (False, True)}
+_UNITORS = frozenset((LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD))
+# code -> change in unit leaves (``_CODE`` lists the codes in order): a
+# unitor drops one, its inverse inserts one
+_UNIT_STEP = tuple((1 if inverse else -1) if kind in _UNITORS else 0
+                   for kind, inverse in _CODE)
+
 # Never reset, so a move id is never reused, even after ``moves.cache_clear()``.
-_move_ids = itertools.count()
+_next_move_id = 0
 
 
 def _local_moves(sub: Word, mode: str) -> list[tuple[str, bool, tuple, Word]]:
@@ -112,24 +130,106 @@ def _local_moves(sub: Word, mode: str) -> list[tuple[str, bool, tuple, Word]]:
     return out
 
 
+class MoveTable:
+    """The moves out of one word in one mode, in preorder: the moves at the
+    root, then each move inside the left child, then each inside the right.
+
+    Per move only its target word and its code (kind, inverse) are stored;
+    move ``k`` has id ``first + k``, and the first ``n_local`` moves are
+    those at the root.  A move is rebuilt on demand by walking down the
+    child tables, whose local moves are computed on the first walk that
+    ends there.  Iterating yields ``(edge, target)``."""
+
+    __slots__ = ("word", "mode", "targets", "codes", "first", "n_local",
+                 "left", "right", "holes", "_local")
+
+    def __init__(self, word, mode, targets, codes, n_local, left, right, holes):
+        global _next_move_id
+        self.word, self.mode = word, mode
+        self.targets, self.codes, self.n_local = targets, codes, n_local
+        self.left, self.right, self.holes = left, right, holes
+        self.first = _next_move_id
+        _next_move_id += len(targets)
+        self._local = None
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self):
+        """Every move as ``(edge, target)``, from one preorder walk over the
+        child tables."""
+        k = 0
+        stack = [(self, ())]
+        while stack:
+            table, path = stack.pop()
+            for kind, inverse, args, _ in table.local_moves():
+                yield (path, kind, inverse, args, self.first + k), self.targets[k]
+                k += 1
+            if table.left is not None:
+                stack.append((table.right, path + (1,)))
+                stack.append((table.left, path + (0,)))
+
+    def local_moves(self) -> list[tuple[str, bool, tuple, tuple]]:
+        """The moves at this table's root, ``_local_moves`` of its word, as
+        ``(kind, inverse, args, spans)``: ``spans`` holds each argument's
+        hole slice ``(first, end)``, counted from the word's first hole."""
+        if self._local is None:
+            self._local = []
+            for kind, inverse, args, _ in _local_moves(self.word, self.mode):
+                spans, stop = [], 0
+                for a in args:
+                    spans.append((stop, stop + length(a)))
+                    stop = spans[-1][1]
+                self._local.append((kind, inverse, args, tuple(spans)))
+        return self._local
+
+    def walk(self, k: int) -> tuple:
+        """Walk down the child tables to move ``k``.  Returns its local move
+        ``(kind, inverse, args, spans)`` at the subword it applies at, that
+        subword's hole slice ``(first, end)``, and the chain of ``(op, side,
+        sibling word, sibling's first hole, end)`` from the root down."""
+        table, start, chain = self, 0, []
+        while k >= table.n_local:
+            k -= table.n_local
+            op, left_word, right_word = table.word
+            left = table.left
+            if k < len(left.targets):
+                chain.append((op, 0, right_word, start + left.holes,
+                              start + table.holes))
+                table = left
+            else:
+                k -= len(left.targets)
+                chain.append((op, 1, left_word, start, start + left.holes))
+                start += left.holes
+                table = table.right
+        return table.local_moves()[k], start, start + table.holes, chain
+
+    def edge(self, k: int) -> Edge:
+        """Move ``k`` as ``(path, kind, inverse, args, move id)``."""
+        (kind, inverse, args, _), _, _, chain = self.walk(k)
+        return (tuple([step[1] for step in chain]), kind, inverse, args,
+                self.first + k)
+
+
 @cache
-def moves(w: Word, mode: str) -> tuple[tuple[Edge, Word], ...]:
-    """All single elementary moves out of ``w`` in the given mode, each
-    edge numbered with a fresh move id.
+def moves(w: Word, mode: str) -> MoveTable:
+    """All single elementary moves out of ``w`` in the given mode, as one
+    table with a fresh block of move ids.
 
     Built from the subwords' tables, in preorder: the moves at the root,
     then each move inside the left child, then each inside the right."""
-    out = [(((), kind, inverse, args, next(_move_ids)), new)
-           for kind, inverse, args, new in _local_moves(w, mode)]
-    if w not in LEAVES:
-        op, left, right = w
-        for (path, kind, inverse, args, _), y in moves(left, mode):
-            out.append((((0,) + path, kind, inverse, args, next(_move_ids)),
-                        (op, y, right)))
-        for (path, kind, inverse, args, _), y in moves(right, mode):
-            out.append((((1,) + path, kind, inverse, args, next(_move_ids)),
-                        (op, left, y)))
-    return tuple(out)
+    local = _local_moves(w, mode)
+    targets = [new for _, _, _, new in local]
+    codes = bytes([_CODE[kind, inverse] for kind, inverse, _, _ in local])
+    if w in LEAVES:
+        return MoveTable(w, mode, tuple(targets), codes, len(local), None, None,
+                         length(w))
+    op, left_word, right_word = w
+    left, right = moves(left_word, mode), moves(right_word, mode)
+    targets += [(op, y, right_word) for y in left.targets]
+    targets += [(op, left_word, y) for y in right.targets]
+    return MoveTable(w, mode, tuple(targets), codes + left.codes + right.codes,
+                     len(local), left, right, left.holes + right.holes)
 
 
 def _predecessors(w: Word, mode: str) -> list[Word]:
@@ -166,12 +266,6 @@ def backward_table(target: Word, radius: int, mode: str) -> dict:
 
 # -- exact pruned exploration --------------------------------------------------
 
-_UNITORS = frozenset((LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD))
-# (kind, inverse) -> change in unit leaves; every other move keeps them
-_UNIT_STEP = {**{(k, True): 1 for k in _UNITORS},
-              **{(k, False): -1 for k in _UNITORS}}
-
-
 @dataclass
 class SearchGraph:
     """Static admitted subgraph for one (source, target, depth, mode).
@@ -181,9 +275,15 @@ class SearchGraph:
     source: Word
     target: Word
     depth: int
-    edges: dict  # state -> tuple[(edge, target state, last layer), ...]
+    edges: dict  # state -> tuple[(move id, target state, last layer), ...]
     words: list  # state -> word
+    tables: list  # state -> its move table, for every expanded state
     target_index: int | None  # None when the target is out of reach
+
+    def edge(self, state: int, move_id: int) -> Edge:
+        """The edge of move ``move_id`` out of ``state``."""
+        table = self.tables[state]
+        return table.edge(move_id - table.first)
 
 
 def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
@@ -200,6 +300,7 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
     words = [v]
+    tables = []  # states are expanded in discovery order
     units = [unit_count(v)]  # state -> number of unit leaves
     w_units = unit_count(w)
     index = {v: 0}
@@ -216,11 +317,14 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
         crowded = depth - layer + w_units - 1
         past = layer > free_last
         for xi in frontier:
+            table = moves(words[xi], mode)
+            tables.append(table)
             ux = units[xi]
             dead = past and ux > crowded
             kept = []
-            for edge, y in moves(words[xi], mode):
-                if dead and edge[2] and edge[1] in _UNITORS:
+            for mid, y, code in zip(itertools.count(table.first), table.targets,
+                                    table.codes):
+                if dead and _UNIT_STEP[code] > 0:
                     continue
                 bty = bt.get(y)
                 last = free_last if bty is None else depth - bty
@@ -230,14 +334,14 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
                 if yi is None:
                     yi = index[y] = len(words)
                     words.append(y)
-                    units.append(ux + _UNIT_STEP.get(edge[1:3], 0))
+                    units.append(ux + _UNIT_STEP[code])
                     nxt.append(yi)
-                kept.append((edge, yi, last))
+                kept.append((mid, yi, last))
             edges[xi] = tuple(kept)
         frontier = nxt
     for xi in frontier:
         edges.setdefault(xi, ())
-    return SearchGraph(v, w, depth, edges, words, index.get(w))
+    return SearchGraph(v, w, depth, edges, words, tables, index.get(w))
 
 
 def eval_object_cached(model: Model, w: Word, objects: tuple):
@@ -245,8 +349,9 @@ def eval_object_cached(model: Model, w: Word, objects: tuple):
     return _memoised(model, "object", eval_object, w, objects)
 
 
-def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
-    """Evaluate one elementary move out of ``x`` at an object tuple.
+def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
+    """Evaluate one elementary move, as ``MoveTable.walk`` gives it, at an
+    object tuple.
 
     The value depends only on the generator at its evaluated argument
     objects and on the chain of ``(op, side, sibling object)`` along the
@@ -255,29 +360,27 @@ def edge_morphism(model: Model, x: Word, edge: Edge, objects: tuple) -> Mor:
     ``value_flood`` keeps the graphs per move id in
     ``model.memo["batch"][(objects,)]``.
     """
-    path, kind, inverse, args, _ = edge
-    chain = []
-    for step in path:
-        op, left, right = x
-        nl = length(left)
-        if step == 0:
-            chain.append((op, 0, eval_object_cached(model, right, objects[nl:])))
-            x, objects = left, objects[:nl]
-        else:
-            chain.append((op, 1, eval_object_cached(model, left, objects[:nl])))
-            x, objects = right, objects[nl:]
+    (kind, inverse, args, spans), start, stop, chain = move
+    evaluated = model.memo["object"]
+    sub = objects[start:stop]
+    sides = []
+    for op, side, sibling, a, b in chain:
+        at = (sibling, objects[a:b])
+        obj = evaluated.get(at)
+        if obj is None:
+            obj = eval_object_cached(model, *at)
+        sides.append((op, side, obj))
     arg_objs = []
-    rest = objects
-    for a in args:
-        n = length(a)
-        arg_objs.append(eval_object_cached(model, a, rest[:n]))
-        rest = rest[n:]
-    key = (kind, inverse, tuple(arg_objs), tuple(chain))
+    for w, (a, b) in zip(args, spans):
+        at = (w, sub[a:b])
+        obj = evaluated.get(at)
+        arg_objs.append(eval_object_cached(model, *at) if obj is None else obj)
+    key = (kind, inverse, tuple(arg_objs), tuple(sides))
     memo = model.memo["whisker"]
     mor = memo.get(key)
     if mor is None:
-        mor = eval_generator(model, Generator(kind, args, inverse), objects)
-        for op, side, sibling in reversed(chain):
+        mor = eval_generator(model, Generator(kind, args, inverse), sub)
+        for op, side, sibling in reversed(sides):
             other = model.identity(sibling)
             pair = (mor, other) if side == 0 else (other, mor)
             mor = model.sum_mor(*pair) if op == SUM else model.prod_mor(*pair)
@@ -295,7 +398,7 @@ class FloodResult:
     """Values of all depth-bounded canonical terms from source to target."""
 
     values: dict  # value graph (tuple) -> layer of first realization
-    parents: dict  # (state, graph) -> (prev_state, prev_graph, edge) | None
+    parents: dict  # (state, graph) -> (prev_state, prev_graph, move id) | None
 
     def disagreement(self, graph: SearchGraph) -> dict:
         """Every value, each with one term realizing it, in discovery order."""
@@ -311,8 +414,8 @@ class FloodResult:
             parent = self.parents[state]
             if parent is None:
                 break
-            prev, prev_graph, edge = parent
-            steps.append((graph.words[prev], edge))
+            prev, prev_graph, mid = parent
+            steps.append((graph.words[prev], graph.edge(prev, mid)))
             state = (prev, prev_graph)
         steps.reverse()
         if not steps:
@@ -324,15 +427,17 @@ class FloodResult:
         return term
 
 
-def _move_graph(model: Model, x: Word, edge: Edge, tuples: tuple) -> tuple:
-    """The graphs of one move at each object tuple, laid end to end, each
-    shifted past the codomain carriers of the tuples before it."""
+def _move_graph(model: Model, table: MoveTable, k: int, tuples: tuple) -> tuple:
+    """The graphs of move ``k`` of ``table`` at each object tuple, laid end
+    to end, each shifted past the codomain carriers of the tuples before
+    it."""
+    move = table.walk(k)
     if len(tuples) == 1:
-        return edge_morphism(model, x, edge, tuples[0]).graph
+        return edge_morphism(model, move, tuples[0]).graph
     out = []
     shift = 0
     for objects in tuples:
-        mor = edge_morphism(model, x, edge, objects)
+        mor = edge_morphism(model, move, objects)
         out.extend([t + shift for t in mor.graph])
         shift += mor.cod.size
     return tuple(out)
@@ -350,32 +455,33 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     move id.
     Returns the target's values, each with the first layer realizing it;
     ``parents``, when given, maps each (state, value) to the
-    ``(prev_state, prev_value, edge)`` that first reached it.
+    ``(prev_state, prev_value, move id)`` that first reached it.
     """
     size = sum(eval_object_cached(model, graph.source, objects).size
                for objects in tuples)
     id_graph = tuple(range(size))
-    words = graph.words
-    visited: list = [None] * len(words)  # state -> {graph: first layer}
+    visited: list = [None] * len(graph.words)  # state -> {graph: first layer}
     visited[0] = {id_graph: 0}
     if parents is not None:
         parents[(0, id_graph)] = None
     frontier = [(0, id_graph)]
-    table = model.memo["batch"].setdefault(tuples, {})  # move id -> graph
+    graphs = model.memo["batch"].setdefault(tuples, {})  # move id -> graph
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges
+    tables = graph.tables
     while frontier and layer < depth:
         nxt = []
         layer_out = layer + 1
         for xi, m in frontier:
-            for edge, yi, last in graph_edges[xi]:
+            for mid, yi, last in graph_edges[xi]:
                 if layer_out > last:
                     continue
-                eg = table.get(edge[4])
+                eg = graphs.get(mid)
                 if eg is None:
-                    eg = table[edge[4]] = _move_graph(model, words[xi], edge,
-                                                      tuples)
+                    table = tables[xi]
+                    eg = graphs[mid] = _move_graph(model, table,
+                                                   mid - table.first, tuples)
                 my = tuple(map(eg.__getitem__, m))
                 bucket = visited[yi]
                 if bucket is None:
@@ -384,7 +490,7 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
                     continue
                 bucket[my] = layer_out
                 if parents is not None:
-                    parents[(yi, my)] = (xi, m, edge)
+                    parents[(yi, my)] = (xi, m, mid)
                 nxt.append((yi, my))
         frontier = nxt
         layer = layer_out
@@ -466,10 +572,11 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
         out.append(identity_term(v))
 
     def dfs(xi, g, chain):
-        for edge, yi, last in graph.edges[xi]:
+        for mid, yi, last in graph.edges[xi]:
             if g + 1 > last:
                 continue
-            elem = elementary_from_edge(graph.words[xi], edge).to_canon()
+            elem = elementary_from_edge(graph.words[xi],
+                                        graph.edge(xi, mid)).to_canon()
             term = elem if chain is None else vcompose(elem, chain)
             if yi == graph.target_index:
                 out.append(term)

@@ -30,6 +30,10 @@ LEAVES = (HOLE, ZERO, ONE)
 
 Word = str | tuple  # a leaf above, or (op, left, right)
 
+# The deepest parenthesis nesting parse_word accepts; every recursive layer
+# above the parser (lengths, rendering, unit cancellation) copes with it.
+MAX_NESTING = 100
+
 _LEAF_TEXT = {HOLE: "_", ZERO: "0", ONE: "1"}
 _LEAVES_BY_TEXT = {text: leaf for leaf, text in _LEAF_TEXT.items()}
 
@@ -86,7 +90,8 @@ def parse_word(text: str) -> Word:
     """Parse the grammar ``w ::= "_" | "0" | "1" | "(" w "+" w ")" | "(" w "*" w ")"``.
 
     Whitespace between tokens is ignored.  Raises :class:`ParseError` with
-    the offending offset on malformed input.
+    the offending offset on malformed input, and on parentheses nested
+    deeper than ``MAX_NESTING``.
     """
     pos = 0
 
@@ -95,7 +100,7 @@ def parse_word(text: str) -> Word:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse() -> Word:
+    def parse(depth: int) -> Word:
         nonlocal pos
         skip_ws()
         if pos >= len(text):
@@ -106,14 +111,17 @@ def parse_word(text: str) -> Word:
             pos += 1
             return leaf
         if ch == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"word nested deeper than {MAX_NESTING} parentheses", pos)
             pos += 1
-            left = parse()
+            left = parse(depth + 1)
             skip_ws()
             if pos >= len(text) or text[pos] not in (SUM, PROD):
                 raise ParseError("expected '+' or '*'", pos)
             op = text[pos]
             pos += 1
-            right = parse()
+            right = parse(depth + 1)
             skip_ws()
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("expected ')'", pos)
@@ -121,7 +129,7 @@ def parse_word(text: str) -> Word:
             return node(op, left, right)
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    result = parse()
+    result = parse(0)
     skip_ws()
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos:]!r}", pos)

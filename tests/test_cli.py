@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from linearcat.cli import main
+from linearcat.words import MAX_NESTING
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -36,6 +37,19 @@ def test_word_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "word", "((")
     assert code == 2
     assert "parse error" in err
+
+
+def test_word_nested_too_deeply_exit_2(capsys):
+    deepest = "(0+" * MAX_NESTING + "_" + ")" * MAX_NESTING
+    alternating = "(" * MAX_NESTING + "0" + "".join(
+        "*1)" if k % 2 else "+0)" for k in range(MAX_NESTING))
+    for text in (deepest, alternating):
+        assert run(capsys, "word", text, "--format", "structured")[0] == 0
+    code, out, err = run(capsys, "word", "(" * 3000 + "_" + "+0)" * 3000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and "nested deeper" in err
+    assert err.count("\n") == 1
 
 
 def test_word_long_word_exit_3(capsys):
@@ -156,6 +170,17 @@ def test_check_malformed_model_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--model", str(bad))
     assert code == 2
     assert "model error" in err
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100000],
+                         ids=["not-utf8", "nested-past-json-depth"])
+def test_check_unreadable_model_exit_2(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "check", "--model", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("model error") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("graph", [[0, 7], [0, -1]])

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -217,7 +218,7 @@ def test_predecessors_are_exact_reverse_of_moves(mode):
     small = _keys_up_to(4)
     want = {x: Counter() for x in small}
     for y in _keys_up_to(5):
-        for _, x in moves.__wrapped__(y, mode):  # unmemoised
+        for x in moves.__wrapped__(y, mode).targets:  # unmemoised
             if x in want:
                 want[x][y] += 1
     wrong = [x for x in small if Counter(_predecessors(x, mode)) != want[x]]
@@ -250,15 +251,43 @@ def _spine_moves(w, mode) -> list:
 def test_moves_match_spine_rebuild(mode):
     # Move tables are built from the children's tables; they must list the
     # same moves, with the same targets, in the same order as a rebuild of
-    # the spine at every position.  Words with 5 leaves are built unmemoised
-    # so that only the tables of their (smaller) children are kept.
+    # the spine at every position, and every edge rebuilt from the child
+    # tables must be the spine's.  A table's move ids are one block, taken
+    # after its children's.  Words with 5 leaves are built unmemoised so that
+    # only the tables of their (smaller) children are kept.
     ids = Counter()
     for w in _keys_up_to(5):
         leaves = length(w) + unit_count(w)
         table = moves(w, mode) if leaves < 5 else moves.__wrapped__(w, mode)
-        assert [(edge[:4], y) for edge, y in table] == _spine_moves(w, mode), w
-        ids.update(edge[4] for edge, _ in table)
+        spine = _spine_moves(w, mode)
+        edges = list(table)
+        assert [(edge[:4], y) for edge, y in edges] == spine, w
+        assert [(table.edge(k)[:4], y) for k, y in enumerate(table.targets)] \
+            == spine, w
+        block = list(range(table.first, table.first + len(table)))
+        assert [edge[4] for edge, _ in edges] == block, w
+        for child in (table.left, table.right):
+            assert child is None or child.first + len(child) <= table.first
+        ids.update(block)
     assert ids and max(ids.values()) == 1
+
+
+def test_move_tables_are_compact():
+    # Per move a table keeps its target word and a one-byte code; edges are
+    # rebuilt on demand.  Measured over the tables of every word with at most
+    # 4 leaves in both modes (235,230 moves), with the functools cache.
+    small = _keys_up_to(4)
+    moves.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = sum(len(moves(w, mode)) for mode in (PRELINEAR, PARTIALLY_LINEAR)
+                    for w in small)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert count == 235230
+    assert used / count <= 120, used / count
 
 
 def test_override_at_construction_sets_flood_value():
@@ -326,8 +355,8 @@ def _flood_and_own(model, pairs, depth, mode, objects_for):
     for v, w in pairs:
         graph = search_graph(v, w, depth, mode)
         for xi, out in graph.edges.items():
-            for edge, _, _ in out:
-                owner[edge[4]] = (graph.words[xi], edge)
+            for mid, _, _ in out:
+                owner[mid] = (graph.words[xi], graph.edge(xi, mid))
         for objects in objects_for(length(v)):
             values[(v, w, objects)] = value_flood(model, graph, objects).values
     return values, owner
@@ -391,8 +420,8 @@ def test_edge_table_is_sound(model_file, mode):
 
 def _unskipped_search_graph(v, w, depth, mode):
     """The plain reference for ``search_graph``: every move is looked up in
-    the backward table, with no unit insertion skipped.  Returns (words,
-    edges, target index)."""
+    the backward table, with no unit insertion skipped, and read from its
+    rebuilt edge.  Returns (words, edges, target index)."""
     if length(v) + unit_count(v) > length(w) + unit_count(w) + 1:
         radius = depth - 1
     else:
@@ -417,7 +446,7 @@ def _unskipped_search_graph(v, w, depth, mode):
                     yi = index[y] = len(words)
                     words.append(y)
                     nxt.append(yi)
-                kept.append((edge, yi, last))
+                kept.append((edge[4], yi, last))
             edges[xi] = tuple(kept)
         frontier = nxt
     for xi in frontier:
@@ -429,8 +458,9 @@ def _unskipped_search_graph(v, w, depth, mode):
 @pytest.mark.parametrize("depth", [4, 6])
 def test_unit_insertion_skip_is_exact(depth, mode):
     # search_graph skips unit insertions that the backward table would
-    # reject; the admitted graph must not change: the same words in the same
-    # order, the same edges (move ids included) and the same target state.
+    # reject, reading the move codes; the admitted graph must not change: the
+    # same words in the same order, the same edges (move ids included), the
+    # same target state, and each expanded state keeps its word's table.
     cases = [
         # bulky sources: the backward table has radius depth - 1
         ("((0+_)*1)", "_"), ("((0+1)*(_+0))", "_"),
@@ -448,6 +478,10 @@ def test_unit_insertion_skip_is_exact(depth, mode):
         assert graph.words == words, (v_text, w_text)
         assert graph.edges == edges, (v_text, w_text)
         assert graph.target_index == target, (v_text, w_text)
+        expanded = [xi for xi, out in edges.items() if out]
+        assert len(graph.tables) > max(expanded, default=-1)
+        assert all(table is moves(x, mode)
+                   for table, x in zip(graph.tables, graph.words))
 
 
 @pytest.mark.parametrize("model_file, mode", [
@@ -471,8 +505,8 @@ def test_flood_values_match_value_flood(model_file, mode):
     for v, w in pairs:
         graph = search_graph(v, w, 4, mode)
         for xi, out in graph.edges.items():
-            for edge, _, _ in out:
-                owner[edge[4]] = (graph.words[xi], edge)
+            for mid, _, _ in out:
+                owner[mid] = (graph.words[xi], graph.edge(xi, mid))
         tuples = list(itertools.product(small, repeat=length(v)))
         batched.append((graph, tuples, flood_values(model, graph, tuples)))
     # only the length-0 floods, over the one empty tuple, have one tuple
