@@ -79,6 +79,14 @@ _STRUCTURE_TABLE = {ASSOC_SUM: "assoc_sum", LUNIT_SUM: "lunit_sum",
                     I_GEN: "i"}
 
 
+def structure_table(kind: str, inverse: bool) -> str | None:
+    """The structure table the components of a generator are read from;
+    None for j, j' and i', which are computed."""
+    if kind == J_GEN or (kind == I_GEN and inverse):
+        return None
+    return _STRUCTURE_TABLE[kind] + "_inv" * inverse
+
+
 def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:
     """The component of a generator at the given objects."""
     k = gen.kind
@@ -90,11 +98,10 @@ def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:
         return model.j_morphism()
     arg_objs = _split_objects(gen.args, objects)
     objs = tuple(eval_object(model, w, o) for w, o in zip(gen.args, arg_objs))
-    if not gen.inverse:
-        return model.structure(_STRUCTURE_TABLE[k], *objs)
-    if k == I_GEN:
+    table = structure_table(k, gen.inverse)
+    if table is None:
         return model.i_inverse(*objs)
-    return model.structure(_STRUCTURE_TABLE[k] + "_inv", *objs)
+    return model.structure(table, *objs)
 
 
 def eval_canon(model: Model, t: CanonTerm, objects: tuple) -> Mor:

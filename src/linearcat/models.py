@@ -162,8 +162,10 @@ class Model:
 
     A model is fixed once built: its objects, its zero object and the
     structure components that ``overrides`` replace, given as
-    ``(table name, object names, graph)`` triples.  ``memo`` is its only
-    mutable state.  It holds values derived from that data (hom-sets,
+    ``(table name, object names, graph)`` triples.  ``identity_tables``
+    names the structure tables whose every component is the identity
+    carrier map: the associators and unitors, with their inverses, that no
+    override touches.  ``memo`` is its only mutable state.  It holds values derived from that data (hom-sets,
     structure components, and what other layers compute from them), one
     dict per concern, so they never outlive or cross models.
     """
@@ -176,6 +178,11 @@ class Model:
         self._zero = zero
         self.memo: defaultdict[str, dict] = defaultdict(dict)
         self._overrides = MappingProxyType(self._check_overrides(overrides))
+        # every associator and unitor, and each inverse, is the identity
+        # carrier map (see ``_compute_structure``) unless an override says
+        # otherwise
+        self.identity_tables = frozenset(STRUCTURE_TABLES) - {"i"} \
+            - {name for name, _ in self._overrides}
 
     def _check_overrides(self, overrides) -> dict:
         """(table name, objects) -> replacing component, for each override;

@@ -41,6 +41,16 @@ graphs live in ``model.memo["batch"]``, keyed by the tuple of object tuples
 and then by move id; ``value_flood`` is the one-tuple case, keyed by
 ``(objects,)``.
 
+Most moves change no value.  Every associator and unitor is the identity
+carrier map, and both bundled models number sums and products by sizes
+alone, so each whisker of one is an identity too (coherence is trivial
+where the structure maps are identities, as Mac Lane remarked).  A move
+whose table is in ``model.identity_tables`` is therefore not evaluated:
+its batch entry is the shared marker ``PASS_THROUGH``, as is that of any
+evaluated move whose graph turns out to be the identity, and a step along
+it keeps the value tuple as it is.  ``i``, ``j`` and overridden tables are
+evaluated as before.
+
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values in order, and
 re-flood the first failing tuple alone with ``value_flood`` for witness
@@ -56,7 +66,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import LinearcatError
-from .evaluate import _memoised, eval_generator, eval_object
+from .evaluate import (_memoised, eval_generator, eval_object,
+                       structure_table)
 from .models import Model, Mor
 from .terms import (_ALWAYS_ISO, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
                     LUNIT_PROD, LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR,
@@ -86,6 +97,12 @@ _UNITORS = frozenset((LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD))
 # unitor drops one, its inverse inserts one
 _UNIT_STEP = tuple((1 if inverse else -1) if kind in _UNITORS else 0
                    for kind, inverse in _CODE)
+# code -> the structure table the move's components are read from, or None
+_TABLE_OF = tuple(structure_table(kind, inverse) for kind, inverse in _CODE)
+
+# The flood memo's entry for a move whose graph is the identity at every
+# object tuple: a step along it passes each value through unchanged.
+PASS_THROUGH = "pass-through"
 
 # Never reset, so a move id is never reused, even after ``moves.cache_clear()``.
 _next_move_id = 0
@@ -427,20 +444,27 @@ class FloodResult:
         return term
 
 
-def _move_graph(model: Model, table: MoveTable, k: int, tuples: tuple) -> tuple:
+def _move_graph(model: Model, table: MoveTable, k: int, tuples: tuple,
+                passes: list) -> tuple | str:
     """The graphs of move ``k`` of ``table`` at each object tuple, laid end
     to end, each shifted past the codomain carriers of the tuples before
-    it."""
+    it; ``PASS_THROUGH`` when that is the identity.  ``passes`` says, per
+    move code, whether the move's table is in ``model.identity_tables``;
+    such a move is not evaluated."""
+    if passes[table.codes[k]]:
+        return PASS_THROUGH
     move = table.walk(k)
     if len(tuples) == 1:
-        return edge_morphism(model, move, tuples[0]).graph
-    out = []
-    shift = 0
-    for objects in tuples:
-        mor = edge_morphism(model, move, objects)
-        out.extend([t + shift for t in mor.graph])
-        shift += mor.cod.size
-    return tuple(out)
+        out = edge_morphism(model, move, tuples[0]).graph
+    else:
+        out = []
+        shift = 0
+        for objects in tuples:
+            mor = edge_morphism(model, move, objects)
+            out.extend([t + shift for t in mor.graph])
+            shift += mor.cod.size
+        out = tuple(out)
+    return PASS_THROUGH if out == tuple(range(len(out))) else out
 
 
 def _flood(model: Model, graph: SearchGraph, tuples: tuple,
@@ -452,7 +476,8 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     the carriers of the tuples before it, and so is a move's graph (see
     ``_move_graph``), so one tuple map applies a move at all K tuples.  The
     graphs of the moves live in ``model.memo["batch"][tuples]``, keyed by
-    move id.
+    move id, where an identity graph is stored as ``PASS_THROUGH``: a step
+    along it keeps the value tuple as it is.
     Returns the target's values, each with the first layer realizing it;
     ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, move id)`` that first reached it.
@@ -466,6 +491,7 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
         parents[(0, id_graph)] = None
     frontier = [(0, id_graph)]
     graphs = model.memo["batch"].setdefault(tuples, {})  # move id -> graph
+    passes = [t in model.identity_tables for t in _TABLE_OF]  # code -> bool
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges
@@ -480,9 +506,9 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
                 eg = graphs.get(mid)
                 if eg is None:
                     table = tables[xi]
-                    eg = graphs[mid] = _move_graph(model, table,
-                                                   mid - table.first, tuples)
-                my = tuple(map(eg.__getitem__, m))
+                    eg = graphs[mid] = _move_graph(
+                        model, table, mid - table.first, tuples, passes)
+                my = m if eg is PASS_THROUGH else tuple(map(eg.__getitem__, m))
                 bucket = visited[yi]
                 if bucket is None:
                     bucket = visited[yi] = {}

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BoundaryMismatch, NonInvertibleGenerator, ParseError
-from .words import (HOLE, ONE, PROD, SUM, ZERO, Attachment, Prod, Sum, Word,
-                    attachment_sequence, core_split, length, node, parse_word,
-                    render_word)
+from .words import (HOLE, MAX_NESTING, ONE, PROD, SUM, ZERO, Attachment, Prod,
+                    Sum, Word, attachment_sequence, core_split, length, node,
+                    parse_word, render_word)
 
 PRELINEAR = "prelinear"
 PARTIALLY_LINEAR = "partially_linear"
@@ -399,7 +399,11 @@ _GEN_NAMES = sorted(_ARITY, key=len, reverse=True)
 
 
 def parse_term(text: str) -> CanonTerm:
-    """Parse the prefix text form of a canonical term."""
+    """Parse the prefix text form of a canonical term.
+
+    Raises :class:`ParseError` with the offending offset on malformed input,
+    and on ``comp(``/``par+(``/``par*(`` nested deeper than ``MAX_NESTING``.
+    """
     pos = 0
 
     def skip_ws() -> None:
@@ -432,15 +436,18 @@ def parse_term(text: str) -> CanonTerm:
             raise ParseError("unbalanced parentheses in word argument", pos)
         return parse_word(text[start:pos])
 
-    def parse() -> CanonTerm:
+    def parse(depth: int) -> CanonTerm:
         nonlocal pos
         skip_ws()
         for head, build in (("comp(", VComp), ("par+(", SumPar), ("par*(", ProdPar)):
             if text.startswith(head, pos):
+                if depth == MAX_NESTING:
+                    raise ParseError(
+                        f"term nested deeper than {MAX_NESTING} levels", pos)
                 pos += len(head)
-                first = parse()
+                first = parse(depth + 1)
                 expect(",")
-                second = parse()
+                second = parse(depth + 1)
                 expect(")")
                 return build(first, second)
         for name in _GEN_NAMES:
@@ -464,7 +471,7 @@ def parse_term(text: str) -> CanonTerm:
                 return GenTerm(Generator(name, tuple(args), inverse))
         raise ParseError("expected a term", pos)
 
-    result = parse()
+    result = parse(0)
     skip_ws()
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos:]!r}", pos)

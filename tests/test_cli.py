@@ -105,6 +105,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("pointed_sets_3_zero_assoc_sum_inv.json", [], 1,
      "pointed_sets_3_zero_assoc_sum_inv.json"),
     ("pointed_sets_3_zero_i.json", [], 1, "pointed_sets_3_zero_i.json"),
+    # partially-linear on monoids, where every structure map is an identity
+    ("commutative_monoids_3.json", FAST + ["--mode", "partially-linear"], 0,
+     "commutative_monoids_3_plin.json"),
+    # a zero-map override of a unitor inverse that the flood would otherwise
+    # pass through: both partially-linear sweeps and the unit-cancellation
+    # square fail, with witness terms
+    ("commutative_monoids_3_zero_runit_prod_inv.json",
+     FAST + ["--mode", "partially-linear"], 1,
+     "commutative_monoids_3_zero_runit_prod_inv.json"),
 ])
 def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                                          code, golden):

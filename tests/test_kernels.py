@@ -2,12 +2,18 @@
 formulas."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from linearcat.checks import check_structure
-from linearcat.models import (CMonObj, FinCMon, FinPtSet, Mor, PtObj,
-                               all_commutative_monoids)
+from linearcat.models import (STRUCTURE_TABLES, CMonObj, FinCMon, FinPtSet,
+                               Mor, PtObj, all_commutative_monoids, load_model)
+
+TESTS = Path(__file__).resolve().parent
+# every structure table but i: the associators and unitors, with inverses
+ASSOCIATORS_AND_UNITORS = frozenset(STRUCTURE_TABLES) - {"i"}
 
 
 def _pair_graph(f, g):
@@ -126,6 +132,48 @@ def test_unitors_and_i_equal_index_formulas(request, name):
     assert checked == 8 * (len(objs) + 1)
     for a, b in itertools.product(objs, repeat=2):
         assert model.structure("i", a, b) == _i_formula(model, a, b), (a, b)
+
+
+def _is_identity(m: Mor) -> bool:
+    return m.graph == tuple(range(m.dom.size)) and m.cod.size == m.dom.size
+
+
+@pytest.mark.parametrize("name", ["pt3", "cmon2"])
+def test_associators_unitors_and_their_whiskers_are_identities(request, name):
+    # The value flood passes values through every move of an identity
+    # table unevaluated.  That is sound because each component, at base
+    # objects and at a product object, is the identity carrier map, and so
+    # is its sum and its product with the identity of each base object, on
+    # either side.
+    model = request.getfixturevalue(name)
+    assert model.identity_tables == ASSOCIATORS_AND_UNITORS
+    objs = model.base_objects
+    at = objs + (model.prod_obj(*objs[-2:]),)
+    checked = 0
+    for table in sorted(model.identity_tables):
+        arity = 3 if table.startswith("assoc") else 1
+        for args in itertools.product(at, repeat=arity):
+            mor = model.structure(table, *args)
+            assert _is_identity(mor), (table, args)
+            for c in objs:
+                ident = model.identity(c)
+                for whisker in (model.sum_mor, model.prod_mor):
+                    for pair in ((mor, ident), (ident, mor)):
+                        assert _is_identity(whisker(*pair)), (table, args, c)
+            checked += 1
+    assert checked == 4 * len(at) ** 3 + 8 * len(at)
+
+
+@pytest.mark.parametrize("path", [
+    TESTS.parent / "models" / "pointed_sets_3_faulty.json",
+    *sorted((TESTS / "models").glob("*.json")),
+], ids=lambda path: path.stem)
+def test_identity_tables_omit_exactly_the_overridden_tables(path):
+    overridden = {ov["table"] for ov in
+                  json.loads(path.read_text(encoding="utf-8"))["overrides"]}
+    assert overridden
+    model = load_model(path)
+    assert model.identity_tables == ASSOCIATORS_AND_UNITORS - overridden
 
 
 @pytest.mark.parametrize("build, objects", [

@@ -1,6 +1,7 @@
 import pytest
 
-from linearcat.errors import BoundaryMismatch, NonInvertibleGenerator
+from linearcat.errors import (BoundaryMismatch, NonInvertibleGenerator,
+                              ParseError)
 from linearcat.evaluate import eval_canon, eval_object
 from linearcat.models import PtObj
 from linearcat.search import canonical_between, words_with
@@ -10,8 +11,8 @@ from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, CanonTerm,
                              elementary_factorization, identity_term, invert,
                              parse_term, point_morphism, prod_par,
                              render_term, sum_par, unit_cancel, vcompose)
-from linearcat.words import (HOLE, ONE, ZERO, Prod, Sum, is_unit_free,
-                             length, parse_word)
+from linearcat.words import (HOLE, MAX_NESTING, ONE, ZERO, Prod, Sum,
+                             is_unit_free, length, parse_word)
 
 
 def test_generator_schemas():
@@ -229,6 +230,19 @@ def test_term_text_round_trip():
 def test_parse_term_rejects_ill_formed_composites():
     with pytest.raises(BoundaryMismatch):
         parse_term("comp(lunit+[_], par+(id[_], runit*[_]))")
+
+
+def test_parse_term_nested_too_deeply_is_a_parse_error():
+    # composites nested MAX_NESTING deep parse; one level more, or thousands
+    # more, is a ParseError at the offending head, not a RecursionError
+    for head in ("comp(", "par+(", "par*("):
+        deepest = head * MAX_NESTING + "id[_]" + ", id[_])" * MAX_NESTING
+        assert render_term(parse_term(deepest)) == deepest
+        for levels in (MAX_NESTING + 1, 3000):
+            text = head * levels + "id[_]" + ", id[_])" * levels
+            with pytest.raises(ParseError, match="nested deeper") as exc:
+                parse_term(text)
+            assert exc.value.position == len(head) * MAX_NESTING
 
 
 def test_term_text_inverse_marker():
