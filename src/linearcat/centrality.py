@@ -78,9 +78,18 @@ def central_matrix(model: Model, f: Mor) -> MatrixPresentation:
     return MatrixPresentation(SUM2, (y, x), PROD2, (y, x), entries)
 
 
+def _central_realizer(model: Model, f: Mor) -> Mor | None:
+    """The realizer of ``central_matrix(model, f)``, or None if it has none,
+    memoised per model in ``model.memo["central"]``."""
+    memo = model.memo["central"]
+    if f not in memo:
+        memo[f] = realize(model, central_matrix(model, f))
+    return memo[f]
+
+
 def is_central_matrix(model: Model, f: Mor) -> bool:
     """Whether the identity-diagonal matrix carrying ``f`` has a realizer."""
-    return realize(model, central_matrix(model, f)) is not None
+    return _central_realizer(model, f) is not None
 
 
 def central_hom(model: Model, x, y) -> tuple[Mor, ...]:
@@ -106,8 +115,8 @@ def add_central(model: Model, f: Mor, g: Mor) -> Mor:
         raise ValueError("addition needs parallel morphisms")
     _require_lineariser(model)
     x, y = f.dom, f.cod
-    mf = realize(model, central_matrix(model, f))
-    mg = realize(model, central_matrix(model, g))
+    mf = _central_realizer(model, f)
+    mg = _central_realizer(model, g)
     if mf is None or mg is None:
         bad = f if mf is None else g
         raise ValueError(f"morphism {bad.graph} is not central")
@@ -167,7 +176,7 @@ def central_monoid(model: Model, x, y) -> CentralMonoid:
     _require_lineariser(model)
     elements = central_hom(model, x, y)
     for f in elements:
-        if realize(model, central_matrix(model, f)) is None:
+        if _central_realizer(model, f) is None:
             raise IntegrityError(f"morphism {f.graph} is central by its covers"
                                  " but its central matrix has no realizer")
     index = {m: k for k, m in enumerate(elements)}

@@ -17,8 +17,12 @@ A*), and unit insertions the bound rules out are skipped before their
 targets are looked up.  The pruning is exact: no path within the depth bound
 is ever lost.
 
-Symbolic results (move tables, distance tables) are memoised with
-``functools.cache``.  A word's ``MoveTable`` is built from its children's in
+Symbolic results (move tables, distance tables, the predecessor lists of
+subwords, corpus words) are memoised with ``functools.cache``.  A word's
+predecessors are its root's reverse moves plus one new node around each
+cached predecessor of a child, so they share their unchanged subtrees with
+the cache; the words a distance table expands are not cached themselves.
+A word's ``MoveTable`` is built from its children's in
 compressed-sparse-row style: per move it stores only the target word and a
 one-byte code for (kind, inverse), about 83 bytes a move together with the
 cache, where a stored edge tuple per move took 280.  Each table takes one
@@ -253,16 +257,25 @@ def _predecessors(w: Word, mode: str) -> list[Word]:
     """Words with a single move into ``w`` (targets only, no edges).
 
     The move from ``new`` back to ``sub`` applies the same generator in the
-    other direction, which ``mode`` must allow.  Not memoised: the backward
-    tables visit many more words than the forward search.
+    other direction, which ``mode`` must allow.  Built like ``moves``: the
+    root's reverse moves, then one new node around each cached predecessor
+    of a child, so every predecessor shares its unchanged subtrees with
+    ``_subword_predecessors``.  This top-level call is not memoised: the
+    backward tables expand many more distinct words than they have subwords.
     """
     out = [new for kind, inverse, _, new in _local_moves(w, PARTIALLY_LINEAR)
            if inverse or mode == PARTIALLY_LINEAR or kind in _ALWAYS_ISO]
     if w not in LEAVES:
         op, left, right = w
-        out += [(op, y, right) for y in _predecessors(left, mode)]
-        out += [(op, left, y) for y in _predecessors(right, mode)]
+        out += [(op, y, right) for y in _subword_predecessors(left, mode)]
+        out += [(op, left, y) for y in _subword_predecessors(right, mode)]
     return out
+
+
+@cache
+def _subword_predecessors(w: Word, mode: str) -> tuple[Word, ...]:
+    """``_predecessors`` of a proper subword, memoised."""
+    return tuple(_predecessors(w, mode))
 
 
 @cache
@@ -616,9 +629,11 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
 
 # -- word corpora ----------------------------------------------------------------
 
+@cache
 def words_with(n_holes: int, n_units: int) -> tuple[Word, ...]:
     """All words with exactly the given number of holes and unit leaves,
-    deterministically ordered."""
+    deterministically ordered; memoised, so each corpus is sorted once per
+    process."""
     return tuple(sorted(_words_with(n_holes, n_units), key=str))
 
 

@@ -10,6 +10,7 @@ from linearcat import checks
 from linearcat.checks import binary_inclusions
 from linearcat.errors import LineariserRequired
 from linearcat.evaluate import zero_morphism
+from linearcat.matrices import realize
 from linearcat.models import FinCMon, FinPtSet, Mor, PtObj, all_commutative_monoids
 
 
@@ -188,6 +189,24 @@ def test_central_operations_go_through_add_central(cmon2, monkeypatch):
     calls.clear()
     assert check_linearity_theorem(cmon2).passed
     assert calls
+
+
+def test_central_monoid_realizes_each_element_once(cmon, monkeypatch):
+    # each central matrix is realized once per model, in memo["central"]
+    calls = []
+
+    def counting(model, p):
+        calls.append(p.entries[0][1])
+        return realize(model, p)
+
+    monkeypatch.setattr("linearcat.centrality.realize", counting)
+    cmon.memo.pop("central", None)
+    z2 = [o for o in cmon.base_objects if o.size == 2][0]
+    cm = central_monoid(cmon, z2, z2)
+    assert len(cm.elements) > 1
+    assert calls == list(cm.elements)
+    central_monoid(cmon, z2, z2)
+    assert calls == list(cm.elements)
 
 
 def test_central_monoid_structure(cmon):

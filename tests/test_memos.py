@@ -83,3 +83,14 @@ def test_readme_names_every_memo_concern():
     assert {"batch", "cancellation", "whisker"} <= concerns
     readme = (ROOT / "README.md").read_text()
     assert sorted(c for c in concerns if f'memo["{c}"]' not in readme) == []
+
+
+def test_readme_names_every_process_cache():
+    # Process-wide caches outlive every model, so each one is documented.
+    cached = set()
+    for path in (ROOT / "src" / "linearcat").glob("*.py"):
+        names = re.findall(r"^@cache\ndef (\w+)", path.read_text(), re.M)
+        cached |= {f"{path.stem}.{name}" for name in names}
+    assert {"search.moves", "search.backward_table", "words.length"} <= cached
+    readme = (ROOT / "README.md").read_text()
+    assert sorted(name for name in cached if f"`{name}`" not in readme) == []

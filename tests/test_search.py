@@ -9,10 +9,10 @@ import pytest
 from linearcat.evaluate import eval_canon, structure_table
 from linearcat.models import FinPtSet, PtObj, load_model
 from linearcat.search import (PASS_THROUGH, _local_moves, _predecessors,
-                              backward_table, canonical_between,
-                              elementary_from_edge, flood_values, moves,
-                              pure_bracketings, search_graph, to_key,
-                              value_flood, words_with)
+                              _subword_predecessors, backward_table,
+                              canonical_between, elementary_from_edge,
+                              flood_values, moves, pure_bracketings,
+                              search_graph, to_key, value_flood, words_with)
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
@@ -289,6 +289,73 @@ def test_move_tables_are_compact():
         tracemalloc.stop()
     assert count == 235230
     assert used / count <= 120, used / count
+
+
+def _plain_predecessors(w, mode) -> list:
+    """Words with one move into ``w``, found by rebuilding the spine at every
+    position in preorder and keeping each local move whose reverse is a
+    move of ``mode`` at the new subword: the unmemoised reference for
+    ``_predecessors``."""
+    out = []
+    for (path, kind, inverse, _), y in _spine_moves(w, PARTIALLY_LINEAR):
+        sub, new = w, y
+        for side in path:
+            sub, new = sub[1 + side], new[1 + side]
+        if any(k == kind and inv != inverse and back == sub
+               for k, inv, _, back in _local_moves(new, mode)):
+            out.append(y)
+    return out
+
+
+def _plain_backward_table(target, radius, mode) -> dict:
+    dist = {target: 0}
+    frontier = [target]
+    for d in range(1, radius + 1):
+        nxt = []
+        for w in frontier:
+            for pred in _plain_predecessors(w, mode):
+                if pred not in dist:
+                    dist[pred] = d
+                    nxt.append(pred)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("target, radius, mode", [
+    ("_", 5, PARTIALLY_LINEAR),
+    ("(_*_)", 3, PRELINEAR),
+    ("(_+_)", 2, PRELINEAR),
+    ("(_+_)", 2, PARTIALLY_LINEAR),
+    ("((_*_)+0)", 2, PRELINEAR),
+    ("((_*_)+0)", 2, PARTIALLY_LINEAR),
+])
+def test_backward_table_matches_plain_bfs(target, radius, mode):
+    # The subword predecessor cache must change neither a table's contents
+    # nor its key order, whether it starts cold or warm.
+    w = parse_word(target)
+    want = list(_plain_backward_table(w, radius, mode).items())
+    _subword_predecessors.cache_clear()
+    for _ in ("cold", "warm"):
+        backward_table.cache_clear()
+        assert list(backward_table(w, radius, mode).items()) == want
+
+
+def test_backward_tables_share_subword_spines():
+    # A predecessor is one new node around a cached predecessor of a child,
+    # so it shares its unchanged subtrees with the subword cache; building
+    # each predecessor as a fresh spine held about 260 bytes per entry.
+    moves.cache_clear()
+    backward_table.cache_clear()
+    _subword_predecessors.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = len(backward_table(HOLE, 5, PARTIALLY_LINEAR))
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert count == 29181
+    assert used / count <= 200, used / count
 
 
 def test_override_at_construction_sets_flood_value():
