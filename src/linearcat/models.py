@@ -12,7 +12,11 @@ structure components (associators, unitors, ``i``) are read through
 ``Model.structure(name, *objects)``.  A model is fixed once built: the
 overrides given to its constructor replace arbitrary components, which is
 how fault injection works, and components are computed lazily into the
-model's ``memo``.
+model's ``memo``.  So are the graphs of composites, products and wedges,
+keyed by the graphs and sizes they depend on: the kernels still return a
+fresh ``Mor`` each call, but the law checks, which meet the same few
+thousand graph pairs hundreds of thousands of times, compute each graph
+once.
 """
 
 from __future__ import annotations
@@ -220,7 +224,21 @@ class Model:
     def compose(self, g: Mor, f: Mor) -> Mor:
         if f.cod != g.dom:
             raise ValueError(f"cannot compose: {f.cod!r} != {g.dom!r}")
-        return Mor(f.dom, g.cod, tuple(map(g.graph.__getitem__, f.graph)))
+        composites = self.memo["composite"]
+        key = (g.graph, f.graph)
+        graph = composites.get(key)
+        if graph is None:
+            graph = composites[key] = tuple(map(g.graph.__getitem__, f.graph))
+        return Mor(f.dom, g.cod, graph)
+
+    def _pair(self, f: Mor, g: Mor) -> tuple[int, ...]:
+        """The graph of f x g, computed once per model for its inputs."""
+        pairs = self.memo["pair"]
+        key = (f.graph, g.graph, g.cod.size)
+        graph = pairs.get(key)
+        if graph is None:
+            graph = pairs[key] = _pair_graph(f, g)
+        return graph
 
     def hom(self, dom, cod) -> tuple[Mor, ...]:
         homs = self.memo["hom"]
@@ -333,7 +351,8 @@ class Model:
 
 
 def _pair_graph(f: Mor, g: Mor) -> tuple[int, ...]:
-    """The graph of f x g on lexicographically numbered pairs."""
+    """The graph of f x g on lexicographically numbered pairs.  It reads only
+    the two graphs and ``|cod g|``; ``Model._pair`` memoises it by them."""
     n = g.cod.size
     return tuple([x + y for x in [a * n for a in f.graph] for y in g.graph])
 
@@ -358,27 +377,23 @@ class FinPtSet(Model):
         return PtObj(a.size + b.size - 1)
 
     def sum_mor(self, f: Mor, g: Mor) -> Mor:
-        a, b = f.dom, g.dom
-        a2 = f.cod
-        dom = self.sum_obj(a, b)
-        cod = self.sum_obj(a2, g.cod)
-        graph = [0] * dom.size
-        fg, gg = f.graph, g.graph
-        for x in range(1, a.size):
-            graph[x] = fg[x]
-        shift = a.size - 1
-        shift2 = a2.size - 1
-        for y in range(1, b.size):
-            v = gg[y]
-            graph[shift + y] = 0 if v == 0 else shift2 + v
-        return Mor(dom, cod, tuple(graph))
+        # the shift of g's non-base images depends on |cod f|, so it is
+        # part of the key
+        wedges = self.memo["wedge"]
+        key = (f.graph, g.graph, f.cod.size)
+        graph = wedges.get(key)
+        if graph is None:
+            shift = f.cod.size - 1
+            graph = wedges[key] = (0, *f.graph[1:],
+                                   *(v and shift + v for v in g.graph[1:]))
+        return Mor(self.sum_obj(f.dom, g.dom), self.sum_obj(f.cod, g.cod), graph)
 
     def prod_obj(self, a: PtObj, b: PtObj) -> PtObj:
         return PtObj(a.size * b.size)
 
     def prod_mor(self, f: Mor, g: Mor) -> Mor:
         return Mor(self.prod_obj(f.dom, g.dom), self.prod_obj(f.cod, g.cod),
-                   _pair_graph(f, g))
+                   self._pair(f, g))
 
     def _enumerate_hom(self, dom: PtObj, cod: PtObj):
         for rest in itertools.product(range(cod.size), repeat=dom.size - 1):
@@ -412,6 +427,8 @@ class FinCMon(Model):
         super().__init__(objects, trivial[0], overrides)
 
     def _product(self, a: CMonObj, b: CMonObj) -> CMonObj:
+        """The product object a x b, one per (a, b) and model, so products of
+        equal objects are one object with one label."""
         products = self.memo["product"]
         key = (a, b)
         p = products.get(key)
@@ -425,8 +442,10 @@ class FinCMon(Model):
     prod_obj = sum_obj
 
     def _pair_mor(self, f: Mor, g: Mor) -> Mor:
-        return Mor(self._product(f.dom, g.dom), self._product(f.cod, g.cod),
-                   _pair_graph(f, g))
+        products = self.memo["product"]
+        dom = products.get((f.dom, g.dom)) or self._product(f.dom, g.dom)
+        cod = products.get((f.cod, g.cod)) or self._product(f.cod, g.cod)
+        return Mor(dom, cod, self._pair(f, g))
 
     sum_mor = _pair_mor
     prod_mor = _pair_mor

@@ -23,6 +23,19 @@ def _pair_graph(f, g):
                  for v in range(f.dom.size * nb))
 
 
+def _wedge_graph(f, g):
+    """The graph of f + g on wedges: the basepoint to 0, the non-base points
+    of the left summand kept, those of the right one shifted up by
+    |cod f| - 1 in the codomain and |dom f| - 1 in the domain."""
+    graph = [0] * (f.dom.size + g.dom.size - 1)
+    for x in range(1, f.dom.size):
+        graph[x] = f.graph[x]
+    for y in range(1, g.dom.size):
+        if g.graph[y]:
+            graph[f.dom.size - 1 + y] = f.cod.size - 1 + g.graph[y]
+    return tuple(graph)
+
+
 def _assoc_prod_graph(a, b, c):
     """(x, (y, z)) -> ((x, y), z) on lexicographically numbered triples."""
     graph = []
@@ -71,8 +84,29 @@ def test_kernels_equal_index_formulas(request, name):
                                            model.prod_obj(f.cod, g.cod), want)
         if isinstance(model, FinCMon):
             assert model.sum_mor(f, g).graph == want
+        else:
+            assert model.sum_mor(f, g) == Mor(model.sum_obj(f.dom, g.dom),
+                                              model.sum_obj(f.cod, g.cod),
+                                              _wedge_graph(f, g))
         if f.cod == g.dom:
             assert model.compose(g, f).graph == tuple(g.graph[v] for v in f.graph)
+
+
+def test_kernel_memos_tell_codomain_sizes_apart():
+    # The graph (0, 1) is both P2 -> P2 and P2 -> P3.  A product's graph
+    # depends on the codomain size of its right factor and a wedge's on that
+    # of its left summand, so a memo keyed by the graphs alone would hand a
+    # later call an earlier call's graph.
+    model = FinPtSet((1, 2, 3))
+    p2, p3 = PtObj(2), PtObj(3)
+    into_p2, into_p3 = Mor(p2, p2, (0, 1)), Mor(p2, p3, (0, 1))
+    for kernel, formula in ((model.prod_mor, _pair_graph),
+                            (model.sum_mor, _wedge_graph)):
+        for f, g in itertools.product((into_p2, into_p3), repeat=2):
+            assert kernel(f, g).graph == formula(f, g), (kernel.__name__, f, g)
+    for h in (into_p2, into_p3):
+        assert model.prod_mor(h, into_p2).graph != model.prod_mor(h, into_p3).graph
+        assert model.sum_mor(into_p2, h).graph != model.sum_mor(into_p3, h).graph
 
 
 @pytest.mark.parametrize("name", ["pt3", "cmon2"])

@@ -1,14 +1,18 @@
-"""The per-model memos of inclusions, projections and zero morphisms, and
-the README's list of memo concerns."""
+"""The per-model memos of inclusions, projections and zero morphisms, of
+the morphism kernels, and the README's list of memo concerns."""
 
 import itertools
 import re
 from pathlib import Path
 
-from linearcat import evaluate
+import pytest
+
+from linearcat import checks, evaluate, models
 from linearcat.centrality import check_linearity_theorem
+from linearcat.checks import check_structure, check_transformer
 from linearcat.evaluate import inclusion, projection, zero_morphism
-from linearcat.models import FinCMon, FinPtSet, PtObj, all_commutative_monoids
+from linearcat.models import (FinCMon, FinPtSet, PtObj, all_commutative_monoids,
+                              load_model)
 from linearcat.search import pure_bracketings
 from linearcat.words import PROD, PROD2, SUM, SUM2, length
 
@@ -72,6 +76,60 @@ def test_second_linearity_check_evaluates_no_term(monkeypatch):
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Each kernel memo entry recomputed from its key alone: a composite from
+# (g, f), a product from (f, g, |cod g|), a wedge from (f, g, |cod f|).
+KERNEL_FORMULAS = {
+    "composite": lambda g, f: tuple(g[v] for v in f),
+    "pair": lambda f, g, n: tuple(x * n + y for x in f for y in g),
+    "wedge": lambda f, g, m: (0, *f[1:], *(y and m - 1 + y for y in g[1:])),
+}
+
+KERNEL_MODELS = {
+    "pt3": lambda: FinPtSet((1, 2, 3)),
+    "cmon2": lambda: FinCMon(all_commutative_monoids(2)),
+    "pt3-faulty": lambda: load_model(ROOT / "models" / "pointed_sets_3_faulty.json"),
+}
+
+# the law families check_structure runs, one function each
+LAW_FAMILIES = ("_check_category", "_check_bifunctor", "_check_monoidal",
+                "_check_initial_terminal", "_check_joint_epi_mono")
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_kernel_memos_are_sound_and_clearing_changes_no_report(monkeypatch, name):
+    model = KERNEL_MODELS[name]()
+    reports = check_structure(model) + check_transformer(model)
+    concerns = {"composite", "pair"} | ({"wedge"} if name.startswith("pt") else set())
+    assert concerns <= set(model.memo)
+    for concern, formula in KERNEL_FORMULAS.items():
+        for key, graph in model.memo[concern].items():
+            assert graph == formula(*key), (concern, key)
+
+    cleared = KERNEL_MODELS[name]()
+    for family in LAW_FAMILIES:
+        def clearing(model, *args, _inner=getattr(checks, family)):
+            model.memo.clear()
+            return _inner(model, *args)
+        monkeypatch.setattr(checks, family, clearing)
+    again = check_structure(cleared)
+    cleared.memo.clear()
+    assert again + check_transformer(cleared) == reports
+
+
+def test_pair_kernel_runs_once_per_distinct_input(monkeypatch):
+    raw, ops = [], []
+    inner = models._pair_graph
+    monkeypatch.setattr(models, "_pair_graph",
+                        lambda f, g: raw.append(1) or inner(f, g))
+    for name in ("sum_mor", "prod_mor"):
+        kernel = getattr(FinCMon, name)
+        monkeypatch.setattr(FinCMon, name,
+                            lambda self, f, g, _k=kernel: ops.append(1) or _k(self, f, g))
+    model = FinCMon(all_commutative_monoids(2))
+    check_structure(model)
+    assert len(raw) == len(model.memo["pair"])
+    assert 20 * len(raw) < len(ops)
 
 
 def test_readme_names_every_memo_concern():
