@@ -4,6 +4,16 @@ Each verifier sweeps every relevant combination of the model's bundled
 objects and morphisms and returns one report per law.  A failing report
 carries a counterexample with enough data (object names, morphism graphs,
 both sides of the offending equation) to replay the failure by hand.
+
+The loop invariants of the structure and transformer laws are computed once
+per run, before their loops: the identity of every base object, per
+structure the whiskers ``f ⊗ id_c`` and ``id_c ⊗ f`` of every base morphism
+by every base object, the unitors and associators at base objects, ``i`` at
+every base pair, and ``h∘g`` for every composable pair.  These tables are
+transient: they are local to one ``check_structure`` or
+``check_transformer`` call, indexed by positions in ``base_objects``, and
+never stored in ``model.memo``.  Every loop keeps its order and its
+comparisons, so each law fails at the same first counterexample.
 """
 
 from __future__ import annotations
@@ -46,12 +56,6 @@ def _ok(law: str) -> CheckReport:
     return CheckReport(law, True)
 
 
-def _all_morphisms(model: Model):
-    for x in model.base_objects:
-        for y in model.base_objects:
-            yield from model.hom(x, y)
-
-
 def binary_inclusions(model: Model, a, b) -> tuple[Mor, Mor]:
     return (inclusion(model, SUM2, (a, b), 1), inclusion(model, SUM2, (a, b), 2))
 
@@ -64,140 +68,183 @@ def binary_projections(model: Model, a, b) -> tuple[Mor, Mor]:
 #
 # Each law is a generator of failure reports, and ``_law`` keeps the first
 # one, so every law is reported exactly once whatever fails before it.
+# Their loop invariants come from the per-run tables described above.
 
 def _law(law: str, failures) -> CheckReport:
     """The first report ``failures`` yields, or a pass of ``law``."""
     return next(failures, None) or _ok(law)
 
 
-def _check_category(model: Model) -> list[CheckReport]:
+def _identities(model: Model) -> tuple[Mor, ...]:
+    """The identity of every base object, in ``base_objects`` order."""
+    return tuple(map(model.identity, model.base_objects))
+
+
+def _indexed_homs(model: Model) -> list[tuple[Mor, int, int]]:
+    """``(f, x, y)`` for every base morphism ``f``, hom-set by hom-set,
+    where ``x`` and ``y`` index ``f.dom`` and ``f.cod`` in
+    ``base_objects``."""
+    objs = model.base_objects
+    return [(f, x, y) for x, y in itertools.product(range(len(objs)), repeat=2)
+            for f in model.hom(objs[x], objs[y])]
+
+
+def _whiskers(model: Model, mor, ids) -> dict:
+    """Per hom-set ``(x, y)`` of base-object indices, ``(f, x, y, rights,
+    lefts)`` for each ``f`` in hom order, where ``rights[c]`` is
+    ``mor(f, ids[c])`` and ``lefts[c]`` is ``mor(ids[c], f)``."""
+    table = {(x, y): [] for x, y in itertools.product(range(len(ids)), repeat=2)}
+    for f, x, y in _indexed_homs(model):
+        table[x, y].append((f, x, y, tuple(mor(f, idc) for idc in ids),
+                            tuple(mor(idc, f) for idc in ids)))
+    return table
+
+
+def _check_category(model: Model, ids) -> list[CheckReport]:
+    objs = model.base_objects
     compose = model.compose
 
     def identity():
-        for f in _all_morphisms(model):
-            if compose(f, model.identity(f.dom)) != f \
-                    or compose(model.identity(f.cod), f) != f:
+        for f, x, y in _indexed_homs(model):
+            if compose(f, ids[x]) != f or compose(ids[y], f) != f:
                 yield _fail("category/identity", f=f)
 
     def associativity():
-        for w, x, y, z in itertools.product(model.base_objects, repeat=4):
-            for f in model.hom(w, x):
-                for g in model.hom(x, y):
+        homs = {(x, y): model.hom(x, y) for x, y in itertools.product(objs, repeat=2)}
+        # h∘g for every composable pair, one row of h's per g
+        after = {(x, y, z): [[compose(h, g) for h in homs[y, z]] for g in homs[x, y]]
+                 for x, y, z in itertools.product(objs, repeat=3)}
+        for w, x, y, z in itertools.product(objs, repeat=4):
+            for f in homs[w, x]:
+                for g, hgs in zip(homs[x, y], after[x, y, z]):
                     gf = compose(g, f)
-                    for h in model.hom(y, z):
-                        if compose(h, gf) != compose(compose(h, g), f):
+                    for h, hg in zip(homs[y, z], hgs):
+                        if compose(h, gf) != compose(hg, f):
                             yield _fail("category/associativity", f=f, g=g, h=h)
 
     return [_law("category/identity", identity()),
             _law("category/associativity", associativity())]
 
 
-def _check_bifunctor(model: Model, tag: str, obj, mor) -> list[CheckReport]:
+def _check_bifunctor(model: Model, tag: str, obj, mor, ids,
+                     whiskers) -> list[CheckReport]:
     # Functoriality in each slot plus the exchange law; together these imply
     # the joint interchange equation without sweeping pairs of pairs.
     objs = model.base_objects
     compose = model.compose
 
     def preserves_identity():
-        for a, b in itertools.product(objs, repeat=2):
-            if mor(model.identity(a), model.identity(b)) != model.identity(obj(a, b)):
+        for (a, ida), (b, idb) in itertools.product(zip(objs, ids), repeat=2):
+            if mor(ida, idb) != model.identity(obj(a, b)):
                 yield _fail(f"{tag}/preserves-identity", a=a.name, b=b.name)
 
     def functorial_each_slot():
-        for x, y, z in itertools.product(objs, repeat=3):
-            for f in model.hom(x, y):
-                for g in model.hom(y, z):
+        for x, y, z in itertools.product(range(len(objs)), repeat=3):
+            for f, _, _, f_right, f_left in whiskers[x, y]:
+                for g, _, _, g_right, g_left in whiskers[y, z]:
                     gf = compose(g, f)
-                    for c in objs:
-                        idc = model.identity(c)
-                        if mor(gf, idc) != compose(mor(g, idc), mor(f, idc)) \
-                                or mor(idc, gf) != compose(mor(idc, g), mor(idc, f)):
+                    for c, idc, fc, gc, cf, cg in zip(objs, ids, f_right, g_right,
+                                                      f_left, g_left):
+                        if mor(gf, idc) != compose(gc, fc) \
+                                or mor(idc, gf) != compose(cg, cf):
                             yield _fail(f"{tag}/functorial-each-slot",
                                         f=f, g=g, c=c.name)
 
     def interchange():
-        all_homs = list(_all_morphisms(model))
-        for f, g in itertools.product(all_homs, repeat=2):
-            direct = mor(f, g)
-            via1 = compose(mor(model.identity(f.cod), g),
-                           mor(f, model.identity(g.dom)))
-            via2 = compose(mor(f, model.identity(g.cod)),
-                           mor(model.identity(f.dom), g))
-            if direct != via1 or direct != via2:
-                yield _fail(f"{tag}/interchange", f=f, g=g)
+        all_homs = list(itertools.chain.from_iterable(whiskers.values()))
+        for f, fdom, fcod, f_right, f_left in all_homs:
+            for g, gdom, gcod, g_right, g_left in all_homs:
+                direct = mor(f, g)
+                via1 = compose(g_left[fcod], f_right[gdom])
+                via2 = compose(f_right[gcod], g_left[fdom])
+                if direct != via1 or direct != via2:
+                    yield _fail(f"{tag}/interchange", f=f, g=g)
 
     return [_law(f"{tag}/preserves-identity", preserves_identity()),
             _law(f"{tag}/functorial-each-slot", functorial_each_slot()),
             _law(f"{tag}/interchange", interchange())]
 
 
-def _check_monoidal(model: Model, tag: str, obj, mor, unit) -> list[CheckReport]:
+def _check_monoidal(model: Model, tag: str, obj, mor, unit, ids,
+                    whiskers) -> list[CheckReport]:
     """The monoidal laws of the structure whose tables end in ``_{tag}``."""
     assoc, assoc_inv, lunit, lunit_inv, runit, runit_inv = (
         functools.partial(model.structure, f"{kind}_{tag}{inv}")
         for kind in ("assoc", "lunit", "runit") for inv in ("", "_inv"))
     objs = model.base_objects
-    all_homs = list(_all_morphisms(model))
+    places = range(len(objs))
     identity, compose = model.identity, model.compose
+    # the unitors at every base object and the associator at every base
+    # triple, by indices
+    lunits, runits = tuple(map(lunit, objs)), tuple(map(runit, objs))
+    assocs = {(a, b, c): assoc(objs[a], objs[b], objs[c])
+              for a, b, c in itertools.product(places, repeat=3)}
 
     def unitor_iso():
-        for a in objs:
-            lu, lui = lunit(a), lunit_inv(a)
-            ru, rui = runit(a), runit_inv(a)
-            if compose(lu, lui) != identity(a) \
+        for a, ida, lu, ru in zip(objs, ids, lunits, runits):
+            lui, rui = lunit_inv(a), runit_inv(a)
+            if compose(lu, lui) != ida \
                     or compose(lui, lu) != identity(obj(unit, a)) \
-                    or compose(ru, rui) != identity(a) \
+                    or compose(ru, rui) != ida \
                     or compose(rui, ru) != identity(obj(a, unit)):
                 yield _fail(f"{tag}/unitor-iso", a=a.name, lunit=lu, runit=ru)
 
     def assoc_iso():
-        for a, b, c in itertools.product(objs, repeat=3):
-            al, ali = assoc(a, b, c), assoc_inv(a, b, c)
+        for (a, b, c), al in assocs.items():
+            ali = assoc_inv(objs[a], objs[b], objs[c])
             if compose(al, ali) != identity(al.cod) \
                     or compose(ali, al) != identity(al.dom):
-                yield _fail(f"{tag}/assoc-iso", a=a.name, b=b.name, c=c.name)
+                yield _fail(f"{tag}/assoc-iso",
+                            a=objs[a].name, b=objs[b].name, c=objs[c].name)
 
     def unitor_natural():  # fails as lunit-natural or runit-natural
-        for f in all_homs:
-            if compose(lunit(f.cod), mor(identity(unit), f)) \
-                    != compose(f, lunit(f.dom)):
+        id_unit = identity(unit)
+        for f, x, y, _, _ in itertools.chain.from_iterable(whiskers.values()):
+            if compose(lunits[y], mor(id_unit, f)) != compose(f, lunits[x]):
                 yield _fail(f"{tag}/lunit-natural", f=f)
-            if compose(runit(f.cod), mor(f, identity(unit))) \
-                    != compose(f, runit(f.dom)):
+            if compose(runits[y], mor(f, id_unit)) != compose(f, runits[x]):
                 yield _fail(f"{tag}/runit-natural", f=f)
 
     def assoc_natural():
         # slotwise naturality; joint naturality follows via functoriality
-        for f in all_homs:
-            for b, c in itertools.product(objs, repeat=2):
-                idb, idc = identity(b), identity(c)
-                lhs = compose(assoc(f.cod, b, c), mor(f, identity(obj(b, c))))
-                rhs = compose(mor(mor(f, idb), idc), assoc(f.dom, b, c))
+        pair_ids = {(b, c): identity(obj(objs[b], objs[c]))
+                    for b, c in itertools.product(places, repeat=2)}
+        for f, x, y, f_right, f_left in itertools.chain.from_iterable(
+                whiskers.values()):
+            for (b, c), idbc in pair_ids.items():
+                idb, idc = ids[b], ids[c]
+                lhs = compose(assocs[y, b, c], mor(f, idbc))
+                rhs = compose(mor(f_right[b], idc), assocs[x, b, c])
                 if lhs != rhs:
-                    yield _fail(f"{tag}/assoc-natural", slot=1, f=f, b=b.name, c=c.name)
-                lhs = compose(assoc(b, f.cod, c), mor(idb, mor(f, idc)))
-                rhs = compose(mor(mor(idb, f), idc), assoc(b, f.dom, c))
+                    yield _fail(f"{tag}/assoc-natural", slot=1, f=f,
+                                b=objs[b].name, c=objs[c].name)
+                lhs = compose(assocs[b, y, c], mor(idb, f_right[c]))
+                rhs = compose(mor(f_left[b], idc), assocs[b, x, c])
                 if lhs != rhs:
-                    yield _fail(f"{tag}/assoc-natural", slot=2, f=f, b=b.name, c=c.name)
-                lhs = compose(assoc(b, c, f.cod), mor(idb, mor(idc, f)))
-                rhs = compose(mor(identity(obj(b, c)), f), assoc(b, c, f.dom))
+                    yield _fail(f"{tag}/assoc-natural", slot=2, f=f,
+                                b=objs[b].name, c=objs[c].name)
+                lhs = compose(assocs[b, c, y], mor(idb, f_left[c]))
+                rhs = compose(mor(idbc, f), assocs[b, c, x])
                 if lhs != rhs:
-                    yield _fail(f"{tag}/assoc-natural", slot=3, f=f, b=b.name, c=c.name)
+                    yield _fail(f"{tag}/assoc-natural", slot=3, f=f,
+                                b=objs[b].name, c=objs[c].name)
 
     def pentagon():
-        for a, b, c, d in itertools.product(objs, repeat=4):
-            way1 = compose(assoc(obj(a, b), c, d), assoc(a, b, obj(c, d)))
-            way2 = compose(mor(assoc(a, b, c), identity(d)),
-                           compose(assoc(a, obj(b, c), d),
-                                   mor(identity(a), assoc(b, c, d))))
+        for a, b, c, d in itertools.product(places, repeat=4):
+            oa, ob, oc, od = objs[a], objs[b], objs[c], objs[d]
+            way1 = compose(assoc(obj(oa, ob), oc, od), assoc(oa, ob, obj(oc, od)))
+            way2 = compose(mor(assocs[a, b, c], ids[d]),
+                           compose(assoc(oa, obj(ob, oc), od),
+                                   mor(ids[a], assocs[b, c, d])))
             if way1 != way2:
-                yield _fail(f"{tag}/pentagon", a=a.name, b=b.name, c=c.name, d=d.name)
+                yield _fail(f"{tag}/pentagon",
+                            a=oa.name, b=ob.name, c=oc.name, d=od.name)
 
     def triangle():
-        for a, b in itertools.product(objs, repeat=2):
-            lhs = compose(mor(runit(a), identity(b)), assoc(a, unit, b))
-            if lhs != mor(identity(a), lunit(b)):
-                yield _fail(f"{tag}/triangle", a=a.name, b=b.name)
+        for a, b in itertools.product(places, repeat=2):
+            lhs = compose(mor(runits[a], ids[b]), assoc(objs[a], unit, objs[b]))
+            if lhs != mor(ids[a], lunits[b]):
+                yield _fail(f"{tag}/triangle", a=objs[a].name, b=objs[b].name)
 
     return [_law(f"{tag}/unitor-iso", unitor_iso()),
             _law(f"{tag}/assoc-iso", assoc_iso()),
@@ -257,16 +304,20 @@ def _check_joint_epi_mono(model: Model) -> list[CheckReport]:
 
 def check_structure(model: Model) -> list[CheckReport]:
     """Verify category laws, both monoidal structures, and the unit axioms."""
+    ids = _identities(model)
+    # one whisker table per structure: a model may override either kernel
+    sum_whiskers = _whiskers(model, model.sum_mor, ids)
+    prod_whiskers = _whiskers(model, model.prod_mor, ids)
     reports: list[CheckReport] = []
-    reports.extend(_check_category(model))
-    reports.extend(_check_bifunctor(model, "sum-bifunctor",
-                                    model.sum_obj, model.sum_mor))
-    reports.extend(_check_bifunctor(model, "prod-bifunctor",
-                                    model.prod_obj, model.prod_mor))
+    reports.extend(_check_category(model, ids))
+    reports.extend(_check_bifunctor(model, "sum-bifunctor", model.sum_obj,
+                                    model.sum_mor, ids, sum_whiskers))
+    reports.extend(_check_bifunctor(model, "prod-bifunctor", model.prod_obj,
+                                    model.prod_mor, ids, prod_whiskers))
     reports.extend(_check_monoidal(model, "sum", model.sum_obj, model.sum_mor,
-                                   model.zero_obj))
+                                   model.zero_obj, ids, sum_whiskers))
     reports.extend(_check_monoidal(model, "prod", model.prod_obj, model.prod_mor,
-                                   model.one_obj))
+                                   model.one_obj, ids, prod_whiskers))
     reports.extend(_check_initial_terminal(model))
     reports.extend(_check_joint_epi_mono(model))
     return reports
@@ -278,17 +329,22 @@ def check_transformer(model: Model) -> list[CheckReport]:
     """Naturality of ``i`` plus both unitor-compatibility diagrams, the
     naturality-derived variants, and the entrywise sufficient conditions."""
     objs = model.base_objects
-    all_homs = list(_all_morphisms(model))
     j = model.j_morphism()
     i = functools.partial(model.structure, "i")
     zero = model.zero_obj
 
     def i_natural():
-        for f, g in itertools.product(all_homs, repeat=2):
-            lhs = model.compose(i(f.cod, g.cod), model.sum_mor(f, g))
-            rhs = model.compose(model.prod_mor(f, g), i(f.dom, g.dom))
-            if lhs != rhs:
-                yield _fail("i-natural", f=f, g=g, lhs=lhs, rhs=rhs)
+        compose, sum_mor, prod_mor = model.compose, model.sum_mor, model.prod_mor
+        # the component of i at every base pair, by indices
+        iotas = {(a, b): i(objs[a], objs[b])
+                 for a, b in itertools.product(range(len(objs)), repeat=2)}
+        homs = _indexed_homs(model)
+        for f, fdom, fcod in homs:
+            for g, gdom, gcod in homs:
+                lhs = compose(iotas[fcod, gcod], sum_mor(f, g))
+                rhs = compose(prod_mor(f, g), iotas[fdom, gdom])
+                if lhs != rhs:
+                    yield _fail("i-natural", f=f, g=g, lhs=lhs, rhs=rhs)
 
     reports = [_law("i-natural", i_natural())]
 

@@ -205,6 +205,22 @@ def test_check_bad_override_entry_exit_2(capsys, tmp_path, graph):
     assert err.startswith("model error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("table, names", [("i", ["P2"]), ("assoc_sum", ["P2"]),
+                                          ("lunit_sum", ["P2", "P2"]),
+                                          ("lunit_sum", [])])
+def test_check_override_with_wrong_object_count_exit_2(capsys, tmp_path, table,
+                                                       names):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"schema": 1, "kind": "pointed_sets", "objects": [1, 2],
+         "overrides": [{"table": table, "objects": names, "graph": [0, 0]}]}))
+    code, out, err = run(capsys, "check", "--model", str(bad), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("model error") and "Traceback" not in err
+    assert table in err and "unpack" not in err
+
+
 def test_central_monoids_table(capsys):
     code, out, _ = run(capsys, "central", "M1_2", "M1_2", "--model",
                        str(MODELS / "commutative_monoids_3.json"))

@@ -338,6 +338,21 @@ def test_model_file_rejects_malformed(doc):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("table, names, arity", [
+    ("i", ["P2"], 2), ("i", ["P2", "P2", "P2"], 2),
+    ("assoc_sum", ["P2"], 3), ("assoc_prod_inv", ["P2", "P2"], 3),
+    ("lunit_sum", ["P2", "P2"], 1), ("runit_prod_inv", [], 1)])
+def test_override_with_wrong_object_count_names_table_and_count(table, names,
+                                                                arity):
+    doc = {"schema": 1, "kind": "pointed_sets", "objects": [1, 2],
+           "overrides": [{"table": table, "objects": names, "graph": [0, 0]}]}
+    with pytest.raises(ModelFileError) as err:
+        model_from_dict(doc)
+    message = str(err.value)
+    assert table in message and "unpack" not in message
+    assert f"needs {arity} object" in message and f"got {len(names)}" in message
+
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 BUNDLED = [json.loads(p.read_text()) for p in sorted(MODELS.glob("*.json"))]
 
