@@ -11,9 +11,10 @@ Enumerating every path of length <= depth is exponential, so the search is
 pruned meet-in-the-middle: a backward distance table of radius depth // 2 is
 computed from the target, and forward exploration drops any state that
 provably cannot reach the target within the remaining budget.  A move
-changes the number of unit leaves by at most one, so that number bounds the
-distance to the target from below (an admissible heuristic in the sense of
-A*), and unit insertions the bound rules out are skipped before their
+changes each of the numbers of unit leaves, + nodes and * nodes by at most
+one, so the largest difference between those counts and the target's
+bounds the distance to the target from below (an admissible heuristic in
+the sense of A*), and moves the bound rules out are skipped before their
 targets are looked up.  The pruning is exact: no path within the depth bound
 is ever lost.
 
@@ -49,16 +50,19 @@ Most moves change no value.  Every associator and unitor is the identity
 carrier map, and both bundled models number sums and products by sizes
 alone, so each whisker of one is an identity too (coherence is trivial
 where the structure maps are identities, as Mac Lane remarked).  A move
-whose table is in ``model.identity_tables`` is therefore not evaluated:
-its batch entry is the shared marker ``PASS_THROUGH``, as is that of any
-evaluated move whose graph turns out to be the identity, and a step along
-it keeps the value tuple as it is.  ``i``, ``j`` and overridden tables are
-evaluated as before.
+whose table is in ``model.identity_tables`` is therefore not evaluated and
+has no batch entry: the flood reads its code from the state's move table,
+and a step along it keeps the value tuple as it is.  ``i``, ``j`` and
+overridden tables are evaluated as before; the batch entry of one whose
+graph turns out to be the identity is the shared marker ``PASS_THROUGH``,
+which passes values through in the same way.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values in order, and
 re-flood the first failing tuple alone with ``value_flood`` for witness
-terms.  No search graph is memoised per model.  The sweeps' unit
+terms.  No search graph is memoised per model; the identity-matrix
+sweep builds its bracketing graphs once per process
+(``matrices._bracketing_graphs``).  The sweeps' unit
 cancellations go to ``model.memo["cancellation"]``, keyed by
 ``(word, objects)``.
 """
@@ -96,13 +100,59 @@ _KINDS = (ASSOC_SUM, ASSOC_PROD, I_GEN, J_GEN,
           LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD)
 _CODE = {(kind, inverse): 2 * k + inverse
          for k, kind in enumerate(_KINDS) for inverse in (False, True)}
-_UNITORS = frozenset((LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD))
-# code -> change in unit leaves (``_CODE`` lists the codes in order): a
-# unitor drops one, its inverse inserts one
-_UNIT_STEP = tuple((1 if inverse else -1) if kind in _UNITORS else 0
-                   for kind, inverse in _CODE)
 # code -> the structure table the move's components are read from, or None
 _TABLE_OF = tuple(structure_table(kind, inverse) for kind, inverse in _CODE)
+
+# A word's counts of unit leaves, + nodes and * nodes, packed into one int,
+# one _BASE-sized digit each, so that packed counts add and subtract as
+# vectors; ``_unpack`` reads a packed difference of counts back.
+_BASE = 1 << 16
+_HALF = _BASE // 2
+_BIAS = _HALF * (1 + _BASE + _BASE * _BASE)
+
+
+def _counts(w: Word) -> int:
+    """The packed counts of unit leaves, + nodes and * nodes in ``w``."""
+    if w == HOLE:
+        return 0
+    if w == ZERO or w == ONE:
+        return 1
+    op, left, right = w
+    return (_BASE if op == SUM else _BASE * _BASE) + _counts(left) + _counts(right)
+
+
+def _unpack(d: int) -> tuple[int, int, int]:
+    """The components of the packed difference ``d``."""
+    d, units = divmod(d + _BIAS, _BASE)
+    times, plus = divmod(d, _BASE)
+    return units - _HALF, plus - _HALF, times - _HALF
+
+
+# The change in (unit leaves, + nodes, * nodes) that the forward move of
+# each kind in ``_KINDS`` makes: a unitor drops a unit leaf and a node of
+# its operator, and i turns a + node into a * node.  An inverse move makes
+# the opposite change.
+_STEP = ((0, 0, 0), (0, 0, 0), (0, -1, 1), (0, 0, 0),  # assoc+, assoc*, i, j
+         (-1, -1, 0), (-1, -1, 0), (-1, 0, -1), (-1, 0, -1))  # the unitors
+# code -> the change in (unit leaves, + nodes, * nodes) its move makes, and
+# the same change packed
+_CHANGE = tuple(tuple(-c if code % 2 else c for c in _STEP[code // 2])
+                for code in range(2 * len(_KINDS)))
+_DELTA = tuple(u + p * _BASE + m * _BASE * _BASE for u, p, m in _CHANGE)
+
+
+def _admissible(d: int, budget: int) -> bytes | None:
+    """Which moves out of a word whose packed counts exceed the target's by
+    ``d`` lead to a word whose counts differ from the target's by at most
+    ``budget`` in each component, as a ``bytes.translate`` table from move
+    code to 1 or 0; None when every move does."""
+    du, dp, dm = _unpack(d)
+    if abs(du) < budget and abs(dp) < budget and abs(dm) < budget:
+        return None
+    return bytes([abs(du + u) <= budget and abs(dp + p) <= budget
+                  and abs(dm + m) <= budget
+                  for u, p, m in _CHANGE]).ljust(256, b"\0")
+
 
 # The flood memo's entry for a move whose graph is the identity at every
 # object tuple: a step along it passes each value through unchanged.
@@ -331,8 +381,8 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     edges: dict = {}
     words = [v]
     tables = []  # states are expanded in discovery order
-    units = [unit_count(v)]  # state -> number of unit leaves
-    w_units = unit_count(w)
+    # state -> its packed counts (see ``_counts``) less those of w
+    diffs = [_counts(v) - _counts(w)]
     index = {v: 0}
     frontier = [0]
     layer = 0
@@ -340,22 +390,25 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
         layer += 1
         nxt = []
         # Past free_last a move is admitted only into a word within
-        # depth - layer moves of w, and a move changes the number of unit
-        # leaves by at most one.  So out of a state with more than
-        # ``crowded`` unit leaves no unit insertion is admitted: skip them
-        # before hashing their targets.
-        crowded = depth - layer + w_units - 1
+        # depth - layer moves of w.  A move changes each count by at most
+        # one, so a target whose counts differ from w's by more than that
+        # in any component cannot be admitted: skip its move before hashing
+        # the target.
         past = layer > free_last
+        admissible: dict = {}  # difference from w -> its ``_admissible``
         for xi in frontier:
             table = moves(words[xi], mode)
             tables.append(table)
-            ux = units[xi]
-            dead = past and ux > crowded
+            dx = diffs[xi]
+            out = zip(itertools.count(table.first), table.targets, table.codes)
+            if past:
+                if dx not in admissible:
+                    admissible[dx] = _admissible(dx, depth - layer)
+                keep = admissible[dx]
+                if keep is not None:
+                    out = itertools.compress(out, table.codes.translate(keep))
             kept = []
-            for mid, y, code in zip(itertools.count(table.first), table.targets,
-                                    table.codes):
-                if dead and _UNIT_STEP[code] > 0:
-                    continue
+            for mid, y, code in out:
                 bty = bt.get(y)
                 last = free_last if bty is None else depth - bty
                 if layer > last:
@@ -364,7 +417,7 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
                 if yi is None:
                     yi = index[y] = len(words)
                     words.append(y)
-                    units.append(ux + _UNIT_STEP[code])
+                    diffs.append(dx + _DELTA[code])
                     nxt.append(yi)
                 kept.append((mid, yi, last))
             edges[xi] = tuple(kept)
@@ -457,15 +510,11 @@ class FloodResult:
         return term
 
 
-def _move_graph(model: Model, table: MoveTable, k: int, tuples: tuple,
-                passes: list) -> tuple | str:
+def _move_graph(model: Model, table: MoveTable, k: int,
+                tuples: tuple) -> tuple | str:
     """The graphs of move ``k`` of ``table`` at each object tuple, laid end
     to end, each shifted past the codomain carriers of the tuples before
-    it; ``PASS_THROUGH`` when that is the identity.  ``passes`` says, per
-    move code, whether the move's table is in ``model.identity_tables``;
-    such a move is not evaluated."""
-    if passes[table.codes[k]]:
-        return PASS_THROUGH
+    it; ``PASS_THROUGH`` when that is the identity."""
     move = table.walk(k)
     if len(tuples) == 1:
         out = edge_morphism(model, move, tuples[0]).graph
@@ -487,10 +536,12 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
 
     A value is its graphs at the K tuples laid end to end, each shifted past
     the carriers of the tuples before it, and so is a move's graph (see
-    ``_move_graph``), so one tuple map applies a move at all K tuples.  The
-    graphs of the moves live in ``model.memo["batch"][tuples]``, keyed by
-    move id, where an identity graph is stored as ``PASS_THROUGH``: a step
-    along it keeps the value tuple as it is.
+    ``_move_graph``), so one tuple map applies a move at all K tuples.  A
+    step along a move of a table in ``model.identity_tables`` keeps the
+    value tuple as it is, with no memo entry.  The graphs of the other
+    moves live in ``model.memo["batch"][tuples]``, keyed by move id, where
+    an identity graph is stored as ``PASS_THROUGH`` and passes values
+    through in the same way.
     Returns the target's values, each with the first layer realizing it;
     ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, move id)`` that first reached it.
@@ -513,15 +564,19 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
         nxt = []
         layer_out = layer + 1
         for xi, m in frontier:
+            table = tables[xi]
+            codes, first = table.codes, table.first
             for mid, yi, last in graph_edges[xi]:
                 if layer_out > last:
                     continue
-                eg = graphs.get(mid)
-                if eg is None:
-                    table = tables[xi]
-                    eg = graphs[mid] = _move_graph(
-                        model, table, mid - table.first, tuples, passes)
-                my = m if eg is PASS_THROUGH else tuple(map(eg.__getitem__, m))
+                if passes[codes[mid - first]]:
+                    my = m
+                else:
+                    eg = graphs.get(mid)
+                    if eg is None:
+                        eg = graphs[mid] = _move_graph(model, table, mid - first,
+                                                       tuples)
+                    my = m if eg is PASS_THROUGH else tuple(map(eg.__getitem__, m))
                 bucket = visited[yi]
                 if bucket is None:
                     bucket = visited[yi] = {}

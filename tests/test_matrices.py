@@ -1,18 +1,20 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from linearcat.centrality import matrix_completeness
 from linearcat.evaluate import eval_object, zero_morphism
 from linearcat.checks import CheckReport
-from linearcat.matrices import (MatrixPresentation, coherence_identity_check,
-                                identity_matrix, identity_matrix_sweep,
-                                matrix_of, realize)
-from linearcat.models import FinPtSet, Mor, PtObj
+from linearcat.matrices import (MatrixPresentation, _bracketing_graphs,
+                                coherence_identity_check, identity_matrix,
+                                identity_matrix_sweep, matrix_of, realize)
+from linearcat.models import FinPtSet, Mor, PtObj, load_model
 from linearcat.search import pure_bracketings, search_graph, value_flood
 from linearcat.terms import PRELINEAR
 from linearcat.words import HOLE, PROD, SUM, Prod, Sum, render_word
 
+ROOT = Path(__file__).resolve().parent.parent
 S2 = Sum(HOLE, HOLE)
 P2 = Prod(HOLE, HOLE)
 
@@ -146,12 +148,36 @@ def test_identity_check_builds_each_graph_once(monkeypatch):
         return search_graph(v, w, depth, mode)
 
     monkeypatch.setattr("linearcat.matrices.search_graph", counting)
+    _bracketing_graphs.cache_clear()
     model = FinPtSet((1, 2))
     tuples = list(itertools.product(model.base_objects, repeat=2))
     assert len(tuples) == 4
     assert identity_matrix_sweep(model, 2, tuples, depth=4).passed
     # one sum bracketing and one product bracketing of length 2
     assert len(built) == len(set(built)) == 1
+
+
+def test_bracketing_graph_cache_keeps_reports():
+    # The bracketing graphs are built once per process and shared by every
+    # model.  Sweeping three models in a row, two of them failing, gives
+    # each model the reports of a sweep from a cleared cache.
+    paths = [ROOT / "models" / "pointed_sets_3.json",
+             ROOT / "models" / "pointed_sets_3_faulty.json",
+             ROOT / "tests" / "models" / "pointed_sets_3_zero_i.json"]
+
+    def sweep(path):
+        model = load_model(path)
+        small = [o for o in model.base_objects if o.size <= 2]
+        return [identity_matrix_sweep(model, n, list(itertools.product(small, repeat=n)))
+                for n in (1, 2, 3)]
+
+    _bracketing_graphs.cache_clear()
+    shared = [sweep(path) for path in paths]
+    assert _bracketing_graphs.cache_info().hits == 6
+    assert [all(r.passed for r in reports) for reports in shared] == [True, False, False]
+    for path, reports in zip(paths, shared):
+        _bracketing_graphs.cache_clear()
+        assert sweep(path) == reports, path.stem
 
 
 def _reference_identity_sweep(model, n, tuples, depth):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 
 from linearcat.evaluate import eval_canon, structure_table
 from linearcat.models import FinPtSet, PtObj, load_model
-from linearcat.search import (PASS_THROUGH, _local_moves, _predecessors,
-                              _subword_predecessors, backward_table,
+from linearcat.search import (_CHANGE, _DELTA, PASS_THROUGH, _counts,
+                              _local_moves, _predecessors,
+                              _subword_predecessors, _unpack, backward_table,
                               canonical_between, elementary_from_edge,
                               flood_values, moves, pure_bracketings,
                               search_graph, to_key, value_flood, words_with)
@@ -436,21 +438,28 @@ def _edge_tables(model) -> dict:
             if len(tuples) == 1}
 
 
+def _edge_values(model, x, edge, tuples) -> list:
+    """The values of the move ``edge`` out of ``x`` at each object tuple."""
+    term = elementary_from_edge(x, edge).to_canon()
+    return [eval_canon(model, term, objects) for objects in tuples]
+
+
+def _is_identity(mor) -> bool:
+    return mor.graph == tuple(range(mor.dom.size)) and mor.cod.size == mor.dom.size
+
+
 def _is_batch_entry(model, x, edge, tuples, eg) -> bool:
     """Assert that ``eg``, the flood memo's entry for the move ``edge`` out
     of ``x`` at the object tuples ``tuples``, is the move's graphs at each
     tuple laid end to end, each shifted past the codomain carriers of the
     tuples before it, or ``PASS_THROUGH`` exactly where each of those graphs
     is the identity carrier map.  A move of one of the model's identity
-    tables must be marked.  Returns whether the entry is marked."""
+    tables must have no entry.  Returns whether the entry is marked."""
     _, kind, inverse, _, _ = edge
-    term = elementary_from_edge(x, edge).to_canon()
-    mors = [eval_canon(model, term, objects) for objects in tuples]
-    identity = all(mor.graph == tuple(range(mor.dom.size))
-                   and mor.cod.size == mor.dom.size for mor in mors)
+    mors = _edge_values(model, x, edge, tuples)
+    identity = all(map(_is_identity, mors))
     where = (x, edge, tuples)
-    if structure_table(kind, inverse) in model.identity_tables:
-        assert eg is PASS_THROUGH, where
+    assert structure_table(kind, inverse) not in model.identity_tables, where
     if eg is PASS_THROUGH:
         assert identity, where
         return True
@@ -559,8 +568,9 @@ def _unskipped_search_graph(v, w, depth, mode):
 @pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
 @pytest.mark.parametrize("depth", [4, 6])
 def test_unit_insertion_skip_is_exact(depth, mode):
-    # search_graph skips unit insertions that the backward table would
-    # reject, reading the move codes; the admitted graph must not change: the
+    # Past free_last, search_graph skips, by the count bound and reading the
+    # move codes, the moves (unit insertions among them) whose targets the
+    # backward table would reject; the admitted graph must not change: the
     # same words in the same order, the same edges (move ids included), the
     # same target state, and each expanded state keeps its word's table.
     cases = [
@@ -573,6 +583,12 @@ def test_unit_insertion_skip_is_exact(depth, mode):
     if depth == 4:
         # a radius-5 table toward a length-2 word takes seconds to build
         cases.append(("((1*(_*0))+_)", "(_*_)"))
+    if mode == PARTIALLY_LINEAR:
+        # j, j's inverse, i's inverse and both structures' unitors and
+        # their inverses, which the bound also drops
+        cases += [("(0*(1+_))", "(_+0)"), ("(1*_)", "(0+_)"),
+                  ("(_*(1*_))", "((0+_)+_)"), ("(1+1)", "(0*0)")]
+    admitted = set()
     for v_text, w_text in cases:
         v, w = parse_word(v_text), parse_word(w_text)
         graph = search_graph(v, w, depth, mode)
@@ -584,6 +600,79 @@ def test_unit_insertion_skip_is_exact(depth, mode):
         assert len(graph.tables) > max(expanded, default=-1)
         assert all(table is moves(x, mode)
                    for table, x in zip(graph.tables, graph.words))
+        admitted |= {graph.edge(xi, mid)[1:3]
+                     for xi, out in edges.items() for mid, _, _ in out}
+    if mode == PARTIALLY_LINEAR:
+        assert {(kind, inverse) for kind in ("j", "i", "lunit+", "runit+",
+                                             "lunit*", "runit*")
+                for inverse in (False, True)} <= admitted
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_count_deltas_are_exact(mode):
+    # search_graph follows each state's counts of unit leaves, + nodes and
+    # * nodes by adding its move code's delta; the count bound is exact only
+    # if every move changes the counts by exactly that delta, and each count
+    # by at most one.  Words with 5 leaves are built unmemoised so that only
+    # the tables of their (smaller) children are kept.
+    for code, change in enumerate(_CHANGE):
+        assert _unpack(_DELTA[code]) == change
+        assert max(map(abs, change)) <= 1
+    checked = 0
+    for n in range(3):
+        for u in range(4):
+            for x in words_with(n, u):
+                text = render_word(x)
+                assert _unpack(_counts(x)) == (
+                    text.count("0") + text.count("1"), text.count("+"),
+                    text.count("*")), text
+                table = moves(x, mode) if n + u < 5 else moves.__wrapped__(x, mode)
+                for y, code in zip(table.targets, table.codes):
+                    assert _counts(y) - _counts(x) == _DELTA[code], (text, y, code)
+                checked += len(table)
+    assert checked > 500000
+
+
+@pytest.mark.parametrize("path", [
+    *sorted(MODELS.glob("*.json")),
+    *sorted((Path(__file__).resolve().parent / "models").glob("*.json")),
+], ids=lambda path: path.stem)
+def test_flood_memo_holds_no_identity_table_move(path):
+    # A step along a move of an identity table keeps the value with no
+    # memo lookup, so no flood memo entry may belong to such a move, in a
+    # one-tuple or a batched flood; each such move of the graphs must be
+    # the identity at every flooded tuple.  The moves of every overridden
+    # table are still evaluated, into sound entries.
+    model = load_model(path)
+    overridden = {ov["table"] for ov in
+                  json.loads(path.read_text(encoding="utf-8")).get("overrides", [])}
+    mode = PRELINEAR if model.kind == "pointed_sets" else PARTIALLY_LINEAR
+    small = [o for o in model.base_objects if o.size <= 2]
+    owner = {}
+    passed = 0
+    for v, w in [(parse_word(v), parse_word(w)) for v, w in [
+            ("(0+_)", "(_*1)"), ("((0*1)+_)", "_"), ("(_+_)", "(_*_)"),
+            ("((_+0)*_)", "(_+(1*_))"), ("((_+_)+_)", "(_*(_*_))")]]:
+        graph = search_graph(v, w, 4, mode)
+        tuples = list(itertools.product(small, repeat=length(v)))
+        for xi, out in graph.edges.items():
+            for mid, _, _ in out:
+                x, edge = owner[mid] = (graph.words[xi], graph.edge(xi, mid))
+                # the flood passes values through this move unevaluated
+                if structure_table(*edge[1:3]) in model.identity_tables:
+                    assert all(map(_is_identity, _edge_values(model, x, edge, tuples))), \
+                        (x, edge)
+                    passed += 1
+        flood_values(model, graph, tuples)
+        for objects in tuples[:2]:
+            value_flood(model, graph, objects)
+    assert passed > 0
+    evaluated = set()
+    for tuples, table in model.memo["batch"].items():
+        for mid, eg in table.items():
+            _is_batch_entry(model, *owner[mid], tuples, eg)
+            evaluated.add(structure_table(*owner[mid][1][1:3]))
+    assert overridden <= evaluated
 
 
 @pytest.mark.parametrize("model_file, mode", [
