@@ -19,24 +19,26 @@ targets are looked up.  The pruning is exact: no path within the depth bound
 is ever lost.
 
 Symbolic results (move tables, distance tables, the predecessor lists of
-subwords, corpus words) are memoised with ``functools.cache``.  A word's
-predecessors are its root's reverse moves plus one new node around each
-cached predecessor of a child, so they share their unchanged subtrees with
-the cache; the words a distance table expands are not cached themselves.
-A word's ``MoveTable`` is built from its children's in
-compressed-sparse-row style: per move it stores only the target word and a
-one-byte code for (kind, inverse), about 83 bytes a move together with the
-cache, where a stored edge tuple per move took 280.  Each table takes one
-block of process-unique move ids, ``first + k``, and rebuilds a move's edge
-``(path, kind, inverse, args, id)`` on demand by walking down the child
-tables.  Values at an object tuple go to the model's own ``memo``, one dict
-per concern.  A search graph numbers its states, keeps each state's table,
-and lists its edges as ``(move id, target state, last layer)``, so the value
-flood runs over integers: per object tuple, the model keeps one table from
+subwords, corpus words, the count bound's verdict tables) are memoised with
+``functools.cache``.  A word's predecessors are its root's reverse moves
+plus one new node around each cached predecessor of a child, so they share
+their unchanged subtrees with the cache; the words a distance table expands
+are not cached themselves.  A word's ``MoveTable`` is built from its
+children's in compressed-sparse-row style: per move it stores only the
+target word and a one-byte code for (kind, inverse), about 83 bytes a move
+together with the cache, where a stored edge tuple per move took 280.  Each
+table takes one block of process-unique move ids, ``first + k``, and
+rebuilds a move's edge ``(path, kind, inverse, args, id)`` on demand by
+walking down the child tables.  Values at an object tuple go to the model's
+own ``memo``, one dict per concern.  A search graph numbers its states,
+keeps each state's table, and lists its edges as ``(move id, target state,
+last layer)``, so the value flood runs over integers: per object tuple, the model keeps one table from
 move id to the move's raw graph.  On a miss the flood walks the move tables
 once for all its tuples, for the hole slices of the move's arguments and
-siblings, and ``edge_morphism`` evaluates the move at each tuple through one
-memo keyed by the move's evaluated context.
+siblings, and reads the generator's component at the subword it rewrites.
+Only where that is not the identity does ``edge_morphism`` evaluate the
+whole move at each tuple, through one memo keyed by the move's evaluated
+context.
 
 One flood serves every object tuple of a sweep at once (``flood_values``):
 a value is its graphs at the K tuples laid end to end, each shifted past
@@ -52,10 +54,18 @@ alone, so each whisker of one is an identity too (coherence is trivial
 where the structure maps are identities, as Mac Lane remarked).  A move
 whose table is in ``model.identity_tables`` is therefore not evaluated and
 has no batch entry: the flood reads its code from the state's move table,
-and a step along it keeps the value tuple as it is.  ``i``, ``j`` and
-overridden tables are evaluated as before; the batch entry of one whose
-graph turns out to be the identity is the shared marker ``PASS_THROUGH``,
-which passes values through in the same way.
+and a step along it keeps the value tuple as it is.  The moves of ``i``,
+``j`` and overridden tables get a batch entry, the shared marker
+``PASS_THROUGH`` where the move's graph is the identity, which passes
+values through in the same way.  Whether it is, the flood first asks of the
+generator's component at the subword: each component is evaluated once per
+model (``model.memo["component"]``, keyed by kind, direction and argument
+objects), and its verdict is kept per subword move and objects
+(``model.memo["is_identity"]``).  A component with equal carrier sizes and
+the identity graph makes every whisker of it the identity, so such a move
+is marked with no whisker evaluated; any other falls back to
+``edge_morphism``.  A graph of the form ``range(n)`` into a larger carrier
+is no identity here: a wedge whisker shifts by the codomain's size.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values in order, and
@@ -141,11 +151,13 @@ _CHANGE = tuple(tuple(-c if code % 2 else c for c in _STEP[code // 2])
 _DELTA = tuple(u + p * _BASE + m * _BASE * _BASE for u, p, m in _CHANGE)
 
 
+@cache
 def _admissible(d: int, budget: int) -> bytes | None:
     """Which moves out of a word whose packed counts exceed the target's by
     ``d`` lead to a word whose counts differ from the target's by at most
     ``budget`` in each component, as a ``bytes.translate`` table from move
-    code to 1 or 0; None when every move does."""
+    code to 1 or 0; None when every move does.  Memoised: a process meets
+    few distinct arguments."""
     du, dp, dm = _unpack(d)
     if abs(du) < budget and abs(dp) < budget and abs(dm) < budget:
         return None
@@ -257,8 +269,9 @@ class MoveTable:
     def walk(self, k: int) -> tuple:
         """Walk down the child tables to move ``k``.  Returns its local move
         ``(kind, inverse, args, spans)`` at the subword it applies at, that
-        subword's hole slice ``(first, end)``, and the chain of ``(op, side,
-        sibling word, sibling's first hole, end)`` from the root down."""
+        subword's hole slice ``(first, end)``, the chain of ``(op, side,
+        sibling word, sibling's first hole, end)`` from the root down, and
+        the move's id in the subword's own table."""
         table, start, chain = self, 0, []
         while k >= table.n_local:
             k -= table.n_local
@@ -273,11 +286,12 @@ class MoveTable:
                 chain.append((op, 1, left_word, start, start + left.holes))
                 start += left.holes
                 table = table.right
-        return table.local_moves()[k], start, start + table.holes, chain
+        return (table.local_moves()[k], start, start + table.holes, chain,
+                table.first + k)
 
     def edge(self, k: int) -> Edge:
         """Move ``k`` as ``(path, kind, inverse, args, move id)``."""
-        (kind, inverse, args, _), _, _, chain = self.walk(k)
+        (kind, inverse, args, _), _, _, chain, _ = self.walk(k)
         return (tuple([step[1] for step in chain]), kind, inverse, args,
                 self.first + k)
 
@@ -395,16 +409,13 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
         # in any component cannot be admitted: skip its move before hashing
         # the target.
         past = layer > free_last
-        admissible: dict = {}  # difference from w -> its ``_admissible``
         for xi in frontier:
             table = moves(words[xi], mode)
             tables.append(table)
             dx = diffs[xi]
             out = zip(itertools.count(table.first), table.targets, table.codes)
             if past:
-                if dx not in admissible:
-                    admissible[dx] = _admissible(dx, depth - layer)
-                keep = admissible[dx]
+                keep = _admissible(dx, depth - layer)
                 if keep is not None:
                     out = itertools.compress(out, table.codes.translate(keep))
             kept = []
@@ -432,6 +443,53 @@ def eval_object_cached(model: Model, w: Word, objects: tuple):
     return _memoised(model, "object", eval_object, w, objects)
 
 
+def _arg_objects(model: Model, args: tuple, spans: tuple, sub: tuple) -> tuple:
+    """The objects of a local move's argument words at the subword's objects
+    ``sub``, read from the word functor memo."""
+    evaluated = model.memo["object"]
+    out = []
+    for w, (a, b) in zip(args, spans):
+        at = (w, sub[a:b])
+        obj = evaluated.get(at)
+        out.append(eval_object_cached(model, *at) if obj is None else obj)
+    return tuple(out)
+
+
+def _component(model: Model, kind: str, inverse: bool, args: tuple,
+               arg_objs: tuple, sub: tuple) -> Mor:
+    """The generator's component at its argument objects ``arg_objs``,
+    evaluated once per model into ``model.memo["component"]``."""
+    components = model.memo["component"]
+    key = (kind, inverse, arg_objs)
+    mor = components.get(key)
+    if mor is None:
+        mor = components[key] = eval_generator(model, Generator(kind, args, inverse),
+                                               sub)
+    return mor
+
+
+def _is_identity_at(model: Model, move: tuple, objects: tuple) -> bool:
+    """Whether the generator component that ``move``, as ``MoveTable.walk``
+    gives it, applies at its subword is the identity at ``objects``: equal
+    carrier sizes and the identity graph.  Then each whisker of it is the
+    identity too, and so is the whole move.  Kept per model in
+    ``model.memo["is_identity"]``, keyed by the subword table's own move id
+    and the subword's objects."""
+    (kind, inverse, args, spans), start, stop, _, local_id = move
+    sub = objects[start:stop]
+    verdicts = model.memo["is_identity"]
+    key = (local_id, sub)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        mor = _component(model, kind, inverse, args,
+                         _arg_objects(model, args, spans, sub), sub)
+        # a graph of the form range(n) into a larger codomain is no
+        # identity: a wedge whisker shifts by the codomain's size
+        n = len(mor.graph)
+        verdict = verdicts[key] = mor.cod.size == n and mor.graph == tuple(range(n))
+    return verdict
+
+
 def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
     """Evaluate one elementary move, as ``MoveTable.walk`` gives it, at an
     object tuple.
@@ -439,11 +497,11 @@ def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
     The value depends only on the generator at its evaluated argument
     objects and on the chain of ``(op, side, sibling object)`` along the
     path, so it is memoised under that key in ``model.memo["whisker"]``,
-    shared by every word and move with the same evaluated context.
-    ``value_flood`` keeps the graphs per move id in
+    shared by every word and move with the same evaluated context; a miss
+    whiskers the component from ``_component``.  ``value_flood`` keeps the graphs per move id in
     ``model.memo["batch"][(objects,)]``.
     """
-    (kind, inverse, args, spans), start, stop, chain = move
+    (kind, inverse, args, spans), start, stop, chain, _ = move
     evaluated = model.memo["object"]
     sub = objects[start:stop]
     sides = []
@@ -453,16 +511,12 @@ def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
         if obj is None:
             obj = eval_object_cached(model, *at)
         sides.append((op, side, obj))
-    arg_objs = []
-    for w, (a, b) in zip(args, spans):
-        at = (w, sub[a:b])
-        obj = evaluated.get(at)
-        arg_objs.append(eval_object_cached(model, *at) if obj is None else obj)
-    key = (kind, inverse, tuple(arg_objs), tuple(sides))
+    arg_objs = _arg_objects(model, args, spans, sub)
+    key = (kind, inverse, arg_objs, tuple(sides))
     memo = model.memo["whisker"]
     mor = memo.get(key)
     if mor is None:
-        mor = eval_generator(model, Generator(kind, args, inverse), sub)
+        mor = _component(model, kind, inverse, args, arg_objs, sub)
         for op, side, sibling in reversed(sides):
             other = model.identity(sibling)
             pair = (mor, other) if side == 0 else (other, mor)
@@ -514,8 +568,11 @@ def _move_graph(model: Model, table: MoveTable, k: int,
                 tuples: tuple) -> tuple | str:
     """The graphs of move ``k`` of ``table`` at each object tuple, laid end
     to end, each shifted past the codomain carriers of the tuples before
-    it; ``PASS_THROUGH`` when that is the identity."""
+    it; ``PASS_THROUGH`` when that is the identity.  A move whose generator
+    component is the identity at every tuple is not evaluated."""
     move = table.walk(k)
+    if all(_is_identity_at(model, move, objects) for objects in tuples):
+        return PASS_THROUGH
     if len(tuples) == 1:
         out = edge_morphism(model, move, tuples[0]).graph
     else:

@@ -10,6 +10,8 @@ import pytest
 from linearcat.checks import check_structure
 from linearcat.models import (STRUCTURE_TABLES, CMonObj, FinCMon, FinPtSet,
                                Mor, PtObj, all_commutative_monoids, load_model)
+from linearcat.search import eval_object_cached, pure_bracketings, words_with
+from linearcat.words import LEAVES, PROD, SUM, length
 
 TESTS = Path(__file__).resolve().parent
 # every structure table but i: the associators and unitors, with inverses
@@ -196,6 +198,54 @@ def test_associators_unitors_and_their_whiskers_are_identities(request, name):
                         assert _is_identity(whisker(*pair)), (table, args, c)
             checked += 1
     assert checked == 4 * len(at) ** 3 + 8 * len(at)
+
+
+def _subword_objects(model, words, objs) -> tuple[set, set]:
+    """The objects of every subword of ``words`` evaluated at every tuple
+    of ``objs``, and the pairs of objects of the two children of each sum
+    or product subword."""
+    objects, pairs, seen = set(), set(), set()
+    stack = list(words)
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        for at in itertools.product(objs, repeat=length(w)):
+            objects.add(eval_object_cached(model, w, at))
+            if w not in LEAVES:
+                cut = length(w[1])
+                pairs.add((eval_object_cached(model, w[1], at[:cut]),
+                           eval_object_cached(model, w[2], at[cut:])))
+        if w not in LEAVES:
+            stack += w[1:]
+    return objects, pairs
+
+
+@pytest.mark.parametrize("model_file", ["pointed_sets_3.json",
+                                        "commutative_monoids_3.json"])
+def test_kernels_send_identity_pairs_to_identities(model_file):
+    # The flood passes values through a move whose generator component is
+    # the identity without whiskering it.  That is sound only if the sum and
+    # the product of two identities is the identity at the composite
+    # objects the sweeps' words evaluate to, not only at base ones.  Checked
+    # here at the two children of every sum or product subword of the sweep
+    # corpora's words, at objects of size <= 2, and at each object those
+    # subwords evaluate to, paired with each base object of size <= 2 on
+    # either side.
+    model = load_model(TESTS.parent / "models" / model_file)
+    small = [o for o in model.base_objects if o.size <= 2]
+    words = [w for n in range(3) for u in range(4) for w in words_with(n, u)]
+    words += [w for n in (1, 2, 3) for op in (SUM, PROD)
+              for w in pure_bracketings(op, n)]
+    objects, pairs = _subword_objects(model, words, small)
+    pairs |= {p for x in objects for y in small for p in ((x, y), (y, x))}
+    assert len(objects - set(model.base_objects)) > (
+        0 if model.kind == "pointed_sets" else 900)
+    for a, b in pairs:
+        ida, idb = model.identity(a), model.identity(b)
+        assert model.sum_mor(ida, idb) == model.identity(model.sum_obj(a, b)), (a, b)
+        assert model.prod_mor(ida, idb) == model.identity(model.prod_obj(a, b)), (a, b)
 
 
 @pytest.mark.parametrize("path", [

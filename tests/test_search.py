@@ -23,6 +23,8 @@ from linearcat.words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Prod, Sum,
                              length, parse_word, render_word, unit_count)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+# one-override models, each with one component of one table set to zeros
+OVERRIDE_FIXTURES = sorted((Path(__file__).resolve().parent / "models").glob("*.json"))
 
 
 def test_identity_is_found():
@@ -473,11 +475,11 @@ def _is_batch_entry(model, x, edge, tuples, eg) -> bool:
 
 
 def _assert_marks(model, marked, checked):
-    # every structure map of the monoid model is an identity, and on pointed
-    # sets i is not
+    # every structure map of the monoid model is an identity, but on
+    # pointed sets i is not, and neither is an overridden component
     assert checked > 100
-    assert 0 < marked < checked if model.kind == "pointed_sets" \
-        else marked == checked
+    exact = model.kind != "pointed_sets" and not model._overrides
+    assert marked == checked if exact else 0 < marked < checked
 
 
 def _assert_sound(model, tables, owner):
@@ -489,21 +491,24 @@ def _assert_sound(model, tables, owner):
     _assert_marks(model, marked, checked)
 
 
-@pytest.mark.parametrize("model_file, mode", [
-    ("pointed_sets_3.json", PRELINEAR),
-    ("pointed_sets_3_faulty.json", PRELINEAR),
-    ("commutative_monoids_3.json", PARTIALLY_LINEAR),
-])
-def test_edge_table_is_sound(model_file, mode):
+@pytest.mark.parametrize("path, mode", [
+    pytest.param(path, mode, id=f"{path.name}-{mode}") for path, mode in [
+        (MODELS / "pointed_sets_3.json", PRELINEAR),
+        (MODELS / "pointed_sets_3_faulty.json", PRELINEAR),
+        (MODELS / "commutative_monoids_3.json", PARTIALLY_LINEAR),
+        *((path, PRELINEAR if path.name.startswith("pointed") else PARTIALLY_LINEAR)
+          for path in OVERRIDE_FIXTURES)]])
+def test_edge_table_is_sound(path, mode):
     # Every graph value_flood keeps in model.memo["batch"][(objects,)][move id]
     # is the value of that move's elementary term, also where the model
     # overrides a structure table, and PASS_THROUGH exactly where that value
-    # is the identity carrier map.  The graphs are shared through the
-    # whisker memo, which holds fewer entries than the edge tables.  Move
-    # ids are never reused: after the move tables are dropped, the fresh ids
-    # are new, the old entries stay as they were and the fresh floods stay
-    # sound.
-    model = load_model(MODELS / model_file)
+    # is the identity carrier map, whether the flood found that from the
+    # generator's component at its subword or from the whole move.  The
+    # moves evaluated whole share their graphs through the whisker memo,
+    # which holds fewer entries than the edge tables.  Move ids are never
+    # reused: after the move tables are dropped, the fresh ids are new, the
+    # old entries stay as they were and the fresh floods stay sound.
+    model = load_model(path)
     small = [o for o in model.base_objects if o.size <= 2]
 
     def objects_for(n):
@@ -633,10 +638,8 @@ def test_count_deltas_are_exact(mode):
     assert checked > 500000
 
 
-@pytest.mark.parametrize("path", [
-    *sorted(MODELS.glob("*.json")),
-    *sorted((Path(__file__).resolve().parent / "models").glob("*.json")),
-], ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", [*sorted(MODELS.glob("*.json")), *OVERRIDE_FIXTURES],
+                         ids=lambda path: path.stem)
 def test_flood_memo_holds_no_identity_table_move(path):
     # A step along a move of an identity table keeps the value with no
     # memo lookup, so no flood memo entry may belong to such a move, in a
@@ -716,3 +719,84 @@ def test_flood_values_match_value_flood(model_file, mode):
             marked += _is_batch_entry(model, *owner[mid], tuples, eg)
             checked += 1
     _assert_marks(model, marked, checked)
+
+
+def test_range_shaped_component_is_no_identity():
+    # i at (P2, P2) overridden by (0, 1, 2): a graph of the form range(3)
+    # into P2 x P2, which has 4 points.  At the root it moves no value, but
+    # it is no identity: the wedge with P2 on its right shifts the right
+    # summand's point by |P4| - 1, and the product with P2 on its left
+    # strides by |P4|, so those whiskers of it move values.  The flood must
+    # not take it for an identity at its subword, and each memo entry must
+    # be the move's value under eval_canon.
+    model = FinPtSet(overrides=[("i", ("P2", "P2"), (0, 1, 2))])
+    p1, p2 = model.object_by_name("P1"), model.object_by_name("P2")
+    owner, whiskered = {}, 0
+    for v_text, w_text in [("((_+_)+_)", "((_*_)+_)"), ("(_*(_+_))", "(_*(_*_))"),
+                           ("(_+_)", "(_*_)")]:
+        v, w = parse_word(v_text), parse_word(w_text)
+        graph = search_graph(v, w, 2, PRELINEAR)
+        for xi, out in graph.edges.items():
+            for mid, _, _ in out:
+                owner[mid] = (graph.words[xi], graph.edge(xi, mid))
+        tuples = list(itertools.product((p1, p2), repeat=length(v)))
+        flood_values(model, graph, tuples)
+        twos = (p2,) * length(v)
+        assert value_flood(model, graph, twos).values == \
+            _unpruned_values(model, v, w, 2, PRELINEAR, twos), v_text
+    for tuples, table in model.memo["batch"].items():
+        for mid, eg in table.items():
+            x, edge = owner[mid]
+            want, shift = [], 0
+            for mor in _edge_values(model, x, edge, tuples):
+                want += [t + shift for t in mor.graph]
+                shift += mor.cod.size
+            want = tuple(want)
+            assert eg == (PASS_THROUGH if want == tuple(range(len(want))) else want), \
+                (x, edge, tuples)
+            whiskered += edge[0] != () and edge[1] == "i" and eg is not PASS_THROUGH \
+                and tuples == ((p2,) * length(x),)
+    # ((_+_)+_) and (_*(_+_)) each move i at (P2, P2) by one whisker
+    assert whiskered == 2
+
+
+@pytest.mark.parametrize("path, n, max_units", [
+    (MODELS / "commutative_monoids_3.json", 1, 2),
+    (MODELS / "pointed_sets_3.json", 2, 1),
+], ids=["monoids", "pointed_sets"])
+def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
+    # A move whose generator component is the identity at its subword
+    # passes values through with no whisker evaluated.  On the monoid model
+    # every structure map is the identity, so a partially-linear sweep calls
+    # edge_morphism not once and leaves the whisker memo empty.  On pointed
+    # sets i is not always the identity; still, each generator component is
+    # evaluated once per model, into model.memo["component"].
+    from linearcat import search
+    calls = Counter()
+    for name in ("edge_morphism", "eval_generator"):
+        inner = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args, _f=inner, _n=name:
+                            calls.update([_n]) or _f(*args))
+    model = load_model(path)
+    small = [o for o in model.base_objects if o.size <= 2]
+
+    def objects_for(k):
+        return list(itertools.product(small, repeat=k))
+
+    corpus = equal_length_pairs(n, max_units)
+    if model.kind == "pointed_sets":
+        report = unit_square_sweep(model, corpus, objects_for, 4, PRELINEAR)
+    else:
+        report = coherence_sweep(model, corpus, objects_for, 4, PARTIALLY_LINEAR)
+    assert report.passed, report.counterexample
+    entries = sum(map(len, model.memo["batch"].values()))
+    assert entries > 100
+    components = model.memo["component"]
+    assert 0 < calls["eval_generator"] <= len(components)
+    if model.kind == "pointed_sets":
+        assert 0 < calls["edge_morphism"] < entries
+    else:
+        assert calls["edge_morphism"] == 0
+        assert not model.memo["whisker"]
+        assert all(eg is PASS_THROUGH for table in model.memo["batch"].values()
+                   for eg in table.values())
