@@ -27,8 +27,8 @@ from .words import (attachment_sequence, core_split, is_unit_free, length,
 SCHEMA_VERSION = 1
 
 # Each extra layer of search depth costs a few times the last: the coherence
-# subcommand on pointed_sets_3.json takes about 1.8 s at depth 6, 2.9 s at 7
-# and 10 s at 8, with peak RSS 70, 128 and 355 MB (Python 3.11, 2 cores).
+# subcommand on pointed_sets_3.json takes about 1.7 s at depth 6, 3 s at 7
+# and 10 s at 8, with peak RSS 69, 126 and 340 MB (Python 3.11, 2 cores).
 MAX_DEPTH = 8
 
 

@@ -26,46 +26,37 @@ their unchanged subtrees with the cache; the words a distance table expands
 are not cached themselves.  A word's ``MoveTable`` is built from its
 children's in compressed-sparse-row style: per move it stores only the
 target word and a one-byte code for (kind, inverse), about 83 bytes a move
-together with the cache, where a stored edge tuple per move took 280.  Each
-table takes one block of process-unique move ids, ``first + k``, and
-rebuilds a move's edge ``(path, kind, inverse, args, id)`` on demand by
-walking down the child tables.  Values at an object tuple go to the model's
-own ``memo``, one dict per concern.  A search graph numbers its states,
-keeps each state's table, and lists its edges as ``(move id, target state,
-last layer)``, so the value flood runs over integers: per object tuple, the model keeps one table from
-move id to the move's raw graph.  On a miss the flood walks the move tables
-once for all its tuples, for the hole slices of the move's arguments and
-siblings, and reads the generator's component at the subword it rewrites.
-Only where that is not the identity does ``edge_morphism`` evaluate the
-whole move at each tuple, through one memo keyed by the move's evaluated
-context.
+together with the cache.  Each table takes one block of process-unique move
+ids, ``first + k``, and rebuilds a move on demand by walking down the child
+tables.  How a move changes the counts the bound reads comes from its
+generator's schema (``_DELTA``).
 
-One flood serves every object tuple of a sweep at once (``flood_values``):
-a value is its graphs at the K tuples laid end to end, each shifted past
-the carriers of the tuples before it, and a move's graph is batched the
-same way, so one tuple map applies the move at all K tuples.  The batched
-graphs live in ``model.memo["batch"]``, keyed by the tuple of object tuples
-and then by move id; ``value_flood`` is the one-tuple case, keyed by
-``(objects,)``.
+Values at an object tuple go to the model's own ``memo``, one dict per
+concern.  A search graph numbers its states, keeps each state's table, and
+lists its edges as ``(move id, target state, last layer)``, so the value
+flood runs over integers.  One flood serves every object tuple of a sweep
+at once (``flood_values``): a value is its graphs at the K tuples laid end
+to end, each shifted past the carriers of the tuples before it, and a
+move's graph is batched the same way, so one tuple map applies the move at
+all K tuples.  The batched graphs live in ``model.memo["batch"]``, keyed by
+the tuple of object tuples and then by move id; ``value_flood`` is the
+one-tuple case, keyed by ``(objects,)``.
 
-Most moves change no value.  Every associator and unitor is the identity
-carrier map, and both bundled models number sums and products by sizes
-alone, so each whisker of one is an identity too (coherence is trivial
-where the structure maps are identities, as Mac Lane remarked).  A move
-whose table is in ``model.identity_tables`` is therefore not evaluated and
-has no batch entry: the flood reads its code from the state's move table,
-and a step along it keeps the value tuple as it is.  The moves of ``i``,
-``j`` and overridden tables get a batch entry, the shared marker
-``PASS_THROUGH`` where the move's graph is the identity, which passes
-values through in the same way.  Whether it is, the flood first asks of the
-generator's component at the subword: each component is evaluated once per
-model (``model.memo["component"]``, keyed by kind, direction and argument
-objects), and its verdict is kept per subword move and objects
-(``model.memo["is_identity"]``).  A component with equal carrier sizes and
-the identity graph makes every whisker of it the identity, so such a move
-is marked with no whisker evaluated; any other falls back to
-``edge_morphism``.  A graph of the form ``range(n)`` into a larger carrier
-is no identity here: a wedge whisker shifts by the codomain's size.
+One rule says whether a move changes a value: not if the generator
+component it applies at its subword is the identity (``_is_identity``:
+equal carrier sizes and the identity graph), since every whisker of an
+identity is an identity.  This is the finite form of Mac Lane's remark that
+coherence is trivial where the structure maps are identities.  The rule is
+read at two grains.  ``model.identity_tables`` names the tables whose every
+component is the identity, the associators and unitors that no override
+touches; a step along one of their moves keeps the value tuple as it is,
+told from the move's code alone, with no batch entry.  For any other move
+``_move_graph`` reads the component at each tuple from
+``model.memo["component"]``, keyed by kind, direction and argument objects,
+so each is evaluated once per model.  Where it is the identity at every
+tuple, the batch entry is the shared marker ``PASS_THROUGH``, which passes
+values through in the same way; elsewhere ``edge_morphism`` evaluates the
+whole move, through a memo keyed by its evaluated context.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values in order, and
@@ -86,8 +77,8 @@ from functools import cache
 from .errors import LinearcatError
 from .evaluate import (_memoised, eval_generator, eval_object,
                        structure_table)
-from .models import Model, Mor
-from .terms import (_ALWAYS_ISO, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
+from .models import Model, Mor, _identity_graph
+from .terms import (_ALWAYS_ISO, _ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
                     LUNIT_PROD, LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR,
                     RUNIT_PROD, RUNIT_SUM, CanonTerm, ElementaryTerm,
                     Generator, identity_term, render_term, vcompose)
@@ -138,17 +129,13 @@ def _unpack(d: int) -> tuple[int, int, int]:
     return units - _HALF, plus - _HALF, times - _HALF
 
 
-# The change in (unit leaves, + nodes, * nodes) that the forward move of
-# each kind in ``_KINDS`` makes: a unitor drops a unit leaf and a node of
-# its operator, and i turns a + node into a * node.  An inverse move makes
-# the opposite change.
-_STEP = ((0, 0, 0), (0, 0, 0), (0, -1, 1), (0, 0, 0),  # assoc+, assoc*, i, j
-         (-1, -1, 0), (-1, -1, 0), (-1, 0, -1), (-1, 0, -1))  # the unitors
-# code -> the change in (unit leaves, + nodes, * nodes) its move makes, and
-# the same change packed
-_CHANGE = tuple(tuple(-c if code % 2 else c for c in _STEP[code // 2])
-                for code in range(2 * len(_KINDS)))
-_DELTA = tuple(u + p * _BASE + m * _BASE * _BASE for u, p, m in _CHANGE)
+# code -> the packed change in the counts that its move makes, read from
+# the generator's schema with a hole for each argument, and the same change
+# as (unit leaves, + nodes, * nodes)
+_DELTA = tuple(_counts(g.target) - _counts(g.source)
+               for g in (Generator(kind, (HOLE,) * _ARITY[kind], inverse)
+                         for kind, inverse in _CODE))
+_CHANGE = tuple(map(_unpack, _DELTA))
 
 
 @cache
@@ -269,9 +256,9 @@ class MoveTable:
     def walk(self, k: int) -> tuple:
         """Walk down the child tables to move ``k``.  Returns its local move
         ``(kind, inverse, args, spans)`` at the subword it applies at, that
-        subword's hole slice ``(first, end)``, the chain of ``(op, side,
-        sibling word, sibling's first hole, end)`` from the root down, and
-        the move's id in the subword's own table."""
+        subword's hole slice ``(first, end)``, and the chain of ``(op,
+        side, sibling word, sibling's first hole, end)`` from the root
+        down."""
         table, start, chain = self, 0, []
         while k >= table.n_local:
             k -= table.n_local
@@ -286,12 +273,11 @@ class MoveTable:
                 chain.append((op, 1, left_word, start, start + left.holes))
                 start += left.holes
                 table = table.right
-        return (table.local_moves()[k], start, start + table.holes, chain,
-                table.first + k)
+        return table.local_moves()[k], start, start + table.holes, chain
 
     def edge(self, k: int) -> Edge:
         """Move ``k`` as ``(path, kind, inverse, args, move id)``."""
-        (kind, inverse, args, _), _, _, chain, _ = self.walk(k)
+        (kind, inverse, args, _), _, _, chain = self.walk(k)
         return (tuple([step[1] for step in chain]), kind, inverse, args,
                 self.first + k)
 
@@ -455,12 +441,15 @@ def _arg_objects(model: Model, args: tuple, spans: tuple, sub: tuple) -> tuple:
     return tuple(out)
 
 
-def _component(model: Model, kind: str, inverse: bool, args: tuple,
-               arg_objs: tuple, sub: tuple) -> Mor:
-    """The generator's component at its argument objects ``arg_objs``,
-    evaluated once per model into ``model.memo["component"]``."""
+def _component(model: Model, move: tuple, objects: tuple) -> Mor:
+    """The generator component that ``move``, as ``MoveTable.walk`` gives
+    it, applies at its subword, at the object tuple ``objects``.  Evaluated
+    once per model into ``model.memo["component"]``, keyed by kind,
+    direction and argument objects."""
+    (kind, inverse, args, spans), start, stop, _ = move
+    sub = objects[start:stop]
     components = model.memo["component"]
-    key = (kind, inverse, arg_objs)
+    key = (kind, inverse, _arg_objects(model, args, spans, sub))
     mor = components.get(key)
     if mor is None:
         mor = components[key] = eval_generator(model, Generator(kind, args, inverse),
@@ -468,26 +457,13 @@ def _component(model: Model, kind: str, inverse: bool, args: tuple,
     return mor
 
 
-def _is_identity_at(model: Model, move: tuple, objects: tuple) -> bool:
-    """Whether the generator component that ``move``, as ``MoveTable.walk``
-    gives it, applies at its subword is the identity at ``objects``: equal
-    carrier sizes and the identity graph.  Then each whisker of it is the
-    identity too, and so is the whole move.  Kept per model in
-    ``model.memo["is_identity"]``, keyed by the subword table's own move id
-    and the subword's objects."""
-    (kind, inverse, args, spans), start, stop, _, local_id = move
-    sub = objects[start:stop]
-    verdicts = model.memo["is_identity"]
-    key = (local_id, sub)
-    verdict = verdicts.get(key)
-    if verdict is None:
-        mor = _component(model, kind, inverse, args,
-                         _arg_objects(model, args, spans, sub), sub)
-        # a graph of the form range(n) into a larger codomain is no
-        # identity: a wedge whisker shifts by the codomain's size
-        n = len(mor.graph)
-        verdict = verdicts[key] = mor.cod.size == n and mor.graph == tuple(range(n))
-    return verdict
+def _is_identity(mor: Mor) -> bool:
+    """Equal carrier sizes and the identity graph, as one test: the graph
+    is ``range`` of the codomain's size.  Then every whisker of ``mor`` is
+    the identity too.  A graph of the form ``range(n)`` into a larger
+    carrier is no identity: a wedge whisker shifts by the codomain's
+    size."""
+    return mor.graph == _identity_graph(mor.cod.size)
 
 
 def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
@@ -498,12 +474,11 @@ def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
     objects and on the chain of ``(op, side, sibling object)`` along the
     path, so it is memoised under that key in ``model.memo["whisker"]``,
     shared by every word and move with the same evaluated context; a miss
-    whiskers the component from ``_component``.  ``value_flood`` keeps the graphs per move id in
-    ``model.memo["batch"][(objects,)]``.
+    whiskers the component from ``_component``.  ``value_flood`` keeps the
+    graphs per move id in ``model.memo["batch"][(objects,)]``.
     """
-    (kind, inverse, args, spans), start, stop, chain, _ = move
+    (kind, inverse, args, spans), start, stop, chain = move
     evaluated = model.memo["object"]
-    sub = objects[start:stop]
     sides = []
     for op, side, sibling, a, b in chain:
         at = (sibling, objects[a:b])
@@ -511,12 +486,12 @@ def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
         if obj is None:
             obj = eval_object_cached(model, *at)
         sides.append((op, side, obj))
-    arg_objs = _arg_objects(model, args, spans, sub)
-    key = (kind, inverse, arg_objs, tuple(sides))
+    key = (kind, inverse, _arg_objects(model, args, spans, objects[start:stop]),
+           tuple(sides))
     memo = model.memo["whisker"]
     mor = memo.get(key)
     if mor is None:
-        mor = _component(model, kind, inverse, args, arg_objs, sub)
+        mor = _component(model, move, objects)
         for op, side, sibling in reversed(sides):
             other = model.identity(sibling)
             pair = (mor, other) if side == 0 else (other, mor)
@@ -568,22 +543,20 @@ def _move_graph(model: Model, table: MoveTable, k: int,
                 tuples: tuple) -> tuple | str:
     """The graphs of move ``k`` of ``table`` at each object tuple, laid end
     to end, each shifted past the codomain carriers of the tuples before
-    it; ``PASS_THROUGH`` when that is the identity.  A move whose generator
-    component is the identity at every tuple is not evaluated."""
+    it; ``PASS_THROUGH``, with no whisker evaluated, where the generator
+    component the move applies is the identity at every tuple."""
     move = table.walk(k)
-    if all(_is_identity_at(model, move, objects) for objects in tuples):
+    if all(_is_identity(_component(model, move, objects)) for objects in tuples):
         return PASS_THROUGH
     if len(tuples) == 1:
-        out = edge_morphism(model, move, tuples[0]).graph
-    else:
-        out = []
-        shift = 0
-        for objects in tuples:
-            mor = edge_morphism(model, move, objects)
-            out.extend([t + shift for t in mor.graph])
-            shift += mor.cod.size
-        out = tuple(out)
-    return PASS_THROUGH if out == tuple(range(len(out))) else out
+        return edge_morphism(model, move, tuples[0]).graph
+    out = []
+    shift = 0
+    for objects in tuples:
+        mor = edge_morphism(model, move, objects)
+        out.extend([t + shift for t in mor.graph])
+        shift += mor.cod.size
+    return tuple(out)
 
 
 def _flood(model: Model, graph: SearchGraph, tuples: tuple,
@@ -597,8 +570,8 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     step along a move of a table in ``model.identity_tables`` keeps the
     value tuple as it is, with no memo entry.  The graphs of the other
     moves live in ``model.memo["batch"][tuples]``, keyed by move id, where
-    an identity graph is stored as ``PASS_THROUGH`` and passes values
-    through in the same way.
+    a move whose component is the identity at every tuple is stored as
+    ``PASS_THROUGH`` and passes values through in the same way.
     Returns the target's values, each with the first layer realizing it;
     ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, move id)`` that first reached it.

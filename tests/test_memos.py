@@ -141,14 +141,18 @@ def test_readme_names_every_memo_concern():
     assert {"batch", "cancellation", "whisker"} <= concerns
     readme = (ROOT / "README.md").read_text()
     assert sorted(c for c in concerns if f'memo["{c}"]' not in readme) == []
+    # and README names no concern that nothing keeps any more
+    assert sorted(set(re.findall(r'memo\["(\w+)"\]', readme)) - concerns) == []
 
 
 def test_readme_names_every_process_cache():
     # Process-wide caches outlive every model, so each one is documented.
     cached = set()
     for path in (ROOT / "src" / "linearcat").glob("*.py"):
-        names = re.findall(r"^@cache\ndef (\w+)", path.read_text(), re.M)
+        names = re.findall(r"^@(?:functools\.)?cache\ndef (\w+)", path.read_text(),
+                           re.M)
         cached |= {f"{path.stem}.{name}" for name in names}
-    assert {"search.moves", "search.backward_table", "words.length"} <= cached
+    assert {"search.moves", "search.backward_table", "words.length",
+            "models._identity_graph"} <= cached
     readme = (ROOT / "README.md").read_text()
     assert sorted(name for name in cached if f"`{name}`" not in readme) == []

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from linearcat.evaluate import eval_canon, structure_table
+from linearcat.evaluate import eval_canon, eval_generator, structure_table
 from linearcat.models import FinPtSet, PtObj, load_model
 from linearcat.search import (_CHANGE, _DELTA, PASS_THROUGH, _counts,
                               _local_moves, _predecessors,
@@ -450,27 +450,42 @@ def _is_identity(mor) -> bool:
     return mor.graph == tuple(range(mor.dom.size)) and mor.cod.size == mor.dom.size
 
 
+def _components(model, x, edge, tuples) -> list:
+    """The generator component that the move ``edge`` out of ``x`` applies
+    at its subword, at each object tuple."""
+    path, kind, inverse, args, _ = edge
+    sub, start = x, 0
+    for side in path:
+        if side:
+            start += length(sub[1])
+        sub = sub[1 + side]
+    gen = Generator(kind, args, inverse)
+    return [eval_generator(model, gen, objects[start:start + length(sub)])
+            for objects in tuples]
+
+
 def _is_batch_entry(model, x, edge, tuples, eg) -> bool:
     """Assert that ``eg``, the flood memo's entry for the move ``edge`` out
-    of ``x`` at the object tuples ``tuples``, is the move's graphs at each
-    tuple laid end to end, each shifted past the codomain carriers of the
-    tuples before it, or ``PASS_THROUGH`` exactly where each of those graphs
-    is the identity carrier map.  A move of one of the model's identity
-    tables must have no entry.  Returns whether the entry is marked."""
+    of ``x`` at the object tuples ``tuples``, is ``PASS_THROUGH`` exactly
+    where every tuple's generator component is the identity carrier map,
+    and elsewhere the move's graphs at each tuple laid end to end, each
+    shifted past the codomain carriers of the tuples before it.  A marked
+    move must be the identity at every tuple, and a move of one of the
+    model's identity tables must have no entry.  Returns whether the entry
+    is marked."""
     _, kind, inverse, _, _ = edge
     mors = _edge_values(model, x, edge, tuples)
-    identity = all(map(_is_identity, mors))
     where = (x, edge, tuples)
     assert structure_table(kind, inverse) not in model.identity_tables, where
-    if eg is PASS_THROUGH:
-        assert identity, where
+    if all(map(_is_identity, _components(model, x, edge, tuples))):
+        assert eg is PASS_THROUGH, where
+        assert all(map(_is_identity, mors)), where
         return True
     want, shift = [], 0
     for mor in mors:
         want += [t + shift for t in mor.graph]
         shift += mor.cod.size
     assert eg == tuple(want), where
-    assert not identity, where
     return False
 
 
@@ -502,12 +517,12 @@ def test_edge_table_is_sound(path, mode):
     # Every graph value_flood keeps in model.memo["batch"][(objects,)][move id]
     # is the value of that move's elementary term, also where the model
     # overrides a structure table, and PASS_THROUGH exactly where that value
-    # is the identity carrier map, whether the flood found that from the
-    # generator's component at its subword or from the whole move.  The
-    # moves evaluated whole share their graphs through the whisker memo,
-    # which holds fewer entries than the edge tables.  Move ids are never
-    # reused: after the move tables are dropped, the fresh ids are new, the
-    # old entries stay as they were and the fresh floods stay sound.
+    # is the identity carrier map, read from the generator's component at
+    # the subword the move rewrites.  The moves evaluated whole share their
+    # graphs through the whisker memo, which holds fewer entries than the
+    # edge tables.  Move ids are never reused: after the move tables are
+    # dropped, the fresh ids are new, the old entries stay as they were and
+    # the fresh floods stay sound.
     model = load_model(path)
     small = [o for o in model.base_objects if o.size <= 2]
 
@@ -727,11 +742,12 @@ def test_range_shaped_component_is_no_identity():
     # it is no identity: the wedge with P2 on its right shifts the right
     # summand's point by |P4| - 1, and the product with P2 on its left
     # strides by |P4|, so those whiskers of it move values.  The flood must
-    # not take it for an identity at its subword, and each memo entry must
-    # be the move's value under eval_canon.
+    # not take it for an identity, at its subword or as a whole move: each
+    # memo entry must be the move's value under eval_canon, also where that
+    # value is range-shaped.
     model = FinPtSet(overrides=[("i", ("P2", "P2"), (0, 1, 2))])
     p1, p2 = model.object_by_name("P1"), model.object_by_name("P2")
-    owner, whiskered = {}, 0
+    owner, whiskered, range_shaped = {}, 0, 0
     for v_text, w_text in [("((_+_)+_)", "((_*_)+_)"), ("(_*(_+_))", "(_*(_*_))"),
                            ("(_+_)", "(_*_)")]:
         v, w = parse_word(v_text), parse_word(w_text)
@@ -747,17 +763,15 @@ def test_range_shaped_component_is_no_identity():
     for tuples, table in model.memo["batch"].items():
         for mid, eg in table.items():
             x, edge = owner[mid]
-            want, shift = [], 0
-            for mor in _edge_values(model, x, edge, tuples):
-                want += [t + shift for t in mor.graph]
-                shift += mor.cod.size
-            want = tuple(want)
-            assert eg == (PASS_THROUGH if want == tuple(range(len(want))) else want), \
-                (x, edge, tuples)
-            whiskered += edge[0] != () and edge[1] == "i" and eg is not PASS_THROUGH \
+            if _is_batch_entry(model, x, edge, tuples, eg):
+                continue
+            range_shaped += eg == tuple(range(len(eg)))
+            whiskered += edge[0] != () and edge[1] == "i" \
                 and tuples == ((p2,) * length(x),)
     # ((_+_)+_) and (_*(_+_)) each move i at (P2, P2) by one whisker
     assert whiskered == 2
+    # the root i at (P2, P2) is stored as its graph (0, 1, 2), not marked
+    assert range_shaped > 0
 
 
 @pytest.mark.parametrize("path, n, max_units", [
@@ -793,6 +807,7 @@ def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
     assert entries > 100
     components = model.memo["component"]
     assert 0 < calls["eval_generator"] <= len(components)
+    assert "is_identity" not in model.memo
     if model.kind == "pointed_sets":
         assert 0 < calls["edge_morphism"] < entries
     else:
