@@ -28,7 +28,7 @@ SCHEMA_VERSION = 1
 
 # Each extra layer of search depth costs a few times the last: the coherence
 # subcommand on pointed_sets_3.json takes about 1.7 s at depth 6, 3 s at 7
-# and 10 s at 8, with peak RSS 69, 126 and 340 MB (Python 3.11, 2 cores).
+# and 10 s at 8, with peak RSS 56, 113 and 322 MB (Python 3.11, 2 cores).
 MAX_DEPTH = 8
 
 

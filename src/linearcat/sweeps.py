@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .checks import CheckReport
 from .evaluate import _memoised, eval_canon
 from .models import Model, Mor
 from .search import eval_object_cached, flood_check, search_graph, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
-                    GenTerm, Generator, I_GEN)
+                    CanonTerm, GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length, render_word
 
 
@@ -128,18 +129,24 @@ def normalized_cancellation(model: Model, w: Word, objects: tuple) -> Mor:
     Cancellation of a length-2 word lands on its unit-free core; when the
     core is a sum the transformer is applied on top, so that every length-2
     word normalizes into the same product object.  Computed once per model
-    and ``(w, objects)``, into ``model.memo["cancellation"]``.
+    and ``(w, objects)``, into ``model.memo["cancellation"]``; the symbolic
+    term is built once per word (``_cancellation_term``).
     """
     return _memoised(model, "cancellation", _normalized_cancellation, w,
                      tuple(objects))
 
 
 def _normalized_cancellation(model: Model, w: Word, objects: tuple) -> Mor:
+    return eval_canon(model, _cancellation_term(w), objects)
+
+
+@cache
+def _cancellation_term(w: Word) -> CanonTerm:
+    """The symbolic normalized cancellation of ``w``, built once per word."""
     term = unit_cancel(w)
-    split = core_split(w)
-    if split.op == SUM:
+    if core_split(w).op == SUM:
         term = vcompose(GenTerm(Generator(I_GEN, (HOLE, HOLE))), term)
-    return eval_canon(model, term, objects)
+    return term
 
 
 def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,

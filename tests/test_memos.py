@@ -149,10 +149,11 @@ def test_readme_names_every_process_cache():
     # Process-wide caches outlive every model, so each one is documented.
     cached = set()
     for path in (ROOT / "src" / "linearcat").glob("*.py"):
-        names = re.findall(r"^@(?:functools\.)?cache\ndef (\w+)", path.read_text(),
-                           re.M)
+        names = re.findall(
+            r"^@(?:functools\.)?(?:cache|lru_cache\(maxsize=\d+\))\ndef (\w+)",
+            path.read_text(), re.M)
         cached |= {f"{path.stem}.{name}" for name in names}
     assert {"search.moves", "search.backward_table", "words.length",
-            "models._identity_graph"} <= cached
+            "models._identity_graph", "sweeps._cancellation_term"} <= cached
     readme = (ROOT / "README.md").read_text()
     assert sorted(name for name in cached if f"`{name}`" not in readme) == []

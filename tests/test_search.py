@@ -362,6 +362,34 @@ def test_backward_tables_share_subword_spines():
     assert used / count <= 200, used / count
 
 
+@pytest.mark.parametrize("lengths, depth, mode, distinct", [
+    ((2,), 4, PRELINEAR, 252),  # the unit-cancellation square
+    ((0, 1), 6, PARTIALLY_LINEAR, 42),
+])
+def test_backward_tables_are_built_once_per_corpus(monkeypatch, lengths, depth,
+                                                   mode, distinct):
+    # The backward table cache is bounded, yet at the CLI's default strides
+    # no shipped corpus asks for a table again after it was evicted, so each
+    # distinct (target, radius) is built exactly once.  The unit-square
+    # corpus asks for more tables than the cache holds.
+    from linearcat import search
+    keys = []
+
+    def recorded(target, radius, table_mode, _inner=backward_table):
+        keys.append((target, radius))
+        table = _inner(target, radius, table_mode)
+        assert _inner.cache_info().currsize <= _inner.cache_info().maxsize
+        return table
+
+    monkeypatch.setattr(search, "backward_table", recorded)
+    backward_table.cache_clear()
+    for n in lengths:
+        for v, w in equal_length_pairs(n, 3, 8, 16).pairs:
+            search_graph(v, w, depth, mode)
+    assert len(set(keys)) == distinct
+    assert backward_table.cache_info().misses == distinct
+
+
 def test_override_at_construction_sets_flood_value():
     graph = search_graph(parse_word("(_+0)"), HOLE, 2, PRELINEAR)
     pristine = FinPtSet((1, 2))
