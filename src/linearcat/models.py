@@ -7,16 +7,19 @@ the model is prelinear but not partially linear.  ``FinCMon`` has finite
 commutative monoids with the direct product playing both roles and the
 identity carrier map as ``i``; there ``i`` is invertible.
 
-Morphisms are stored as explicit graphs (tuples of carrier indices), and all
-structure components (associators, unitors, ``i``) are read through
-``Model.structure(name, *objects)``.  A model is fixed once built: the
-overrides given to its constructor replace arbitrary components, which is
-how fault injection works, and components are computed lazily into the
-model's ``memo``.  So are the graphs of composites, products and wedges,
-keyed by the graphs and sizes they depend on: the kernels still return a
-fresh ``Mor`` each call, but compute each graph once per model, however
-often the law checks meet its inputs (on the bundled monoids, 180 thousand
-products and sums over under a thousand distinct keys).
+Objects are hash-consed: each constructor returns the one instance for its
+value, kept in a process-wide intern table, so objects compare and hash by
+identity (in C) wherever they key a memo, across models and after
+``memo.clear()``.  Morphisms are stored as explicit graphs (tuples of
+carrier indices), and all structure components (associators, unitors,
+``i``) are read through ``Model.structure(name, *objects)``.  A model is
+fixed once built: the overrides given to its constructor replace arbitrary
+components, which is how fault injection works, and components are computed
+lazily into the model's ``memo``.  So are the graphs of composites, products
+and wedges, keyed by the graphs and sizes they depend on: the kernels still
+return a fresh ``Mor`` each call, but compute each graph once per model,
+however often the law checks meet its inputs (on the bundled monoids, 180
+thousand products and sums over under a thousand distinct keys).
 """
 
 from __future__ import annotations
@@ -31,13 +34,24 @@ from types import MappingProxyType
 from .errors import ModelFileError, NotInvertibleInModel
 
 
+# The intern tables of base objects, filled as the process runs; the product
+# of two monoids is kept on its left factor, keyed by the right (``_products``).
+_POINTED_SETS: dict[int, PtObj] = {}
+_MONOIDS: dict[tuple, CMonObj] = {}
+
+
 class PtObj:
-    """A pointed set {0, .., size-1} with basepoint 0."""
+    """A pointed set {0, .., size-1} with basepoint 0; ``PtObj(n)`` is the one
+    instance of size n."""
 
     __slots__ = ("size",)
 
-    def __init__(self, size: int):
-        self.size = size
+    def __new__(cls, size: int):
+        obj = _POINTED_SETS.get(size)
+        if obj is None:
+            obj = _POINTED_SETS[size] = object.__new__(cls)
+            obj.size = size
+        return obj
 
     @property
     def name(self) -> str:
@@ -46,38 +60,36 @@ class PtObj:
     def __repr__(self) -> str:
         return f"PtObj({self.size})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PtObj) and self.size == other.size
-
-    def __hash__(self) -> int:
-        return self.size
-
 
 class CMonObj:
     """A commutative monoid with unit 0, either a base Cayley table or a
     lazily multiplied direct product of two others.
 
-    Product objects never materialize their tables; multiplication recurses
-    through the factors.  Equality is structural, so the two bracketings of
-    a triple product are distinct (isomorphic) objects, as they should be.
+    Each value is one instance: ``CMonObj(table, label)`` returns the one base
+    object with that table and label, and ``CMonObj(factors=(a, b))`` the one
+    product of ``a`` and ``b``.  So objects compare and hash by identity, and
+    the two bracketings of a triple product are distinct (isomorphic)
+    objects, as they should be.  Product objects never materialize their
+    tables; multiplication recurses through the factors.
     """
 
-    __slots__ = ("key", "label", "size", "_table", "_factors", "_hash")
+    __slots__ = ("label", "size", "_table", "_factors", "_products")
 
-    def __init__(self, table=None, label=None, factors=None):
-        if table is not None:
-            self._table = tuple(tuple(row) for row in table)
-            self._factors = None
-            self.size = len(self._table)
-            self.key = ("m", self._table)
+    def __new__(cls, table=None, label=None, factors=None):
+        if table is None:
+            if label is not None:
+                raise ValueError("a product object takes no label")
+            a, b = factors = tuple(factors)
+            interned, key, size = a._products, b, a.size * b.size
         else:
-            a, b = factors
-            self._table = None
-            self._factors = (a, b)
-            self.size = a.size * b.size
-            self.key = ("x", a.key, b.key)
-        self.label = label
-        self._hash = hash(self.key)
+            table = tuple(tuple(row) for row in table)
+            interned, key, size = _MONOIDS, (table, label), len(table)
+        obj = interned.get(key)
+        if obj is None:
+            obj = interned[key] = object.__new__(cls)
+            obj._table, obj._factors, obj.label, obj.size = table, factors, label, size
+            obj._products = {}
+        return obj
 
     @property
     def name(self) -> str:
@@ -106,12 +118,6 @@ class CMonObj:
     def __repr__(self) -> str:
         return f"CMonObj({self.name})"
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, CMonObj) and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
 
 class Mor:
     """A morphism as an explicit graph on carrier indices."""
@@ -130,8 +136,8 @@ class Mor:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, Mor) and self.graph == other.graph \
-            and self.dom == other.dom and self.cod == other.cod
+        return isinstance(other, Mor) and self.dom is other.dom \
+            and self.cod is other.cod and self.graph == other.graph
 
     def __hash__(self) -> int:
         h = self._hash
@@ -227,7 +233,7 @@ class Model:
         return Mor(obj, obj, _identity_graph(obj.size))
 
     def compose(self, g: Mor, f: Mor) -> Mor:
-        if f.cod != g.dom:
+        if f.cod is not g.dom:
             raise ValueError(f"cannot compose: {f.cod!r} != {g.dom!r}")
         composites = self.memo["composite"]
         key = (g.graph, f.graph)
@@ -431,26 +437,19 @@ class FinCMon(Model):
             raise ValueError("the trivial monoid must be present")
         super().__init__(objects, trivial[0], overrides)
 
-    def _product(self, a: CMonObj, b: CMonObj) -> CMonObj:
-        """The product object a x b, one per (a, b) and model, so products of
-        equal objects are one object with one label."""
-        products = self.memo["product"]
-        key = (a, b)
-        p = products.get(key)
-        if p is None:
-            p = products[key] = CMonObj(factors=(a, b))
-        return p
+    # The law checks take hundreds of thousands of products: these read the
+    # intern table inline, and call the constructor only on a miss.
 
     def sum_obj(self, a: CMonObj, b: CMonObj) -> CMonObj:
-        return self._product(a, b)
+        return a._products.get(b) or CMonObj(factors=(a, b))
 
     prod_obj = sum_obj
 
     def _pair_mor(self, f: Mor, g: Mor) -> Mor:
-        products = self.memo["product"]
-        dom = products.get((f.dom, g.dom)) or self._product(f.dom, g.dom)
-        cod = products.get((f.cod, g.cod)) or self._product(f.cod, g.cod)
-        return Mor(dom, cod, self._pair(f, g))
+        a, b, c, d = f.dom, g.dom, f.cod, g.cod
+        return Mor(a._products.get(b) or CMonObj(factors=(a, b)),
+                   c._products.get(d) or CMonObj(factors=(c, d)),
+                   self._pair(f, g))
 
     sum_mor = _pair_mor
     prod_mor = _pair_mor
@@ -528,7 +527,7 @@ class FinCMon(Model):
             for a in range(dom.size) for b in range(dom.size))
 
     def _i(self, a: CMonObj, b: CMonObj) -> Mor:
-        p = self._product(a, b)
+        p = CMonObj(factors=(a, b))
         return Mor(p, p, _identity_graph(p.size))
 
 
@@ -628,6 +627,12 @@ def model_from_dict(doc) -> Model:
         for name in names:
             if names.count(name) > 1:
                 raise ModelFileError(f"object name {name!r} is used twice")
+        by_table = {}
+        for o in objects:
+            first = by_table.setdefault(o.table, o)
+            if first is not o:
+                raise ModelFileError(f"objects {first.name!r} and {o.name!r}"
+                                     " have the same Cayley table")
         cls = FinCMon
     else:
         raise ModelFileError(f"unknown model kind {kind!r}")

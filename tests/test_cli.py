@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,34 @@ def test_check_unreadable_model_exit_2(capsys, tmp_path, data):
     assert code == 2
     assert out == ""
     assert err.startswith("model error") and "Traceback" not in err
+
+
+def test_check_repeated_monoid_table_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"schema": 1, "kind": "commutative_monoids",
+         "objects": [{"name": "A", "table": [0, 1, 1, 0]},
+                     {"name": "B", "table": [0, 1, 1, 0]}]}))
+    code, out, err = run(capsys, "check", "--model", str(bad), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("model error") and "'A' and 'B'" in err
+
+
+@pytest.mark.parametrize("model", ["pointed_sets_3", "pointed_sets_3_faulty"])
+def test_structured_check_is_independent_of_hash_seed(model):
+    # objects hash by address, and strings by the hash seed: neither may
+    # reach a report
+    src = str(MODELS.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [subprocess.run(
+        [sys.executable, "-m", "linearcat", "check", "--model",
+         str(MODELS / f"{model}.json"), "--format", "structured"],
+        capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": path})
+        for seed in ("1", "4242")]
+    assert runs[0].returncode == runs[1].returncode in (0, 1)
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 @pytest.mark.parametrize("graph", [[0, 7], [0, -1]])

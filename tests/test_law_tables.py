@@ -348,4 +348,4 @@ def test_law_runs_read_their_tables(monkeypatch):
     assert counts["structure"] <= 100, counts  # 284 without the i table
     # the tables live in the run, not in the model's memo
     assert set(model.memo) == {"composite", "generators", "hom", "inclusion",
-                               "pair", "product", "projection", "structure"}
+                               "pair", "projection", "structure"}

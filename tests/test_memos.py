@@ -146,14 +146,21 @@ def test_readme_names_every_memo_concern():
 
 
 def test_readme_names_every_process_cache():
-    # Process-wide caches outlive every model, so each one is documented.
+    # Process-wide caches and intern tables outlive every model, so each one
+    # is documented.
     cached = set()
     for path in (ROOT / "src" / "linearcat").glob("*.py"):
+        text = path.read_text()
         names = re.findall(
             r"^@(?:functools\.)?(?:cache|lru_cache\(maxsize=\d+\))\ndef (\w+)",
-            path.read_text(), re.M)
+            text, re.M)
+        # a module-level dict that starts empty is filled as the process runs
+        names += re.findall(r"^(\w+)(?:: [^=\n]+)? = \{\}$", text, re.M)
         cached |= {f"{path.stem}.{name}" for name in names}
     assert {"search.moves", "search.backward_table", "words.length",
-            "models._identity_graph", "sweeps._cancellation_term"} <= cached
+            "models._identity_graph", "sweeps._cancellation_term",
+            "models._POINTED_SETS", "models._MONOIDS"} <= cached
     readme = (ROOT / "README.md").read_text()
     assert sorted(name for name in cached if f"`{name}`" not in readme) == []
+    # and the table each monoid keeps of its products with right factors
+    assert "`a._products`" in readme

@@ -13,8 +13,8 @@ from linearcat.checks import (binary_inclusions, check_prelinear,
 from linearcat.errors import ArityMismatch, ModelFileError, NotInvertibleInModel
 from linearcat.evaluate import (eval_canon, eval_morphism, eval_object,
                                 inclusion, projection, zero_morphism)
-from linearcat.models import (STRUCTURE_TABLES, FinCMon, FinPtSet, Model,
-                              PtObj, all_commutative_monoids, load_model,
+from linearcat.models import (STRUCTURE_TABLES, CMonObj, FinCMon, FinPtSet,
+                              Model, PtObj, all_commutative_monoids, load_model,
                               model_from_dict)
 from linearcat.search import pure_bracketings, words_with
 from linearcat.terms import Generator, GenTerm, unit_cancel
@@ -338,6 +338,16 @@ def test_model_file_rejects_malformed(doc):
         model_from_dict(doc)
 
 
+def test_model_file_rejects_a_repeated_table():
+    # two names for one table would make them one object, named by either
+    doc = {"kind": "commutative_monoids",
+           "objects": [{"name": "T", "table": [0]},
+                       {"name": "A", "table": [0, 1, 1, 0]},
+                       {"name": "B", "table": [0, 1, 1, 0]}]}
+    with pytest.raises(ModelFileError, match="'A' and 'B'"):
+        model_from_dict(doc)
+
+
 @pytest.mark.parametrize("table, names, arity", [
     ("i", ["P2"], 2), ("i", ["P2", "P2", "P2"], 2),
     ("assoc_sum", ["P2"], 3), ("assoc_prod_inv", ["P2", "P2"], 3),
@@ -438,6 +448,35 @@ def test_built_model_is_immutable_but_for_its_memo(pt3, cmon):
     # the memo holds derived values only: clearing it keeps the override
     model.memo.clear()
     assert model.structure("lunit_sum", PtObj(2)).graph == (0, 0)
+
+
+def test_objects_are_built_once(cmon):
+    assert PtObj(3) is PtObj(3)
+    assert CMonObj([[0]], "T") is CMonObj(((0,),), "T")
+    assert CMonObj([[0]], "T") is not CMonObj([[0]], "U")
+    a, b = cmon.base_objects[1:3]
+    assert CMonObj(factors=(a, b)) is cmon.prod_obj(a, b) is cmon.sum_obj(a, b)
+    assert CMonObj(factors=(a, b)) is not CMonObj(factors=(b, a))
+    with pytest.raises(ValueError, match="no label"):
+        CMonObj(label="AB", factors=(a, b))
+    # so equality and hashing are identity, computed in C
+    for cls in (PtObj, CMonObj):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.json")), ids=lambda p: p.stem)
+def test_loading_a_model_twice_gives_the_same_objects(path):
+    first, second = load_model(path), load_model(path)
+    assert all(x is y for x, y in
+               zip(first.base_objects, second.base_objects, strict=True))
+
+
+def test_objects_outlive_a_cleared_memo():
+    for model in (FinPtSet((1, 2, 3)), FinCMon()):
+        pairs = list(itertools.product(model.base_objects, repeat=2))
+        sums = [model.sum_obj(a, b) for a, b in pairs]
+        model.memo.clear()
+        assert all(model.sum_obj(a, b) is s for (a, b), s in zip(pairs, sums))
 
 
 def test_structure_rejects_unknown_table(pt3):
