@@ -81,14 +81,25 @@ def identity_matrix(model: Model, objects: tuple, src_word: Word,
 
 
 def _realization_map(model: Model, src, tgt) -> dict:
-    """matrix entry-key -> unique realizing morphism, for one boundary."""
+    """matrix entry-key -> unique realizing morphism, for one boundary.
+
+    Each key is read from graphs, as ``matrix_of`` would give it: entry
+    ``(k, l)`` is ``p_k . f . i_l``, with ``f . i_l`` taken once per
+    column, and no ``Mor`` or composite is made per morphism."""
     src_word, src_objects = src
     tgt_word, tgt_objects = tgt
     dom = eval_object(model, src_word, src_objects)
     cod = eval_object(model, tgt_word, tgt_objects)
+    _validate_words(src, tgt)
+    incs = [inclusion(model, src_word, src_objects, l + 1).graph
+            for l in range(len(src_objects))]
+    projs = [projection(model, tgt_word, tgt_objects, k + 1).graph.__getitem__
+             for k in range(len(tgt_objects))]
     table = {}
     for f in model.hom(dom, cod):
-        sig = matrix_of(model, f, src, tgt).entry_key()
+        at = f.graph.__getitem__
+        cols = [tuple(map(at, il)) for il in incs]
+        sig = tuple(tuple(tuple(map(pk, col)) for col in cols) for pk in projs)
         if sig in table:
             raise IntegrityError(
                 f"two morphisms share one matrix presentation between"

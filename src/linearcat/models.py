@@ -455,32 +455,48 @@ class FinCMon(Model):
     prod_mor = _pair_mor
 
     def _generators(self, m: CMonObj):
-        """A generating set plus, per element, one exponent vector over it."""
+        """``(gens, tree)``: a generating set of ``m`` and a breadth-first
+        tree of ``m`` from the unit along right multiplication by it.
+
+        ``gens`` is greedy: the smallest element not yet generated, until
+        every element is.  ``tree`` holds one ``(element, parent, generator
+        index)`` triple per non-unit element, parents first, with
+        ``element = parent * gens[index]``.  Each generator hangs off the
+        unit.  The generator lemma makes this enough for ``_enumerate_hom``:
+        a homomorphism is fixed by its values on ``gens``, and a map that
+        fixes the unit is one iff it respects right multiplication by each
+        generator."""
         cached = self.memo["generators"].get(m)
         if cached is not None:
             return cached
-        gens: list[int] = []
-        expr: dict[int, tuple[int, ...]] = {0: ()}
         table = m.table
-        while len(expr) < m.size:
-            nxt = min(x for x in range(m.size) if x not in expr)
-            gens.append(nxt)
-            expr = {k: v + (0,) * (len(gens) - len(v)) for k, v in expr.items()}
-            expr[nxt] = tuple([0] * (len(gens) - 1) + [1])
-            changed = True
-            while changed:
-                changed = False
-                for a, ea in list(expr.items()):
-                    for b, eb in list(expr.items()):
-                        c = table[a][b]
-                        if c not in expr:
-                            expr[c] = tuple(x + y for x, y in zip(ea, eb))
-                            changed = True
-        exprs = tuple(expr[x] for x in range(m.size))
-        result = self.memo["generators"][m] = (tuple(gens), exprs)
+        gens: list[int] = []
+        tree: list[tuple[int, int, int]] = []
+        reached = {0}
+        while len(reached) < m.size:
+            gens.append(min(x for x in range(m.size) if x not in reached))
+            reached, order, tree = {0}, [0], []
+            for x in order:
+                for k, s in enumerate(gens):
+                    y = table[x][s]
+                    if y not in reached:
+                        reached.add(y)
+                        order.append(y)
+                        tree.append((y, x, k))
+        result = self.memo["generators"][m] = (tuple(gens), tuple(tree))
         return result
 
     def _enumerate_hom(self, dom: CMonObj, cod: CMonObj):
+        """The homomorphisms ``dom -> cod``, one per generator image tuple.
+
+        Generator lemma: a map ``g`` with ``g(0) = 0`` and
+        ``g(a * s) = g(a) * g(s)`` for every element ``a`` and generator
+        ``s`` is a homomorphism.  Every ``b`` is a product of generators,
+        and induction on its length gives ``g(a * b) = g(a) * g(b)``.  So
+        each image tuple is filled along the tree of ``_generators`` (one
+        codomain product per element) and tested on |dom| * |gens| products
+        instead of |dom|^2.  A generator's value is its own image, so
+        distinct tuples give distinct graphs."""
         if cod._factors is not None:
             # a map into a direct product is a homomorphism exactly when both
             # projections are, so recurse along the target
@@ -491,24 +507,18 @@ class FinCMon(Model):
                     graph = tuple(a * nd + b for a, b in zip(fc.graph, fd.graph))
                     yield Mor(dom, cod, graph)
             return
-        gens, exprs = self._generators(dom)
-        cod_table = cod.table
-        seen = set()
+        gens, tree = self._generators(dom)
+        dt, ct = dom.table, cod.table
+        # the tree edges hold by construction; test the other products
+        edges = {(x, k) for _, x, k in tree}
+        tests = [(a, dt[a][s], k) for a in range(dom.size)
+                 for k, s in enumerate(gens) if (a, k) not in edges]
         for images in itertools.product(range(cod.size), repeat=len(gens)):
-            graph = []
-            for x in range(dom.size):
-                v = 0
-                for g_img, e in zip(images, exprs[x]):
-                    for _ in range(e):
-                        v = cod_table[v][g_img]
-                graph.append(v)
-            graph_t = tuple(graph)
-            if graph_t in seen:
-                continue
-            candidate = Mor(dom, cod, graph_t)
-            if self.is_morphism(candidate):
-                seen.add(graph_t)
-                yield candidate
+            graph = [0] * dom.size
+            for y, x, k in tree:
+                graph[y] = ct[graph[x]][images[k]]
+            if all(graph[b] == ct[graph[a]][images[k]] for a, b, k in tests):
+                yield Mor(dom, cod, tuple(graph))
 
     def hom_count(self, dom: CMonObj, cod: CMonObj) -> int:
         if cod._factors is not None:
@@ -518,9 +528,10 @@ class FinCMon(Model):
 
     def is_morphism(self, m: Mor) -> bool:
         dom, cod = m.dom, m.cod
-        if len(m.graph) != dom.size or m.graph[0] != 0:
-            return False
         g = m.graph
+        if len(g) != dom.size or g[0] != 0 \
+                or not all(0 <= v < cod.size for v in g):
+            return False
         dt, ct = dom.table, cod.table
         return all(
             g[dt[a][b]] == ct[g[a]][g[b]]

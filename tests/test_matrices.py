@@ -1,15 +1,19 @@
 import itertools
+import re
 from pathlib import Path
 
 import pytest
 
 from linearcat.centrality import matrix_completeness
-from linearcat.evaluate import eval_object, zero_morphism
+from linearcat.errors import IntegrityError
+from linearcat.evaluate import eval_object, inclusion, projection, zero_morphism
 from linearcat.checks import CheckReport
 from linearcat.matrices import (MatrixPresentation, _bracketing_graphs,
-                                coherence_identity_check, identity_matrix,
-                                identity_matrix_sweep, matrix_of, realize)
-from linearcat.models import FinPtSet, Mor, PtObj, load_model
+                                _realization_map, coherence_identity_check,
+                                identity_matrix, identity_matrix_sweep,
+                                matrix_of, realize)
+from linearcat.models import (FinCMon, FinPtSet, Mor, PtObj,
+                              all_commutative_monoids, load_model)
 from linearcat.search import pure_bracketings, search_graph, value_flood
 from linearcat.terms import PRELINEAR
 from linearcat.words import HOLE, PROD, SUM, Prod, Sum, render_word
@@ -102,6 +106,48 @@ def test_corrupted_inclusion_breaks_realization_uniqueness():
     a = b = PtObj(2)
     with pytest.raises(IntegrityError):
         realize(model, identity_matrix(model, (a, b), S2, P2))
+
+
+def _boundaries(model):
+    """Every boundary a+b -> cxd over the base objects of ``model``."""
+    for a, b, c, d in itertools.product(model.base_objects, repeat=4):
+        yield (S2, (a, b)), (P2, (c, d))
+
+
+@pytest.mark.parametrize("model", [FinPtSet((1, 2)),
+                                   FinCMon(all_commutative_monoids(2))],
+                         ids=["pointed_sets", "monoids"])
+def test_realization_keys_are_matrix_presentations(model):
+    for src, tgt in _boundaries(model):
+        table = _realization_map(model, src, tgt)
+        dom, cod = eval_object(model, *src), eval_object(model, *tgt)
+        assert list(table.values()) == list(model.hom(dom, cod))
+        for key, f in table.items():
+            assert key == matrix_of(model, f, src, tgt).entry_key()
+
+
+def test_realization_map_keeps_no_composites():
+    model = FinCMon(all_commutative_monoids(2))
+    for (_, src_objects), (_, tgt_objects) in _boundaries(model):
+        for index in (1, 2):
+            inclusion(model, S2, src_objects, index)
+            projection(model, P2, tgt_objects, index)
+    composites = dict(model.memo["composite"])
+    for src, tgt in _boundaries(model):
+        _realization_map(model, src, tgt)
+    assert model.memo["composite"] == composites
+
+
+def test_realization_rejects_a_repeated_morphism(monkeypatch):
+    # a hom-set that lists one morphism twice gives two realizers of one
+    # matrix, and the error names both graphs
+    model = FinPtSet((1, 2))
+    hom = model.hom
+    monkeypatch.setattr(model, "hom", lambda dom, cod: hom(dom, cod) + hom(dom, cod)[-1:])
+    a = PtObj(2)
+    last = hom(eval_object(model, S2, (a, a)), eval_object(model, P2, (a, a)))[-1]
+    with pytest.raises(IntegrityError, match=re.escape(f"{last.graph} and {last.graph}")):
+        realize(model, identity_matrix(model, (a, a), S2, P2))
 
 
 def test_coherence_identity_check_small(pt3, cmon):

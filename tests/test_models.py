@@ -14,8 +14,8 @@ from linearcat.errors import ArityMismatch, ModelFileError, NotInvertibleInModel
 from linearcat.evaluate import (eval_canon, eval_morphism, eval_object,
                                 inclusion, projection, zero_morphism)
 from linearcat.models import (STRUCTURE_TABLES, CMonObj, FinCMon, FinPtSet,
-                              Model, PtObj, all_commutative_monoids, load_model,
-                              model_from_dict)
+                              Model, Mor, PtObj, all_commutative_monoids,
+                              load_model, model_from_dict)
 from linearcat.search import pure_bracketings, words_with
 from linearcat.terms import Generator, GenTerm, unit_cancel
 from linearcat.words import (HOLE, ONE, Prod, Sum, core_split, length,
@@ -505,7 +505,53 @@ def test_monoid_enumeration_counts():
     assert len(by_size[3]) == 5
 
 
+def _reference_hom(dom, cod):
+    """``(gens, hom graphs)`` as an exponent-vector enumerator finds them: a
+    greedy generating set, each element as a product of generator powers,
+    and the full pairwise homomorphism test on every candidate."""
+    dt, ct = dom.table, cod.table
+    gens, expr = [], {0: ()}
+    while len(expr) < dom.size:
+        gens.append(min(x for x in range(dom.size) if x not in expr))
+        expr = {x: e + (0,) * (len(gens) - len(e)) for x, e in expr.items()}
+        expr[gens[-1]] = (0,) * (len(gens) - 1) + (1,)
+        changed = True
+        while changed:
+            changed = False
+            for a, ea in list(expr.items()):
+                for b, eb in list(expr.items()):
+                    if dt[a][b] not in expr:
+                        expr[dt[a][b]] = tuple(x + y for x, y in zip(ea, eb))
+                        changed = True
+    graphs = set()
+    for images in itertools.product(range(cod.size), repeat=len(gens)):
+        g = []
+        for x in range(dom.size):
+            v = 0
+            for image, e in zip(images, expr[x]):
+                for _ in range(e):
+                    v = ct[v][image]
+            g.append(v)
+        if all(g[dt[a][b]] == ct[g[a]][g[b]]
+               for a in range(dom.size) for b in range(dom.size)):
+            graphs.add(tuple(g))
+    return tuple(gens), tuple(sorted(graphs))
+
+
 def test_cmon_hom_enumeration_is_sound(cmon):
+    # every base pair and every product domain into a base codomain (the
+    # hom-sets inclusions-jointly-epi reads), and every base pair of the
+    # monoids up to size 4: each hom tuple, in order, and each generating
+    # set match the reference enumerator
+    base = cmon.base_objects
+    m4 = FinCMon(all_commutative_monoids(4))
+    cases = [(cmon, a, b) for a in base for b in base]
+    cases += [(cmon, cmon.sum_obj(a, b), c) for a in base for b in base for c in base]
+    cases += [(m4, a, b) for a in m4.base_objects for b in m4.base_objects]
+    for model, dom, cod in cases:
+        gens, graphs = _reference_hom(dom, cod)
+        assert model._generators(dom)[0] == gens, dom
+        assert tuple(m.graph for m in model.hom(dom, cod)) == graphs, (dom, cod)
     z2, sl2 = [o for o in cmon.base_objects if o.size == 2]
     z2_homs = cmon.hom(z2, z2)
     assert {m.graph for m in z2_homs} == {(0, 0), (0, 1)}
@@ -528,6 +574,17 @@ def test_cmon_hom_enumeration_is_sound(cmon):
             for a in range(dom.size) for b in range(dom.size))}
     assert {m.graph for m in cmon.hom(dom, cod)} == brute
     assert cmon.hom_count(dom, cod) == len(brute)
+
+
+@pytest.mark.parametrize("stem", ["pointed_sets_3", "commutative_monoids_3"])
+@pytest.mark.parametrize("bad", ["short", "moves base", "too large", "negative"])
+def test_is_morphism_rejects_bad_graphs(stem, bad):
+    model = load_model(MODELS / f"{stem}.json")
+    dom = next(o for o in model.base_objects if o.size == 2)
+    cod = next(o for o in model.base_objects if o.size == 3)
+    graph = {"short": (0,), "moves base": (1, 0), "too large": (0, 5),
+             "negative": (0, -1)}[bad]
+    assert model.is_morphism(Mor(dom, cod, graph)) is False
 
 
 def test_i_inverse_raises_for_pointed_sets(pt3):
