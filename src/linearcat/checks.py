@@ -14,10 +14,18 @@ transient: they are local to one ``check_structure`` or
 ``check_transformer`` call, indexed by positions in ``base_objects``, and
 never stored in ``model.memo``.  Every loop keeps its order and its
 comparisons, so each law fails at the same first counterexample.
+
+When ``model.one_structure`` holds, the sum and the product are one
+structure (the same object and morphism kernels, one unit, twin structure
+tables), so each product law compares exactly what its sum law compares.
+``check_structure`` then builds one whisker table, evaluates the bifunctor
+and monoidal laws for the sum only, and reports each product law as its sum
+law under the product's tag, in the same place in the report list.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -302,22 +310,37 @@ def _check_joint_epi_mono(model: Model) -> list[CheckReport]:
             _law("projections-jointly-mono", projections_jointly_mono())]
 
 
+def _as_prod(reports: list[CheckReport]) -> list[CheckReport]:
+    """The sum structure's reports as the product's, when the two are one
+    structure: each law renamed from its ``sum`` tag to its ``prod`` tag,
+    with a copy of its counterexample and details."""
+    return [CheckReport(r.law.replace("sum", "prod", 1), r.passed,
+                        copy.deepcopy(r.counterexample), copy.deepcopy(r.details))
+            for r in reports]
+
+
 def check_structure(model: Model) -> list[CheckReport]:
     """Verify category laws, both monoidal structures, and the unit axioms."""
+    one = model.one_structure
     ids = _identities(model)
-    # one whisker table per structure: a model may override either kernel
+    # one whisker table per structure, unless the two are one: a model may
+    # override either kernel
     sum_whiskers = _whiskers(model, model.sum_mor, ids)
-    prod_whiskers = _whiskers(model, model.prod_mor, ids)
+    prod_whiskers = None if one else _whiskers(model, model.prod_mor, ids)
     reports: list[CheckReport] = []
     reports.extend(_check_category(model, ids))
-    reports.extend(_check_bifunctor(model, "sum-bifunctor", model.sum_obj,
-                                    model.sum_mor, ids, sum_whiskers))
-    reports.extend(_check_bifunctor(model, "prod-bifunctor", model.prod_obj,
-                                    model.prod_mor, ids, prod_whiskers))
-    reports.extend(_check_monoidal(model, "sum", model.sum_obj, model.sum_mor,
-                                   model.zero_obj, ids, sum_whiskers))
-    reports.extend(_check_monoidal(model, "prod", model.prod_obj, model.prod_mor,
-                                   model.one_obj, ids, prod_whiskers))
+    sum_bifunctor = _check_bifunctor(model, "sum-bifunctor", model.sum_obj,
+                                     model.sum_mor, ids, sum_whiskers)
+    reports.extend(sum_bifunctor)
+    reports.extend(_as_prod(sum_bifunctor) if one else _check_bifunctor(
+        model, "prod-bifunctor", model.prod_obj, model.prod_mor, ids,
+        prod_whiskers))
+    sum_monoidal = _check_monoidal(model, "sum", model.sum_obj, model.sum_mor,
+                                   model.zero_obj, ids, sum_whiskers)
+    reports.extend(sum_monoidal)
+    reports.extend(_as_prod(sum_monoidal) if one else _check_monoidal(
+        model, "prod", model.prod_obj, model.prod_mor, model.one_obj, ids,
+        prod_whiskers))
     reports.extend(_check_initial_terminal(model))
     reports.extend(_check_joint_epi_mono(model))
     return reports

@@ -349,3 +349,100 @@ def test_law_runs_read_their_tables(monkeypatch):
     # the tables live in the run, not in the model's memo
     assert set(model.memo) == {"composite", "generators", "hom", "inclusion",
                                "pair", "projection", "structure"}
+
+
+# -- one structure: the product laws as the sum laws renamed --------------------
+
+class _ReversedSum(FinCMon):
+    """``sum_mor`` alone reverses its graph when ``f`` is the graph (0, 0)."""
+
+    def sum_mor(self, f, g):
+        m = super().sum_mor(f, g)
+        return Mor(m.dom, m.cod, m.graph[::-1]) if f.graph == (0, 0) else m
+
+
+def _zero_assoc(*tables):
+    """The monoids of size <= 2 with the associator at the largest one's
+    cube replaced by the zero map in each of ``tables``."""
+    def build():
+        objs = all_commutative_monoids(2)
+        big = max(objs, key=lambda o: o.size)
+        zeros = (0,) * big.size ** 3
+        return FinCMon(objs, [(t, (big.name,) * 3, zeros) for t in tables])
+    return build
+
+
+ONE_STRUCTURE = {
+    "cmon": (FinCMon, True),
+    "monoids-file": (lambda: load_model(ROOT / "models" / "commutative_monoids_3.json"),
+                     True),
+    "twin-zero-assoc": (_zero_assoc("assoc_sum", "assoc_prod"), True),
+    "ptset": (lambda: FinPtSet((1, 2, 3)), False),
+    "runit-prod-inv": (lambda: load_model(
+        ROOT / "tests" / "models" / "commutative_monoids_3_zero_runit_prod_inv.json"),
+        False),
+    "one-twin-zero-assoc": (_zero_assoc("assoc_sum"), False),
+    "reversed-product": (lambda: _ReversedProduct(all_commutative_monoids(2)), False),
+    "reversed-sum": (lambda: _ReversedSum(all_commutative_monoids(2)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_STRUCTURE))
+def test_one_structure_flag(name):
+    build, flag = ONE_STRUCTURE[name]
+    assert build().one_structure is flag
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, flag) in ONE_STRUCTURE.items()
+                                        if flag))
+def test_shared_prod_reports_equal_direct_evaluation(name):
+    build, _ = ONE_STRUCTURE[name]
+    shared = [r for r in check_structure(build()) if r.law.startswith("prod")]
+    model = build()
+    ids = checks._identities(model)
+    whiskers = checks._whiskers(model, model.prod_mor, ids)
+    direct = checks._check_bifunctor(model, "prod-bifunctor", model.prod_obj,
+                                     model.prod_mor, ids, whiskers) \
+        + checks._check_monoidal(model, "prod", model.prod_obj, model.prod_mor,
+                                 model.one_obj, ids, whiskers)
+    assert _rows(shared) == _rows(direct)
+    assert all(r.passed for r in shared) == (name != "twin-zero-assoc")
+
+
+@pytest.mark.parametrize("name", ["one-twin-zero-assoc", "reversed-sum",
+                                  "twin-zero-assoc"])
+def test_tables_match_reference_with_and_without_one_structure(name):
+    build, _ = ONE_STRUCTURE[name]
+    failed = {r.law for r in _assert_same_reports(build) if not r.passed}
+    if name == "reversed-sum":
+        # the product laws were evaluated, not copied from the failing sums
+        assert "sum-bifunctor/interchange" in failed
+        assert not any(law.startswith("prod") for law in failed)
+    else:
+        assert "sum/assoc-iso" in failed
+        assert ("prod/assoc-iso" in failed) == (name == "twin-zero-assoc")
+
+
+def test_one_structure_halves_the_law_work(monkeypatch):
+    counts = {"kernel": 0}
+    inner = FinCMon.sum_mor
+    assert inner is FinCMon.prod_mor
+
+    def counted(self, f, g):
+        counts["kernel"] += 1
+        return inner(self, f, g)
+
+    # one wrapper under both names, so the model stays one structure
+    monkeypatch.setattr(FinCMon, "sum_mor", counted)
+    monkeypatch.setattr(FinCMon, "prod_mor", counted)
+    model = load_model(ROOT / "models" / "commutative_monoids_3.json")
+    assert model.one_structure
+    check_structure(model)
+    assert counts["kernel"] <= 100_000, counts  # 182,016 evaluated per structure
+    # components away from base objects are computed on each call, never kept
+    for model in (FinCMon(), FinPtSet((1, 2, 3))):
+        check_structure(model)
+        check_transformer(model)
+        base = set(model.base_objects)
+        assert model.memo["structure"]
+        assert all(set(objs) <= base for _, objs in model.memo["structure"])
