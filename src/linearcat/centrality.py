@@ -1,16 +1,24 @@
-"""Cover relations, central morphisms, and central-morphism arithmetic."""
+"""Cover relations, central morphisms, and central-morphism arithmetic.
+
+A cover is a matrix realization: the map out of the binary sum restricting
+to ``f`` and ``g`` realizes the one-row matrix ``(f g)``, and the map into
+the binary product projecting to them realizes the one-column matrix
+``(f; g)``.  Both are read from ``matrices.realize``, so they fail closed:
+a boundary where two maps share one matrix raises :class:`IntegrityError`,
+whichever entries are asked for.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .checks import CheckReport, binary_inclusions, binary_projections, is_lineariser
+from .checks import CheckReport, is_lineariser
 from .errors import IntegrityError, LineariserRequired
 from .evaluate import zero_morphism
 from .matrices import MatrixPresentation, matrix_of, realize
 from .models import Model, Mor
-from .words import PROD2, SUM2
+from .words import HOLE, PROD2, SUM2
 
 
 @dataclass(frozen=True)
@@ -21,35 +29,23 @@ class CoverWitness:
 
 
 def covers_sum(model: Model, f: Mor, g: Mor) -> CoverWitness | None:
-    """Search for the unique map out of the binary sum restricting to f and g."""
+    """The unique map out of the binary sum restricting to f and g: the
+    realizer of the one-row matrix ``(f g)``."""
     if f.cod != g.cod:
         raise ValueError("covers_sum needs a common codomain")
-    i1, i2 = binary_inclusions(model, f.dom, g.dom)
-    found = None
-    for h in model.hom(model.sum_obj(f.dom, g.dom), f.cod):
-        if model.compose(h, i1) == f and model.compose(h, i2) == g:
-            if found is not None:
-                raise IntegrityError(
-                    f"two cover witnesses for ({f.graph}, {g.graph}):"
-                    f" {found.graph} and {h.graph}")
-            found = h
-    return None if found is None else CoverWitness(f, g, found)
+    h = realize(model, MatrixPresentation(
+        SUM2, (f.dom, g.dom), HOLE, (f.cod,), ((f, g),)))
+    return None if h is None else CoverWitness(f, g, h)
 
 
 def covers_prod(model: Model, f: Mor, g: Mor) -> CoverWitness | None:
-    """Dual search: a map into the binary product projecting to f and g."""
+    """Dual: the map into the binary product projecting to f and g, the
+    realizer of the one-column matrix ``(f; g)``."""
     if f.dom != g.dom:
         raise ValueError("covers_prod needs a common domain")
-    p1, p2 = binary_projections(model, f.cod, g.cod)
-    found = None
-    for h in model.hom(f.dom, model.prod_obj(f.cod, g.cod)):
-        if model.compose(p1, h) == f and model.compose(p2, h) == g:
-            if found is not None:
-                raise IntegrityError(
-                    f"two cover witnesses for ({f.graph}, {g.graph}):"
-                    f" {found.graph} and {h.graph}")
-            found = h
-    return None if found is None else CoverWitness(f, g, found)
+    h = realize(model, MatrixPresentation(
+        HOLE, (f.dom,), PROD2, (f.cod, g.cod), ((f,), (g,))))
+    return None if h is None else CoverWitness(f, g, h)
 
 
 def is_central(model: Model, f: Mor):

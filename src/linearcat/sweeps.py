@@ -15,7 +15,7 @@ from functools import cache
 
 from .checks import CheckReport
 from .evaluate import _memoised, eval_canon
-from .models import Model, Mor
+from .models import Model, Mor, _invert_mor
 from .search import eval_object_cached, flood_check, search_graph, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     CanonTerm, GenTerm, Generator, I_GEN)
@@ -117,10 +117,7 @@ def _invertible(model: Model, m: Mor) -> bool:
     n = len(m.graph)
     if m.cod.size != n or len(set(m.graph)) != n:
         return False
-    inv = [0] * n
-    for a, b in enumerate(m.graph):
-        inv[b] = a
-    return model.is_morphism(Mor(m.cod, m.dom, tuple(inv)))
+    return model.is_morphism(_invert_mor(m))
 
 
 def normalized_cancellation(model: Model, w: Word, objects: tuple) -> Mor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import BoundaryMismatch, NonInvertibleGenerator, ParseError
 from .words import (HOLE, MAX_NESTING, ONE, PROD, SUM, ZERO, Attachment, Prod,
                     Sum, Word, attachment_sequence, core_split, length, node,
-                    parse_word, render_word)
+                    parse_word_at, render_word)
 
 PRELINEAR = "prelinear"
 PARTIALLY_LINEAR = "partially_linear"
@@ -418,24 +418,6 @@ def parse_term(text: str) -> CanonTerm:
             raise ParseError(f"expected {s!r}", pos)
         pos += len(s)
 
-    def parse_word_arg() -> Word:
-        nonlocal pos
-        skip_ws()
-        depth = 0
-        start = pos
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch in ",]" and depth == 0:
-                break
-            pos += 1
-        if depth != 0:
-            raise ParseError("unbalanced parentheses in word argument", pos)
-        return parse_word(text[start:pos])
-
     def parse(depth: int) -> CanonTerm:
         nonlocal pos
         skip_ws()
@@ -460,12 +442,10 @@ def parse_term(text: str) -> CanonTerm:
                 args: list[Word] = []
                 skip_ws()
                 if pos < len(text) and text[pos] == "[":
-                    pos += 1
-                    args.append(parse_word_arg())
-                    skip_ws()
-                    while pos < len(text) and text[pos] == ",":
-                        pos += 1
-                        args.append(parse_word_arg())
+                    # pos sits on "[" or "," before each word argument
+                    while not args or (pos < len(text) and text[pos] == ","):
+                        word, pos = parse_word_at(text, pos + 1)
+                        args.append(word)
                         skip_ws()
                     expect("]")
                 return GenTerm(Generator(name, tuple(args), inverse))

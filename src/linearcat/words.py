@@ -93,7 +93,20 @@ def parse_word(text: str) -> Word:
     the offending offset on malformed input, and on parentheses nested
     deeper than ``MAX_NESTING``.
     """
-    pos = 0
+    result, pos = parse_word_at(text, 0)
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(f"trailing input {rest!r}", len(text) - len(rest))
+    return result
+
+
+def parse_word_at(text: str, pos: int) -> tuple[Word, int]:
+    """Parse one word of ``text`` starting at offset ``pos``, after any
+    whitespace; return it with the offset just past it.
+
+    Error offsets count from the start of ``text``, so a parser that
+    embeds words (the term grammar) reports them in its own coordinates.
+    """
 
     def skip_ws() -> None:
         nonlocal pos
@@ -129,11 +142,7 @@ def parse_word(text: str) -> Word:
             return node(op, left, right)
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    result = parse(0)
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos:]!r}", pos)
-    return result
+    return parse(0), pos
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,8 +7,8 @@ from linearcat.centrality import (CentralMonoid, add_central, central_hom,
                                   check_linearity_theorem, covers_prod,
                                   covers_sum, is_central, is_central_matrix)
 from linearcat import checks
-from linearcat.checks import binary_inclusions
-from linearcat.errors import LineariserRequired
+from linearcat.checks import binary_inclusions, binary_projections, check_structure
+from linearcat.errors import IntegrityError, LineariserRequired
 from linearcat.evaluate import zero_morphism
 from linearcat.matrices import realize
 from linearcat.models import FinCMon, FinPtSet, Mor, PtObj, all_commutative_monoids
@@ -58,6 +58,72 @@ def test_covers_requires_matching_boundary(pt3):
         covers_sum(pt3, f, g)
     with pytest.raises(ValueError):
         covers_prod(pt3, f, g)
+
+
+def sum_witnesses(model, f, g):
+    """Reference: scan hom(f.dom + g.dom, f.cod) for the graphs of the maps
+    restricting to f and g."""
+    i1, i2 = binary_inclusions(model, f.dom, g.dom)
+    return [h.graph for h in model.hom(model.sum_obj(f.dom, g.dom), f.cod)
+            if model.compose(h, i1) == f and model.compose(h, i2) == g]
+
+
+def prod_witnesses(model, f, g):
+    """Reference: scan hom(f.dom, f.cod * g.cod) for the graphs of the maps
+    projecting to f and g."""
+    p1, p2 = binary_projections(model, f.cod, g.cod)
+    return [h.graph for h in model.hom(f.dom, model.prod_obj(f.cod, g.cod))
+            if model.compose(p1, h) == f and model.compose(p2, h) == g]
+
+
+def _the_witness(found):
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def _witness_graph(w):
+    return None if w is None else w.h.graph
+
+
+def test_covers_match_the_hom_set_scan(pt3, cmon2):
+    for model in (pt3, cmon2):
+        objs = model.base_objects
+        for a, b, c in itertools.product(objs, repeat=3):
+            # f: a -> c and g: b -> c share a codomain
+            for f, g in itertools.product(model.hom(a, c), model.hom(b, c)):
+                assert _witness_graph(covers_sum(model, f, g)) == \
+                    _the_witness(sum_witnesses(model, f, g))
+            # f: a -> b and g: a -> c share a domain
+            for f, g in itertools.product(model.hom(a, b), model.hom(a, c)):
+                assert _witness_graph(covers_prod(model, f, g)) == \
+                    _the_witness(prod_witnesses(model, f, g))
+
+
+def _not_jointly_epi():
+    """Pointed sets whose right sum unitor inverse at P2 collapses P2, so
+    the inclusions into P2 + P1 are not jointly epic."""
+    return FinPtSet((1, 2), [("runit_sum_inv", ("P2",), (0, 0))])
+
+
+def test_covers_fail_closed_where_inclusions_are_not_jointly_epi():
+    model = _not_jointly_epi()
+    queries = [(f, g) for x, y in itertools.product(model.base_objects, repeat=2)
+               for f in model.hom(x, y) for g in model.hom(y, y)]
+    assert len(queries) == 8
+    unanswered = [(f, g) for f, g in queries if not sum_witnesses(model, f, g)]
+    assert len(unanswered) == 2
+    for f, g in unanswered:
+        with pytest.raises(IntegrityError):
+            covers_sum(model, f, g)
+
+
+def test_jointly_epi_law_still_reports_the_faulty_boundary():
+    [report] = [r for r in check_structure(_not_jointly_epi())
+                if r.law == "inclusions-jointly-epi"]
+    ce = report.counterexample
+    assert not report.passed
+    assert (ce["a"], ce["b"], ce["c"]) == ("P2", "P1", "P2")
+    assert ce["u"]["graph"] == [0, 1] and ce["v"]["graph"] == [0, 0]
 
 
 def test_zero_morphisms_are_central(pt3, cmon):
@@ -196,7 +262,8 @@ def test_central_monoid_realizes_each_element_once(cmon, monkeypatch):
     calls = []
 
     def counting(model, p):
-        calls.append(p.entries[0][1])
+        if p.rows == p.cols == 2:  # covers realize 1x2 and 2x1 matrices
+            calls.append(p.entries[0][1])
         return realize(model, p)
 
     monkeypatch.setattr("linearcat.centrality.realize", counting)

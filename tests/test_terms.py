@@ -257,3 +257,11 @@ def test_eval_canon_checks_arity(pt3):
     from linearcat.evaluate import eval_canon
     with pytest.raises(ArityMismatch):
         eval_canon(pt3, identity_term(HOLE), ())
+
+
+def test_parse_term_offsets_count_from_the_start_of_the_term():
+    # a malformed word argument is reported where it sits in the term text
+    for text, offset in (("comp(id[_], i[_, (_*x)])", 20), ("i[(_+), _]", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert exc.value.position == offset
