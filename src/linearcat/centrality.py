@@ -203,30 +203,27 @@ def check_distributivity(model: Model) -> CheckReport:
             add_cache[key] = add_central(model, f, g)
         return add_cache[key]
 
+    def precompose(h, k):  # k∘h
+        return model.compose(k, h)
+
     objs = model.base_objects
     for x, y in itertools.product(objs, repeat=2):
         zxy = central_hom(model, x, y)
         for f, g in itertools.product(zxy, repeat=2):
             fg = add(f, g)
             for w in objs:
-                for h in model.hom(y, w):
-                    lhs = model.compose(h, fg)
-                    rhs = add(model.compose(h, f), model.compose(h, g))
-                    if lhs != rhs:
-                        return CheckReport("distributivity", False, {
-                            "side": "left", "x": x.name, "y": y.name, "w": w.name,
-                            "f": list(f.graph), "g": list(g.graph),
-                            "h": list(h.graph), "lhs": list(lhs.graph),
-                            "rhs": list(rhs.graph)})
-                for h in model.hom(w, x):
-                    lhs = model.compose(fg, h)
-                    rhs = add(model.compose(f, h), model.compose(g, h))
-                    if lhs != rhs:
-                        return CheckReport("distributivity", False, {
-                            "side": "right", "x": x.name, "y": y.name, "w": w.name,
-                            "f": list(f.graph), "g": list(g.graph),
-                            "h": list(h.graph), "lhs": list(lhs.graph),
-                            "rhs": list(rhs.graph)})
+                # left: h∘(f+g), h: y -> w; right: (f+g)∘h, h: w -> x
+                for side, hom, on in (("left", model.hom(y, w), model.compose),
+                                      ("right", model.hom(w, x), precompose)):
+                    for h in hom:
+                        lhs = on(h, fg)
+                        rhs = add(on(h, f), on(h, g))
+                        if lhs != rhs:
+                            return CheckReport("distributivity", False, {
+                                "side": side, "x": x.name, "y": y.name,
+                                "w": w.name, "f": list(f.graph),
+                                "g": list(g.graph), "h": list(h.graph),
+                                "lhs": list(lhs.graph), "rhs": list(rhs.graph)})
     return CheckReport("distributivity", True)
 
 

@@ -3,14 +3,18 @@
 Subcommands: ``word`` (parse, decompose, cancel units), ``check`` (full law
 suite on a model file), ``central`` (central morphisms and their addition
 table), ``coherence`` (coherence sweeps only).  Exit codes: 0 all good,
-1 at least one law failed, 2 bad input, 3 unsupported word length.
+1 at least one law failed, 2 bad input, 3 unsupported word length.  A
+reader that closes stdout early changes no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
+import os
 import sys
 
 from .centrality import central_hom, central_monoid, check_linearity_theorem
@@ -326,7 +330,17 @@ def main(argv=None) -> int:
         return 2
     handler = {"word": cmd_word, "check": cmd_check,
                "central": cmd_central, "coherence": cmd_coherence}[args.command]
-    return handler(args)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        status = handler(args)
+    try:
+        print(out.getvalue(), end="", flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early: the verdict stands.  Point fd 1 at
+        # os.devnull so that the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

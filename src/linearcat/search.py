@@ -55,13 +55,15 @@ coherence is trivial where the structure maps are identities.  The rule is
 read at two grains.  ``model.identity_tables`` names the tables whose every
 component is the identity, the associators and unitors that no override
 touches; a step along one of their moves keeps the value tuple as it is,
-told from the move's code alone, with no batch entry.  For any other move
-``_move_graph`` reads the component at each tuple from
-``model.memo["component"]``, keyed by kind, direction and argument objects,
-so each is evaluated once per model.  Where it is the identity at every
-tuple, the batch entry is the shared marker ``PASS_THROUGH``, which passes
-values through in the same way; elsewhere ``edge_morphism`` evaluates the
-whole move, through a memo keyed by its evaluated context.
+told from the move's code alone, with no batch entry.  Any other move meets
+its component in one place, ``_move_graph``, which reads the component at
+each tuple once from ``model.memo["component"]``, keyed by kind, direction
+and argument objects, so each is evaluated once per model.  Where it is
+the identity at every tuple, the batch entry is the shared marker
+``PASS_THROUGH``, which passes values through in the same way; elsewhere
+``edge_morphism`` only whiskers the component it is handed along the
+move's path, through a memo keyed by the component's key and the sibling
+objects.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values in order, and
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import LinearcatError
-from .evaluate import (_memoised, eval_generator, eval_object,
+from .evaluate import (_memoised, eval_generator, eval_object, is_pure_word,
                        structure_table)
 from .models import Model, Mor, _identity_graph
 from .terms import (_ALWAYS_ISO, _ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
@@ -246,23 +248,24 @@ class MoveTable:
 
     def local_moves(self) -> list[tuple[str, bool, tuple, tuple]]:
         """The moves at this table's root, ``_local_moves`` of its word, as
-        ``(kind, inverse, args, spans)``: ``spans`` holds each argument's
-        hole slice ``(first, end)``, counted from the word's first hole."""
+        ``(kind, inverse, args, pieces)``: ``pieces`` holds each argument
+        with its hole slice, ``(word, first, end)``, counted from the word's
+        first hole."""
         if self._local is None:
             self._local = []
             for kind, inverse, args, _ in _local_moves(self.word, self.mode):
-                spans, stop = [], 0
+                pieces, stop = [], 0
                 for a in args:
-                    spans.append((stop, stop + length(a)))
-                    stop = spans[-1][1]
-                self._local.append((kind, inverse, args, tuple(spans)))
+                    pieces.append((a, stop, stop + length(a)))
+                    stop = pieces[-1][2]
+                self._local.append((kind, inverse, args, tuple(pieces)))
         return self._local
 
     def walk(self, k: int) -> tuple:
         """Walk down the child tables to move ``k``.  Returns its local move
-        ``(kind, inverse, args, spans)`` at the subword it applies at, that
+        ``(kind, inverse, args, pieces)`` at the subword it applies at, that
         subword's hole slice ``(first, end)``, and the chain of ``(op,
-        side, sibling word, sibling's first hole, end)`` from the root
+        side, (sibling word, sibling's first hole, end))`` from the root
         down."""
         table, start, chain = self, 0, []
         while k >= table.n_local:
@@ -270,12 +273,12 @@ class MoveTable:
             op, left_word, right_word = table.word
             left = table.left
             if k < len(left.targets):
-                chain.append((op, 0, right_word, start + left.holes,
-                              start + table.holes))
+                chain.append((op, 0, (right_word, start + left.holes,
+                                      start + table.holes)))
                 table = left
             else:
                 k -= len(left.targets)
-                chain.append((op, 1, left_word, start, start + left.holes))
+                chain.append((op, 1, (left_word, start, start + left.holes)))
                 start += left.holes
                 table = table.right
         return table.local_moves()[k], start, start + table.holes, chain
@@ -441,32 +444,17 @@ def eval_object_cached(model: Model, w: Word, objects: tuple):
     return _memoised(model, "object", eval_object, w, objects)
 
 
-def _arg_objects(model: Model, args: tuple, spans: tuple, sub: tuple) -> tuple:
-    """The objects of a local move's argument words at the subword's objects
-    ``sub``, read from the word functor memo."""
+def _objects_at(model: Model, pieces, objects: tuple) -> tuple:
+    """The word functor at object slices: for each ``(word, first, end)`` of
+    ``pieces``, the object of ``word`` at ``objects[first:end]``, read from
+    the word functor memo."""
     evaluated = model.memo["object"]
     out = []
-    for w, (a, b) in zip(args, spans):
-        at = (w, sub[a:b])
+    for w, a, b in pieces:
+        at = (w, objects[a:b])
         obj = evaluated.get(at)
         out.append(eval_object_cached(model, *at) if obj is None else obj)
     return tuple(out)
-
-
-def _component(model: Model, move: tuple, objects: tuple) -> Mor:
-    """The generator component that ``move``, as ``MoveTable.walk`` gives
-    it, applies at its subword, at the object tuple ``objects``.  Evaluated
-    once per model into ``model.memo["component"]``, keyed by kind,
-    direction and argument objects."""
-    (kind, inverse, args, spans), start, stop, _ = move
-    sub = objects[start:stop]
-    components = model.memo["component"]
-    key = (kind, inverse, _arg_objects(model, args, spans, sub))
-    mor = components.get(key)
-    if mor is None:
-        mor = components[key] = eval_generator(model, Generator(kind, args, inverse),
-                                               sub)
-    return mor
 
 
 def _is_identity(mor: Mor) -> bool:
@@ -478,32 +466,26 @@ def _is_identity(mor: Mor) -> bool:
     return mor.graph == _identity_graph(mor.cod.size)
 
 
-def edge_morphism(model: Model, move: tuple, objects: tuple) -> Mor:
-    """Evaluate one elementary move, as ``MoveTable.walk`` gives it, at an
-    object tuple.
+def edge_morphism(model: Model, chain: list, objects: tuple, key: tuple,
+                  component: Mor) -> Mor:
+    """Whisker a generator component along the ``chain`` of a move, as
+    ``MoveTable.walk`` gives it, at an object tuple.
 
-    The value depends only on the generator at its evaluated argument
-    objects and on the chain of ``(op, side, sibling object)`` along the
-    path, so it is memoised under that key in ``model.memo["whisker"]``,
-    shared by every word and move with the same evaluated context; a miss
-    whiskers the component from ``_component``.  ``value_flood`` keeps the
-    graphs per move id in ``model.memo["batch"][(objects,)]``.
+    ``component`` is the move's component at its subword and ``key`` its
+    key in ``model.memo["component"]``.  The whiskered value depends only
+    on that key and on the chain of ``(op, side, sibling object)`` along
+    the path, so it is memoised under both in ``model.memo["whisker"]``,
+    shared by every word and move with the same evaluated context.
+    ``value_flood`` keeps the graphs per move id in
+    ``model.memo["batch"][(objects,)]``.
     """
-    (kind, inverse, args, spans), start, stop, chain = move
-    evaluated = model.memo["object"]
-    sides = []
-    for op, side, sibling, a, b in chain:
-        at = (sibling, objects[a:b])
-        obj = evaluated.get(at)
-        if obj is None:
-            obj = eval_object_cached(model, *at)
-        sides.append((op, side, obj))
-    key = (kind, inverse, _arg_objects(model, args, spans, objects[start:stop]),
-           tuple(sides))
+    siblings = _objects_at(model, [piece for _, _, piece in chain], objects)
+    sides = tuple([(op, side, obj) for (op, side, _), obj in zip(chain, siblings)])
+    key += (sides,)
     memo = model.memo["whisker"]
     mor = memo.get(key)
     if mor is None:
-        mor = _component(model, move, objects)
+        mor = component
         for op, side, sibling in reversed(sides):
             other = model.identity(sibling)
             pair = (mor, other) if side == 0 else (other, mor)
@@ -556,16 +538,28 @@ def _move_graph(model: Model, table: MoveTable, k: int,
     """The graphs of move ``k`` of ``table`` at each object tuple, laid end
     to end, each shifted past the codomain carriers of the tuples before
     it; ``PASS_THROUGH``, with no whisker evaluated, where the generator
-    component the move applies is the identity at every tuple."""
-    move = table.walk(k)
-    if all(_is_identity(_component(model, move, objects)) for objects in tuples):
+    component the move applies is the identity at every tuple.  Each
+    tuple's component is read here once, and ``edge_morphism`` only
+    whiskers it."""
+    (kind, inverse, args, pieces), start, stop, chain = table.walk(k)
+    components = model.memo["component"]
+    found = []  # per tuple: (component key, component)
+    for objects in tuples:
+        sub = objects[start:stop]
+        key = (kind, inverse, _objects_at(model, pieces, sub))
+        mor = components.get(key)
+        if mor is None:
+            mor = components[key] = eval_generator(
+                model, Generator(kind, args, inverse), sub)
+        found.append((key, mor))
+    if all(_is_identity(mor) for _, mor in found):
         return PASS_THROUGH
     if len(tuples) == 1:
-        return edge_morphism(model, move, tuples[0]).graph
+        return edge_morphism(model, chain, tuples[0], *found[0]).graph
     out = []
     shift = 0
-    for objects in tuples:
-        mor = edge_morphism(model, move, objects)
+    for objects, (key, component) in zip(tuples, found):
+        mor = edge_morphism(model, chain, objects, key, component)
         out.extend([t + shift for t in mor.graph])
         shift += mor.cod.size
     return tuple(out)
@@ -756,16 +750,6 @@ def _words_with(n_holes: int, n_units: int) -> list[Word]:
 
 
 def pure_bracketings(op: str, n: int) -> tuple[Word, ...]:
-    """All bracketings of an n-fold pure sum or product word."""
-    return tuple(sorted(_pure_words(op, n), key=str))
-
-
-def _pure_words(op: str, n: int) -> list[Word]:
-    if n == 1:
-        return [HOLE]
-    out = []
-    for split in range(1, n):
-        for lw in _pure_words(op, split):
-            for rw in _pure_words(op, n - split):
-                out.append((op, lw, rw))
-    return out
+    """All bracketings of an n-fold pure sum or product word: the words of
+    ``words_with(n, 0)`` built from ``op`` alone."""
+    return tuple([w for w in words_with(n, 0) if is_pure_word(w, op)])

@@ -313,6 +313,53 @@ def test_check_distributivity(cmon2):
     assert r.passed
 
 
+def _endomorphisms_of_m12(model):
+    # the zero endomorphism (0, 0) of M1_2 and the other one, the identity
+    m = model.object_by_name("M1_2")
+    zero, other = sorted(model.hom(m, m), key=lambda f: f.graph)
+    assert zero.graph == (0, 0) and other.graph == (0, 1)
+    return zero, other
+
+
+def test_distributivity_reports_right_side_failure(monkeypatch):
+    # (0, 0) + (0, 0) on M1_2 gives the other endomorphism: (f+g)∘h breaks
+    # first, with h the zero map of M1_2 and f = g the map out of M0_1
+    model = FinCMon(all_commutative_monoids(2))
+    zero, other = _endomorphisms_of_m12(model)
+
+    def wrong_add(model, f, g):
+        if f == g == zero:
+            return other
+        return add_central(model, f, g)
+
+    monkeypatch.setattr("linearcat.centrality.add_central", wrong_add)
+    r = check_distributivity(model)
+    assert not r.passed
+    assert r.counterexample == {
+        "side": "right", "x": "M0_1", "y": "M1_2", "w": "M1_2", "f": [0],
+        "g": [0], "h": [0, 0], "lhs": [0, 0], "rhs": [0, 1]}
+
+
+def test_distributivity_reports_left_side_failure():
+    # (0, 0)∘(0, 0) on M1_2 gives the other endomorphism: h∘(f+g) breaks
+    # first, at x = y = w = M1_2
+    model = FinCMon(all_commutative_monoids(2))
+    zero, other = _endomorphisms_of_m12(model)
+    compose = model.compose
+
+    def wrong_compose(g, f):
+        if f == g == zero:
+            return other
+        return compose(g, f)
+
+    model.compose = wrong_compose
+    r = check_distributivity(model)
+    assert not r.passed
+    assert r.counterexample == {
+        "side": "left", "x": "M1_2", "y": "M1_2", "w": "M1_2", "f": [0, 0],
+        "g": [0, 0], "h": [0, 0], "lhs": [0, 1], "rhs": [0, 0]}
+
+
 def test_linearity_theorem_both_sides(pt2, cmon2):
     r = check_linearity_theorem(cmon2)
     assert r.passed

@@ -388,3 +388,30 @@ def test_package_runs_as_module(word, code):
     proc = subprocess.run([sys.executable, "-m", "linearcat", "word", word],
                           capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["word", "(0+(_*1))"], 0),
+    (["check", "--model", str(MODELS / "pointed_sets_3.json"), "--depth", "3",
+      "--max-units", "1"], 0),
+    (["central", "--model", str(MODELS / "commutative_monoids_3.json"),
+      "M1_2", "M1_2"], 0),
+    (["check", "--model", str(MODELS / "pointed_sets_3_faulty.json"),
+      "--depth", "3", "--max-units", "1"], 1),
+], ids=["word", "check", "central", "check-faulty"])
+def test_closed_stdout_keeps_exit_code(argv, code):
+    # the read end of stdout is closed before the command starts, so its
+    # first write meets a broken pipe: the command still exits with its own
+    # status and prints no traceback
+    src = str(MODELS.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "linearcat", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""

@@ -80,11 +80,24 @@ def test_words_with_counts():
     assert len(words_with(2, 1)) == 48
 
 
+def _pure_words(op, n):
+    # reference: the bracketings of an n-fold op word, built recursively
+    if n == 1:
+        return [HOLE]
+    return [(op, lw, rw) for split in range(1, n)
+            for lw in _pure_words(op, split) for rw in _pure_words(op, n - split)]
+
+
 def test_pure_bracketings_counts():
     assert pure_bracketings("+", 1) == (HOLE,)
     assert len(pure_bracketings("+", 2)) == 1
     assert len(pure_bracketings("+", 3)) == 2
     assert len(pure_bracketings("*", 4)) == 5
+    for op in ("+", "*"):
+        for n, count in enumerate((0, 1, 1, 2, 5, 14, 42)):
+            want = tuple(sorted(_pure_words(op, n), key=str))
+            assert len(want) == count
+            assert pure_bracketings(op, n) == want
 
 
 def test_flood_agrees_with_term_enumeration(pt3, cmon):
