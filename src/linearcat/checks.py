@@ -21,6 +21,45 @@ tables), so each product law compares exactly what its sum law compares.
 ``check_structure`` then builds one whisker table, evaluates the bifunctor
 and monoidal laws for the sum only, and reports each product law as its sum
 law under the product's tag, in the same place in the report list.
+
+Three laws are checked on a generating set of the base category when the
+laws their proofs use have passed (Mac Lane, *Categories for the Working
+Mathematician*, I.4: naturality squares paste along composites).
+``_generating_set`` picks it greedily, hom-set by hom-set, and checks that
+its closure under ``compose`` is every base hom-set; so each base morphism
+is an identity, a generator, or ``s∘u`` with ``s`` a generator and ``u``
+shorter.  Each proof is an induction on that length:
+
+- ``category/associativity`` draws ``h`` from the generators:
+  ``(s∘u)∘(g∘f) = s∘(u∘(g∘f)) = s∘((u∘g)∘f) = (s∘(u∘g))∘f
+  = ((s∘u)∘g)∘f`` by the generator case, the hypothesis for ``u`` and the
+  generator case twice.  It relies on ``category/identity`` (the case
+  ``h = id``).
+- ``<tag>-bifunctor/functorial-each-slot`` draws ``g`` from the
+  generators: ``F((s∘u)∘f) = F(s∘(u∘f)) = F(s)∘F(u∘f)``, then the
+  hypothesis for ``u``.  It relies on the category laws, on the structure's
+  ``preserves-identity`` (the case ``g = id``), and on ``compose`` being
+  unital and associative at ``a ⊕ c`` and ``a ⊗ c``, which no law checks:
+  ``_composes_graphs`` accepts only ``Model``'s own composition and
+  identity, lawful at every object.
+- ``i-natural`` checks the slot-wise squares ``(s, id_d)`` and
+  ``(id_d, s)`` for each generator ``s`` and base object ``d``.  Each
+  interchange law splits ``f ⊕ g`` into ``(f ⊕ id)∘(id ⊕ g)`` and ``f ⊗ g``
+  alike, functoriality splits ``f ⊕ id`` along the word of ``f``, and the
+  squares paste.  It relies on the category laws, all six bifunctor laws
+  and ``_composes_graphs``, and reads the verdicts ``check_structure``
+  records in ``model.memo["laws"]``: with none recorded, it takes its full
+  loop.
+
+When a law a proof relies on failed or is unknown, or the generating set
+does not close up, or the reduced check finds a failure, the full loop runs
+unchanged, so every report and first counterexample is the full loop's.
+The other laws keep their loops.  ``interchange`` quantifies over pairs
+whose kernel values the slot-wise laws never constrain.  ``assoc-natural``
+whiskers by the non-base object ``b ⊗ c``, where no law checks
+functoriality.  The pentagon, the triangle and the iso laws quantify over
+objects, not morphisms, and the joint epi/mono scans compare whole hom-sets
+out of a sum or into a product; neither has a word to induct on.
 """
 
 from __future__ import annotations
@@ -83,6 +122,71 @@ def _law(law: str, failures) -> CheckReport:
     return next(failures, None) or _ok(law)
 
 
+def _law_by_generators(law: str, reduced, full) -> CheckReport:
+    """A pass of ``law`` when the reduced loop ``reduced`` finds no failure;
+    otherwise, or with no reduced loop (None), the report of the full loop
+    ``full``, so a failure names the full loop's first counterexample."""
+    if reduced is not None and next(reduced, None) is None:
+        return _ok(law)
+    return _law(law, full)
+
+
+def _generating_set(model: Model) -> dict | None:
+    """A generating set of the base category, as positions in
+    ``model.hom`` per hom-set ``(x, y)`` of base-object indices, or None
+    when its closure under ``compose`` is not every base hom-set.  Computed
+    once per model, into ``model.memo["generating_set"]``."""
+    memo = model.memo["generating_set"]
+    if () not in memo:
+        memo[()] = _greedy_generating_set(model)
+    return memo[()]
+
+
+def _greedy_generating_set(model: Model) -> dict | None:
+    # Hom-set by hom-set in ``_indexed_homs`` order, each morphism that the
+    # generators so far do not reach becomes one.  ``reached`` is closed
+    # under left composition with every generator and holds the identities,
+    # so each of its morphisms is an identity, a generator, or ``s∘u`` for a
+    # generator s and a morphism u reached before it: the induction the
+    # reduced laws run on.
+    objs = model.base_objects
+    compose = model.compose
+    homs = set(itertools.chain.from_iterable(
+        model.hom(a, b) for a, b in itertools.product(objs, repeat=2)))
+    reached = set(map(model.identity, objs))
+    ending = {o: [model.identity(o)] for o in objs}  # reached, by codomain
+    leaving = {o: [] for o in objs}  # generators, by domain
+    gens = {}
+    for x, y in itertools.product(range(len(objs)), repeat=2):
+        gens[x, y] = []
+        for p, f in enumerate(model.hom(objs[x], objs[y])):
+            if f in reached:
+                continue
+            gens[x, y].append(p)
+            leaving[f.dom].append(f)
+            fresh = [f] + [compose(f, u) for u in ending[f.dom]]
+            while fresh:
+                u = fresh.pop()
+                if u in reached:
+                    continue
+                if u not in homs:  # a composite outside every base hom-set
+                    return None
+                reached.add(u)
+                ending[u.cod].append(u)
+                fresh.extend(compose(s, u) for s in leaving[u.cod])
+    return {k: tuple(ps) for k, ps in gens.items()} if reached == homs else None
+
+
+def _composes_graphs(model: Model) -> bool:
+    """Whether ``compose`` and ``identity`` are ``Model``'s: composition and
+    identity of carrier maps, unital and associative at every object.  The
+    category laws check base objects only, and the inductions of the
+    reduced bifunctor and transformer laws compose at ``a ⊕ b`` and
+    ``a ⊗ b`` too."""
+    return getattr(model.compose, "__func__", None) is Model.compose \
+        and getattr(model.identity, "__func__", None) is Model.identity
+
+
 def _identities(model: Model) -> tuple[Mor, ...]:
     """The identity of every base object, in ``base_objects`` order."""
     return tuple(map(model.identity, model.base_objects))
@@ -110,34 +214,43 @@ def _whiskers(model: Model, mor, ids) -> dict:
 
 def _check_category(model: Model, ids) -> list[CheckReport]:
     objs = model.base_objects
+    places = range(len(objs))
     compose = model.compose
+    homs = {(x, y): model.hom(objs[x], objs[y])
+            for x, y in itertools.product(places, repeat=2)}
 
     def identity():
         for f, x, y in _indexed_homs(model):
             if compose(f, ids[x]) != f or compose(ids[y], f) != f:
                 yield _fail("category/identity", f=f)
 
-    def associativity():
-        homs = {(x, y): model.hom(x, y) for x, y in itertools.product(objs, repeat=2)}
-        # h∘g for every composable pair, one row of h's per g
-        after = {(x, y, z): [[compose(h, g) for h in homs[y, z]] for g in homs[x, y]]
-                 for x, y, z in itertools.product(objs, repeat=3)}
-        for w, x, y, z in itertools.product(objs, repeat=4):
+    def associativity(hs):
+        # h∘g for every composable pair with h in hs, one row of h's per g
+        after = {(x, y, z): [[compose(h, g) for h in hs[y, z]] for g in homs[x, y]]
+                 for x, y, z in itertools.product(places, repeat=3)}
+        for w, x, y, z in itertools.product(places, repeat=4):
             for f in homs[w, x]:
                 for g, hgs in zip(homs[x, y], after[x, y, z]):
                     gf = compose(g, f)
-                    for h, hg in zip(homs[y, z], hgs):
+                    for h, hg in zip(hs[y, z], hgs):
                         if compose(h, gf) != compose(hg, f):
                             yield _fail("category/associativity", f=f, g=g, h=h)
 
-    return [_law("category/identity", identity()),
-            _law("category/associativity", associativity())]
+    identity_report = _law("category/identity", identity())
+    gens = _generating_set(model) if identity_report.passed else None
+    reduced = None if gens is None else associativity(
+        {k: [homs[k][p] for p in ps] for k, ps in gens.items()})
+    return [identity_report,
+            _law_by_generators("category/associativity", reduced,
+                               associativity(homs))]
 
 
-def _check_bifunctor(model: Model, tag: str, obj, mor, ids,
-                     whiskers) -> list[CheckReport]:
-    # Functoriality in each slot plus the exchange law; together these imply
-    # the joint interchange equation without sweeping pairs of pairs.
+def _check_bifunctor(model: Model, tag: str, obj, mor, ids, whiskers,
+                     gens=None) -> list[CheckReport]:
+    """Functoriality in each slot plus the exchange law; together these
+    imply the joint interchange equation without sweeping pairs of pairs.
+    ``gens`` is a verified generating set (see ``_generating_set``), given
+    only when the category laws passed and ``_composes_graphs`` holds."""
     objs = model.base_objects
     compose = model.compose
 
@@ -146,10 +259,10 @@ def _check_bifunctor(model: Model, tag: str, obj, mor, ids,
             if mor(ida, idb) != model.identity(obj(a, b)):
                 yield _fail(f"{tag}/preserves-identity", a=a.name, b=b.name)
 
-    def functorial_each_slot():
+    def functorial_each_slot(gs):
         for x, y, z in itertools.product(range(len(objs)), repeat=3):
             for f, _, _, f_right, f_left in whiskers[x, y]:
-                for g, _, _, g_right, g_left in whiskers[y, z]:
+                for g, _, _, g_right, g_left in gs[y, z]:
                     gf = compose(g, f)
                     for c, idc, fc, gc, cf, cg in zip(objs, ids, f_right, g_right,
                                                       f_left, g_left):
@@ -168,8 +281,13 @@ def _check_bifunctor(model: Model, tag: str, obj, mor, ids,
                 if direct != via1 or direct != via2:
                     yield _fail(f"{tag}/interchange", f=f, g=g)
 
-    return [_law(f"{tag}/preserves-identity", preserves_identity()),
-            _law(f"{tag}/functorial-each-slot", functorial_each_slot()),
+    identity_report = _law(f"{tag}/preserves-identity", preserves_identity())
+    reduced = None if gens is None or not identity_report.passed else \
+        functorial_each_slot({k: [whiskers[k][p] for p in ps]
+                              for k, ps in gens.items()})
+    return [identity_report,
+            _law_by_generators(f"{tag}/functorial-each-slot", reduced,
+                               functorial_each_slot(whiskers)),
             _law(f"{tag}/interchange", interchange())]
 
 
@@ -327,14 +445,16 @@ def check_structure(model: Model) -> list[CheckReport]:
     # override either kernel
     sum_whiskers = _whiskers(model, model.sum_mor, ids)
     prod_whiskers = None if one else _whiskers(model, model.prod_mor, ids)
-    reports: list[CheckReport] = []
-    reports.extend(_check_category(model, ids))
+    reports = _check_category(model, ids)
+    # the reduced functoriality law composes at a ⊕ c and a ⊗ c as well
+    gens = _generating_set(model) \
+        if all(r.passed for r in reports) and _composes_graphs(model) else None
     sum_bifunctor = _check_bifunctor(model, "sum-bifunctor", model.sum_obj,
-                                     model.sum_mor, ids, sum_whiskers)
+                                     model.sum_mor, ids, sum_whiskers, gens)
     reports.extend(sum_bifunctor)
     reports.extend(_as_prod(sum_bifunctor) if one else _check_bifunctor(
         model, "prod-bifunctor", model.prod_obj, model.prod_mor, ids,
-        prod_whiskers))
+        prod_whiskers, gens))
     sum_monoidal = _check_monoidal(model, "sum", model.sum_obj, model.sum_mor,
                                    model.zero_obj, ids, sum_whiskers)
     reports.extend(sum_monoidal)
@@ -343,10 +463,19 @@ def check_structure(model: Model) -> list[CheckReport]:
         prod_whiskers))
     reports.extend(_check_initial_terminal(model))
     reports.extend(_check_joint_epi_mono(model))
+    # the verdicts the reduced i-natural law relies on, for check_transformer
+    model.memo["laws"].update((r.law, r.passed) for r in reports)
     return reports
 
 
 # -- the transformer ------------------------------------------------------------
+
+# the structure laws the reduced i-natural law relies on, as recorded by
+# check_structure in ``model.memo["laws"]``
+_I_NATURAL_RELIES_ON = ("category/identity", "category/associativity") + tuple(
+    f"{tag}-bifunctor/{law}" for tag in ("sum", "prod")
+    for law in ("preserves-identity", "functorial-each-slot", "interchange"))
+
 
 def check_transformer(model: Model) -> list[CheckReport]:
     """Naturality of ``i`` plus both unitor-compatibility diagrams, the
@@ -356,20 +485,31 @@ def check_transformer(model: Model) -> list[CheckReport]:
     i = functools.partial(model.structure, "i")
     zero = model.zero_obj
 
-    def i_natural():
-        compose, sum_mor, prod_mor = model.compose, model.sum_mor, model.prod_mor
-        # the component of i at every base pair, by indices
-        iotas = {(a, b): i(objs[a], objs[b])
-                 for a, b in itertools.product(range(len(objs)), repeat=2)}
-        homs = _indexed_homs(model)
-        for f, fdom, fcod in homs:
-            for g, gdom, gcod in homs:
-                lhs = compose(iotas[fcod, gcod], sum_mor(f, g))
-                rhs = compose(prod_mor(f, g), iotas[fdom, gdom])
-                if lhs != rhs:
-                    yield _fail("i-natural", f=f, g=g, lhs=lhs, rhs=rhs)
+    compose, sum_mor, prod_mor = model.compose, model.sum_mor, model.prod_mor
+    # the component of i at every base pair, by indices
+    iotas = {(a, b): i(objs[a], objs[b])
+             for a, b in itertools.product(range(len(objs)), repeat=2)}
 
-    reports = [_law("i-natural", i_natural())]
+    def i_natural(pairs):
+        for (f, fdom, fcod), (g, gdom, gcod) in pairs:
+            lhs = compose(iotas[fcod, gcod], sum_mor(f, g))
+            rhs = compose(prod_mor(f, g), iotas[fdom, gdom])
+            if lhs != rhs:
+                yield _fail("i-natural", f=f, g=g, lhs=lhs, rhs=rhs)
+
+    laws = model.memo["laws"]
+    gens = _generating_set(model) if _composes_graphs(model) and all(
+        laws.get(law) for law in _I_NATURAL_RELIES_ON) else None
+    reduced = None
+    if gens is not None:
+        # the slot-wise squares (s, id_d) and (id_d, s) of each generator s
+        idents = [(idd, d, d) for d, idd in enumerate(_identities(model))]
+        generators = [(model.hom(objs[x], objs[y])[p], x, y)
+                      for (x, y), ps in gens.items() for p in ps]
+        reduced = i_natural([square for s in generators for d in idents
+                             for square in ((s, d), (d, s))])
+    full = i_natural(itertools.product(_indexed_homs(model), repeat=2))
+    reports = [_law_by_generators("i-natural", reduced, full)]
 
     def diagram(law, lhs_of, rhs_table):
         for a in objs:

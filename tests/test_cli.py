@@ -375,6 +375,23 @@ def test_zero_max_units_gives_empty_length_0_corpus(capsys):
     assert n0["passed"] and n0["details"]["pairs"] == 0
 
 
+def test_one_max_unit_passes_length_0_vacuously(capsys):
+    # A pair of length-0 words carries two unit leaves at least, so at
+    # --max-units 1 the n=0 sweep checks nothing and still passes.  Pinned
+    # whole, so that a report which flags vacuity changes it on purpose.
+    code, out, _ = run(capsys, "coherence", "--model",
+                       str(MODELS / "commutative_monoids_3.json"), "--mode",
+                       "partially-linear", "--max-units", "1", "--depth", "6",
+                       "--max-size", "1", "--format", "structured")
+    assert code == 0
+    reports = {r["law"]: r for r in json.loads(out)["reports"]}
+    assert reports["coherence/partially-linear/n=0"] == {
+        "law": "coherence/partially-linear/n=0", "passed": True,
+        "details": {"corpus": "length 0, <= 1 unit leaves, mixed stride 8,"
+                              " heavy stride 16",
+                    "depth": 6, "evaluations": 0, "pairs": 0}}
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "linearcat.cli", "word", "(_+0)"],

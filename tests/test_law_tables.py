@@ -5,7 +5,8 @@ computed once per law run.  The reference below is the law layer as it was
 before those tables: every identity, whisker and component computed where
 it is used.  Both must give the same reports, first failures included, on
 the bundled models, on seeded single-entry corruptions of every structure
-table, and on models whose kernels return a wrong graph.
+table, and on models whose kernels return a wrong graph.  The laws that run
+on a generating set are compared with their full loops on the same inputs.
 """
 
 import functools
@@ -346,9 +347,11 @@ def test_law_runs_read_their_tables(monkeypatch):
     counts["structure"] = 0
     check_transformer(model)
     assert counts["structure"] <= 100, counts  # 284 without the i table
-    # the tables live in the run, not in the model's memo
-    assert set(model.memo) == {"composite", "generators", "hom", "inclusion",
-                               "pair", "projection", "structure"}
+    # the tables live in the run, not in the model's memo, which gains only
+    # the base category's generating set and the recorded law verdicts
+    assert set(model.memo) == {"composite", "generating_set", "generators", "hom",
+                               "inclusion", "laws", "pair", "projection",
+                               "structure"}
 
 
 # -- one structure: the product laws as the sum laws renamed --------------------
@@ -446,3 +449,253 @@ def test_one_structure_halves_the_law_work(monkeypatch):
         base = set(model.base_objects)
         assert model.memo["structure"]
         assert all(set(objs) <= base for _, objs in model.memo["structure"])
+
+
+# -- laws by generators --------------------------------------------------------
+#
+# Associativity, functoriality in each slot and i-natural run on a verified
+# generating set when the laws their inductions use have passed, and by their
+# full loops otherwise.  Switching the generating set off (``_generating_set``
+# returning None) forces every full loop; both runs must report alike.
+
+def _structure_then_transformer(model):
+    # the structure run records the verdicts the reduced i-natural reads
+    return _rows(check_structure(model) + check_transformer(model))
+
+
+def _assert_reductions_change_no_report(monkeypatch, build):
+    reduced = _structure_then_transformer(build())
+    with monkeypatch.context() as patched:
+        patched.setattr(checks, "_generating_set", lambda model: None)
+        full = _structure_then_transformer(build())
+    assert reduced == full
+    return {law for law, passed, _, _ in reduced if not passed}
+
+
+class _MiscomposedAt(FinPtSet):
+    """``compose`` reverses one composite: that of the pair ``AT``, given as
+    ``(g.graph, f.graph, f.dom, g.cod)``."""
+
+    AT = None
+
+    def compose(self, g, f):
+        m = super().compose(g, f)
+        if (g.graph, f.graph, f.dom, g.cod) == self.AT:
+            return Mor(m.dom, m.cod, m.graph[::-1])
+        return m
+
+
+class _MiscomposedAtWedge(_MiscomposedAt):
+    # a composite of sum whiskers from P4 = P3 ∨ P2 to P5 = P3 ∨ P3, met by
+    # the full functoriality loop only: no category law composes there
+    AT = ((0, 0, 3, 4), (0, 0, 2, 3), PtObj(4), PtObj(5))
+
+
+GENERATOR_FAULTS = {
+    **{name: build for name, (build, _) in KERNEL_FAULTS.items()},
+    "reversed-sum": lambda: _ReversedSum(all_commutative_monoids(2)),
+    "miscomposed-at-wedge": lambda: _MiscomposedAtWedge((1, 2, 3)),
+}
+
+
+def _i_corruptions(seed=2626, count=12):
+    """``count`` single-entry corruptions of ``i`` at objects of size <= 2,
+    alternating the two model kinds: i-natural is the one reduced law that
+    reads a structure table."""
+    rng = random.Random(seed)
+    sample = []
+    while len(sample) < count:
+        kind = sorted(BASES)[len(sample) % 2]
+        pristine = BASES[kind]()
+        small = [o for o in pristine.base_objects if o.size <= 2]
+        a, b = rng.choice(small), rng.choice(small)
+        component = pristine.structure("i", a, b)
+        if component.cod.size == 1:
+            continue
+        graph, cod_size = list(component.graph), component.cod.size
+        entry = rng.randrange(len(graph))
+        graph[entry] = (graph[entry] + rng.randrange(1, cod_size)) % cod_size
+        sample.append((kind, "i", (a.name, b.name), tuple(graph)))
+    return sample
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
+def test_reductions_change_no_report_on_model_files(monkeypatch, path):
+    failed = _assert_reductions_change_no_report(monkeypatch,
+                                                 lambda: load_model(path))
+    assert bool(failed) == path.stem.endswith(("faulty", "_inv", "_prod", "_i"))
+
+
+@pytest.mark.parametrize("kind, table, names, graph",
+                         CORRUPTIONS + _i_corruptions(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_reductions_change_no_report_on_corruptions(monkeypatch, kind, table,
+                                                     names, graph):
+    failed = _assert_reductions_change_no_report(
+        monkeypatch, lambda: BASES[kind]([(table, names, graph)]))
+    assert failed
+    if table == "i":
+        # the reduced i-natural found the failure, and the full loop named it
+        assert "i-natural" in failed
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_FAULTS))
+def test_reductions_change_no_report_on_faulty_kernels(monkeypatch, name):
+    failed = _assert_reductions_change_no_report(monkeypatch, GENERATOR_FAULTS[name])
+    assert failed
+    if name == "miscomposed-swap":  # at base objects
+        assert "category/associativity" in failed
+    if name == "miscomposed-at-wedge":
+        assert failed == {"sum-bifunctor/functorial-each-slot"}
+
+
+def test_functoriality_by_generators_needs_lawful_composition(monkeypatch):
+    # The category laws pass at base objects, but composition fails at P5:
+    # reduced functoriality, were it let run, would pass.
+    model = _MiscomposedAtWedge((1, 2, 3))
+    assert not checks._composes_graphs(model)
+    monkeypatch.setattr(checks, "_composes_graphs", lambda model: True)
+    assert all(r.passed for r in check_structure(_MiscomposedAtWedge((1, 2, 3))))
+
+
+def test_composes_graphs_only_with_model_composition():
+    assert checks._composes_graphs(FinPtSet((1, 2, 3)))
+    assert checks._composes_graphs(load_model(ROOT / "models" / "commutative_monoids_3.json"))
+    assert not checks._composes_graphs(_MiscomposedSwap((1, 2, 3)))
+    instance = FinPtSet((1, 2, 3))
+    instance.compose = lambda g, f: Model.compose(instance, g, f)
+    assert not checks._composes_graphs(instance)
+
+
+def _closure(model, gens):
+    """Every composite of the generators, identities included, computed
+    plainly: a fixpoint over all composable pairs."""
+    objs = model.base_objects
+    reached = set(checks._identities(model))
+    reached |= {model.hom(objs[x], objs[y])[p] for (x, y), ps in gens.items()
+                for p in ps}
+    while True:
+        more = {model.compose(g, f) for f in reached for g in reached
+                if f.cod is g.dom} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+GENERATED_MODELS = {
+    "pointed-sets-file": lambda: load_model(ROOT / "models" / "pointed_sets_3.json"),
+    "monoids-file": lambda: load_model(ROOT / "models" / "commutative_monoids_3.json"),
+    "P1..P4": lambda: FinPtSet((1, 2, 3, 4)),
+    "cmon2": lambda: FinCMon(all_commutative_monoids(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_MODELS))
+def test_generating_set_closure_is_every_hom_set(name):
+    model = GENERATED_MODELS[name]()
+    gens = checks._generating_set(model)
+    assert gens is checks._generating_set(model)  # once per model
+    objs = model.base_objects
+    assert set(gens) == set(itertools.product(range(len(objs)), repeat=2))
+    everything = {m for a, b in itertools.product(objs, repeat=2)
+                  for m in model.hom(a, b)}
+    assert _closure(model, gens) == everything
+    # greedy in hom order: no generator is a composite of those before it
+    chosen = {}
+    for (x, y), ps in gens.items():
+        for p in ps:
+            assert model.hom(objs[x], objs[y])[p] not in _closure(model, chosen)
+            chosen.setdefault((x, y), []).append(p)
+    assert sum(map(len, gens.values())) < len(everything)
+
+
+class _ComposesOutOfHom(FinPtSet):
+    """Composites from P3 to P2 send every point to 1: not pointed maps."""
+
+    def compose(self, g, f):
+        m = super().compose(g, f)
+        return Mor(m.dom, m.cod, (1, 1, 1)) if (f.dom, g.cod) == (P3, P2) else m
+
+
+def test_generating_set_is_none_when_closure_leaves_the_hom_sets(monkeypatch):
+    model = _ComposesOutOfHom((1, 2, 3))
+    assert checks._generating_set(model) is None
+    assert "generating_set" in model.memo  # None is kept, not recomputed
+    failed = _assert_reductions_change_no_report(
+        monkeypatch, lambda: _ComposesOutOfHom((1, 2, 3)))
+    assert "category/identity" in failed
+
+
+def _count_kernels(monkeypatch, counts, cls):
+    for name in ("sum_mor", "prod_mor"):
+        _counting(monkeypatch, counts, cls, name)
+
+
+@pytest.mark.parametrize("path", ["pointed_sets_3.json", "commutative_monoids_3.json"])
+def test_i_natural_reads_recorded_verdicts(monkeypatch, path):
+    counts = {"sum_mor": 0, "prod_mor": 0}
+    model = load_model(ROOT / "models" / path)
+    _count_kernels(monkeypatch, counts, type(model))
+    homs = len(checks._indexed_homs(model))
+    gens = sum(map(len, checks._generating_set(model).values()))
+    squares = 2 * gens * len(model.base_objects)
+
+    def transformer_kernels():
+        counts.update(sum_mor=0, prod_mor=0)
+        assert check_transformer(model)[0].passed
+        return counts["sum_mor"], counts["prod_mor"]
+
+    # one kernel call each per base object in two compatibility diagrams,
+    # and per pair of morphisms in the full i-natural loop
+    diagrams = 2 * len(model.base_objects)
+    full = (homs ** 2 + diagrams,) * 2
+    # a fresh model has no verdicts (its first run also fills memos)
+    assert min(transformer_kernels()) >= full[0]
+    assert transformer_kernels() == full
+    assert check_structure(model) and model.memo["laws"]
+    reduced = transformer_kernels()
+    assert reduced == (squares + diagrams,) * 2
+    assert reduced[0] < full[0]
+    # a recorded failure, or a verdict gone, takes the full loop again
+    for law in checks._I_NATURAL_RELIES_ON:
+        model.memo["laws"][law] = False
+        assert transformer_kernels() == full
+        del model.memo["laws"][law]
+        assert transformer_kernels() == full
+        model.memo["laws"][law] = True
+    assert transformer_kernels() == reduced
+
+
+def test_i_natural_takes_full_loop_when_interchange_failed(monkeypatch):
+    counts = {"sum_mor": 0, "prod_mor": 0}
+    _count_kernels(monkeypatch, counts, FinPtSet)
+    model = _ZeroedWedge((1, 2, 3))
+    structure = {r.law: r.passed for r in check_structure(model)}
+    assert not structure["sum-bifunctor/interchange"]
+    counts.update(sum_mor=0, prod_mor=0)
+    transformer = check_transformer(model)
+    # the full loop meets its first failure at f = (0, 2, 1) on P3, late in
+    # hom order: far more kernel calls than the 60 slot-wise squares
+    gens = sum(map(len, checks._generating_set(model).values()))
+    assert gens * 2 * len(model.base_objects) == 60
+    assert counts["sum_mor"] > 300 and counts["prod_mor"] > 300, counts
+    assert _rows(transformer[:1]) == _rows([_ref_i_natural(_ZeroedWedge((1, 2, 3)))])
+
+
+def test_reductions_are_taken_on_lawful_models(monkeypatch):
+    taken = []
+    inner = checks._law_by_generators
+
+    def spy(law, reduced, full):
+        taken.append((law, reduced is not None))
+        return inner(law, reduced, full)
+
+    monkeypatch.setattr(checks, "_law_by_generators", spy)
+    for model in (FinPtSet((1, 2, 3)), FinCMon(all_commutative_monoids(2))):
+        taken.clear()
+        check_structure(model)
+        check_transformer(model)
+        laws = ["category/associativity", "sum-bifunctor/functorial-each-slot"] \
+            + ([] if model.one_structure else ["prod-bifunctor/functorial-each-slot"]) \
+            + ["i-natural"]
+        assert taken == [(law, True) for law in laws]
