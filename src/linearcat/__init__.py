@@ -22,10 +22,9 @@ from .search import canonical_between, pure_bracketings, words_with
 from .sweeps import (PairCorpus, coherence_sweep, equal_length_pairs,
                      normalized_cancellation, unit_square_sweep)
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, CanonTerm, ElementaryTerm,
-                    Generator, GenTerm, ProdPar, SumPar, VComp,
-                    collapse_to_one, collapse_to_zero,
-                    elementary_factorization, identity_term, invert,
-                    parse_term, point_morphism, prod_par, render_term,
+                    Generator, GenTerm, Par, VComp, collapse_to_one,
+                    collapse_to_zero, elementary_factorization, identity_term,
+                    invert, parse_term, point_morphism, prod_par, render_term,
                     sum_par, unit_cancel, vcompose)
 from .words import (Attachment, CoreSplit, Prod, Sum, Word,
                     attachment_sequence, core_split, is_unit_free, length,

@@ -10,10 +10,11 @@ whichever entries are asked for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .checks import CheckReport, is_lineariser
+from .checks import CheckReport, _fail, _law, is_lineariser
 from .errors import IntegrityError, LineariserRequired
 from .evaluate import zero_morphism
 from .matrices import MatrixPresentation, matrix_of, realize
@@ -146,25 +147,16 @@ class CentralMonoid:
             for a in range(n) for b in range(n))
 
     def verify(self) -> list[CheckReport]:
-        n = len(self.elements)
-        reports = []
-        bad = next((
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]),
-            None)
-        reports.append(CheckReport(
-            "central-monoid/associative", bad is None,
-            None if bad is None else {
-                "x": self.x.name, "y": self.y.name, "indices": list(bad)}))
-        bad_unit = next((
-            a for a in range(n)
-            if self.table[self.unit_index][a] != a or self.table[a][self.unit_index] != a),
-            None)
-        reports.append(CheckReport(
-            "central-monoid/unit", bad_unit is None,
-            None if bad_unit is None else {
-                "x": self.x.name, "y": self.y.name, "index": bad_unit}))
-        return reports
+        t, e, n = self.table, self.unit_index, range(len(self.elements))
+        at = {"x": self.x.name, "y": self.y.name}
+        return [
+            _law("central-monoid/associative", (
+                _fail("central-monoid/associative", **at, indices=[a, b, c])
+                for a, b, c in itertools.product(n, repeat=3)
+                if t[t[a][b]][c] != t[a][t[b][c]])),
+            _law("central-monoid/unit", (
+                _fail("central-monoid/unit", **at, index=a)
+                for a in n if t[e][a] != a or t[a][e] != a))]
 
 
 def central_monoid(model: Model, x, y) -> CentralMonoid:
@@ -195,21 +187,20 @@ def central_monoid(model: Model, x, y) -> CentralMonoid:
 def check_distributivity(model: Model) -> CheckReport:
     """Both distributive laws of composition over central addition."""
     _require_lineariser(model)
-    add_cache: dict = {}
+    return _law("distributivity", _distributivity_failures(model))
 
+
+def _distributivity_failures(model: Model):
+    @functools.cache
     def add(f, g):
-        key = (f, g)
-        if key not in add_cache:
-            add_cache[key] = add_central(model, f, g)
-        return add_cache[key]
+        return add_central(model, f, g)
 
     def precompose(h, k):  # k∘h
         return model.compose(k, h)
 
     objs = model.base_objects
     for x, y in itertools.product(objs, repeat=2):
-        zxy = central_hom(model, x, y)
-        for f, g in itertools.product(zxy, repeat=2):
+        for f, g in itertools.product(central_hom(model, x, y), repeat=2):
             fg = add(f, g)
             for w in objs:
                 # left: h∘(f+g), h: y -> w; right: (f+g)∘h, h: w -> x
@@ -219,12 +210,10 @@ def check_distributivity(model: Model) -> CheckReport:
                         lhs = on(h, fg)
                         rhs = add(on(h, f), on(h, g))
                         if lhs != rhs:
-                            return CheckReport("distributivity", False, {
-                                "side": side, "x": x.name, "y": y.name,
-                                "w": w.name, "f": list(f.graph),
-                                "g": list(g.graph), "h": list(h.graph),
-                                "lhs": list(lhs.graph), "rhs": list(rhs.graph)})
-    return CheckReport("distributivity", True)
+                            yield _fail("distributivity", side=side, x=x.name,
+                                        y=y.name, w=w.name, f=list(f.graph),
+                                        g=list(g.graph), h=list(h.graph),
+                                        lhs=list(lhs.graph), rhs=list(rhs.graph))
 
 
 def matrix_completeness(model: Model) -> tuple[bool, dict | None]:

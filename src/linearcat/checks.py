@@ -5,6 +5,12 @@ objects and morphisms and returns one report per law.  A failing report
 carries a counterexample with enough data (object names, morphism graphs,
 both sides of the offending equation) to replay the failure by hand.
 
+Every law is a generator of failure reports, and ``_law`` (or
+``_law_by_generators``) keeps the first: the one place, here and in
+``centrality``, where a law's first failure becomes a report.  Each
+sum/product dual pair of laws is one routine, given the law's name and its
+side of the pair.
+
 The loop invariants of the structure and transformer laws are computed once
 per run, before their loops: the identity of every base object, per
 structure the whiskers ``f ⊗ id_c`` and ``id_c ⊗ f`` of every base morphism
@@ -113,9 +119,8 @@ def binary_projections(model: Model, a, b) -> tuple[Mor, Mor]:
 
 # -- category and monoidal laws ------------------------------------------------
 #
-# Each law is a generator of failure reports, and ``_law`` keeps the first
-# one, so every law is reported exactly once whatever fails before it.
-# Their loop invariants come from the per-run tables described above.
+# ``_law`` reports every law exactly once, whatever fails before it.  Their
+# loop invariants come from the per-run tables described above.
 
 def _law(law: str, failures) -> CheckReport:
     """The first report ``failures`` yields, or a pass of ``law``."""
@@ -380,52 +385,47 @@ def _check_monoidal(model: Model, tag: str, obj, mor, unit, ids,
             _law(f"{tag}/triangle", triangle())]
 
 
+def _unique_maps(model: Model, law: str, maps_at, bang):
+    """``law`` of a unit: ``maps_at(x)``, its maps to or from each base
+    object ``x``, are exactly ``bang(x)``."""
+    for x in model.base_objects:
+        maps = maps_at(x)
+        if len(maps) != 1 or maps[0] != bang(x):
+            yield _fail(law, x=x.name, homs=[list(m.graph) for m in maps])
+
+
 def _check_initial_terminal(model: Model) -> list[CheckReport]:
-    def zero_initial():
-        for x in model.base_objects:
-            from_zero = model.hom(model.zero_obj, x)
-            if len(from_zero) != 1 or from_zero[0] != model.bang_from_zero(x):
-                yield _fail("zero-initial", x=x.name,
-                            homs=[list(m.graph) for m in from_zero])
+    return [_law(law, _unique_maps(model, law, maps_at, bang))
+            for law, maps_at, bang in (
+                ("zero-initial", lambda x: model.hom(model.zero_obj, x),
+                 model.bang_from_zero),
+                ("one-terminal", lambda x: model.hom(x, model.one_obj),
+                 model.bang_to_one))]
 
-    def one_terminal():
-        for x in model.base_objects:
-            to_one = model.hom(x, model.one_obj)
-            if len(to_one) != 1 or to_one[0] != model.bang_to_one(x):
-                yield _fail("one-terminal", x=x.name,
-                            homs=[list(m.graph) for m in to_one])
 
-    return [_law("zero-initial", zero_initial()),
-            _law("one-terminal", one_terminal())]
+def _legs_separate(model: Model, law: str, legs, maps, leg):
+    """``law`` of the binary sum or product: at each base triple
+    ``(a, b, c)``, two maps ``maps(a, b, c)`` with the same two legs
+    ``leg(u, k)``, for ``k`` in ``legs(model, a, b)``, are one map."""
+    for a, b, c in itertools.product(model.base_objects, repeat=3):
+        k1, k2 = legs(model, a, b)
+        seen = {}
+        for u in maps(a, b, c):
+            sig = (leg(u, k1).graph, leg(u, k2).graph)
+            if sig in seen:
+                yield _fail(law, a=a.name, b=b.name, c=c.name, u=u, v=seen[sig])
+            seen[sig] = u
 
 
 def _check_joint_epi_mono(model: Model) -> list[CheckReport]:
-    objs = model.base_objects
-
-    def inclusions_jointly_epi():
-        for a, b, c in itertools.product(objs, repeat=3):
-            i1, i2 = binary_inclusions(model, a, b)
-            seen = {}
-            for u in model.hom(model.sum_obj(a, b), c):
-                sig = (model.compose(u, i1).graph, model.compose(u, i2).graph)
-                if sig in seen:
-                    yield _fail("inclusions-jointly-epi", a=a.name, b=b.name,
-                                c=c.name, u=u, v=seen[sig])
-                seen[sig] = u
-
-    def projections_jointly_mono():
-        for a, b, c in itertools.product(objs, repeat=3):
-            p1, p2 = binary_projections(model, a, b)
-            seen = {}
-            for u in model.hom(c, model.prod_obj(a, b)):
-                sig = (model.compose(p1, u).graph, model.compose(p2, u).graph)
-                if sig in seen:
-                    yield _fail("projections-jointly-mono", a=a.name, b=b.name,
-                                c=c.name, u=u, v=seen[sig])
-                seen[sig] = u
-
-    return [_law("inclusions-jointly-epi", inclusions_jointly_epi()),
-            _law("projections-jointly-mono", projections_jointly_mono())]
+    compose = model.compose
+    return [_law(law, _legs_separate(model, law, legs, maps, leg))
+            for law, legs, maps, leg in (
+                ("inclusions-jointly-epi", binary_inclusions,
+                 lambda a, b, c: model.hom(model.sum_obj(a, b), c), compose),
+                ("projections-jointly-mono", binary_projections,
+                 lambda a, b, c: model.hom(c, model.prod_obj(a, b)),
+                 lambda u, p: compose(p, u)))]
 
 
 def _as_prod(reports: list[CheckReport]) -> list[CheckReport]:
@@ -481,13 +481,9 @@ def check_transformer(model: Model) -> list[CheckReport]:
     """Naturality of ``i`` plus both unitor-compatibility diagrams, the
     naturality-derived variants, and the entrywise sufficient conditions."""
     objs = model.base_objects
-    j = model.j_morphism()
-    i = functools.partial(model.structure, "i")
-    zero = model.zero_obj
-
     compose, sum_mor, prod_mor = model.compose, model.sum_mor, model.prod_mor
     # the component of i at every base pair, by indices
-    iotas = {(a, b): i(objs[a], objs[b])
+    iotas = {(a, b): model.structure("i", objs[a], objs[b])
              for a, b in itertools.product(range(len(objs)), repeat=2)}
 
     def i_natural(pairs):
@@ -510,59 +506,16 @@ def check_transformer(model: Model) -> list[CheckReport]:
                              for square in ((s, d), (d, s))])
     full = i_natural(itertools.product(_indexed_homs(model), repeat=2))
     reports = [_law_by_generators("i-natural", reduced, full)]
-
-    def diagram(law, lhs_of, rhs_table):
-        for a in objs:
-            lhs, rhs = lhs_of(a), model.structure(rhs_table, a)
-            if lhs != rhs:
-                return _fail(law, a=a.name, lhs=lhs, rhs=rhs)
-        return _ok(law)
-
-    reports.append(diagram(
-        "i-compatible-runit",
-        lambda a: model.compose(
-            model.structure("runit_prod", a),
-            model.compose(model.prod_mor(model.identity(a), j), i(a, zero))),
-        "runit_sum"))
-    reports.append(diagram(
-        "i-compatible-lunit",
-        lambda a: model.compose(
-            model.structure("lunit_prod", a),
-            model.compose(model.prod_mor(j, model.identity(a)), i(zero, a))),
-        "lunit_sum"))
-    reports.append(diagram(
-        "i-compatible-runit-via-naturality",
-        lambda a: model.compose(
-            model.structure("runit_prod", a),
-            model.compose(i(a, model.one_obj), model.sum_mor(model.identity(a), j))),
-        "runit_sum"))
-    reports.append(diagram(
-        "i-compatible-lunit-via-naturality",
-        lambda a: model.compose(
-            model.structure("lunit_prod", a),
-            model.compose(i(model.one_obj, a), model.sum_mor(j, model.identity(a)))),
-        "lunit_sum"))
+    reports += [_law(law, _i_compatible(model, law, side, via_naturality))
+                for law, side, via_naturality in (
+                    ("i-compatible-runit", "r", False),
+                    ("i-compatible-lunit", "l", False),
+                    ("i-compatible-runit-via-naturality", "r", True),
+                    ("i-compatible-lunit-via-naturality", "l", True))]
     compat_r, compat_l = reports[1:3]
-
     # entrywise sufficient conditions
-    def first_entry():
-        for a in objs:
-            i1, _ = binary_inclusions(model, a, zero)
-            p1, _ = binary_projections(model, a, zero)
-            entry = model.compose(p1, model.compose(i(a, zero), i1))
-            if entry != model.identity(a):
-                yield _fail("i-first-entry-identity", a=a.name, entry=entry)
-
-    def second_entry():
-        for b in objs:
-            _, i2 = binary_inclusions(model, zero, b)
-            _, p2 = binary_projections(model, zero, b)
-            entry = model.compose(p2, model.compose(i(zero, b), i2))
-            if entry != model.identity(b):
-                yield _fail("i-second-entry-identity", b=b.name, entry=entry)
-
-    first = _law("i-first-entry-identity", first_entry())
-    second = _law("i-second-entry-identity", second_entry())
+    first, second = (_law(law, _i_entry_identity(model, law, k)) for law, k in (
+        ("i-first-entry-identity", 0), ("i-second-entry-identity", 1)))
     reports += [first, second]
 
     # the entrywise conditions must imply the compatibility diagrams here
@@ -574,6 +527,42 @@ def check_transformer(model: Model) -> list[CheckReport]:
         {"entrywise": [first.passed, second.passed],
          "compatibility": [compat_r.passed, compat_l.passed]}))
     return reports
+
+
+def _i_compatible(model: Model, law: str, side: str, via_naturality: bool):
+    """The diagram ``law`` at each base object ``a``: the sum unitor on the
+    ``side`` (``"l"`` or ``"r"``) of ``a`` is the product unitor after ``i``
+    and ``j``, with ``j`` whiskered by the product after ``i``, or, via
+    naturality of ``i``, by the sum before it."""
+    compose, j = model.compose, model.j_morphism()
+    unit, mor = (model.one_obj, model.sum_mor) if via_naturality \
+        else (model.zero_obj, model.prod_mor)
+
+    def beside(x, u):  # x and u, with u on the side
+        return (x, u) if side == "r" else (u, x)
+
+    for a in model.base_objects:
+        iota = model.structure("i", *beside(a, unit))
+        whisker = mor(*beside(model.identity(a), j))
+        later, earlier = (iota, whisker) if via_naturality else (whisker, iota)
+        lhs = compose(model.structure(f"{side}unit_prod", a), compose(later, earlier))
+        rhs = model.structure(f"{side}unit_sum", a)
+        if lhs != rhs:
+            yield _fail(law, a=a.name, lhs=lhs, rhs=rhs)
+
+
+def _i_entry_identity(model: Model, law: str, k: int):
+    """``law``: for each base object ``x`` in slot ``k`` (0 or 1) of a pair
+    with the sum unit, the ``k``-th diagonal entry of ``i`` at the pair is
+    the identity of ``x``; counterexamples name ``x`` as ``a`` or ``b``."""
+    zero = model.zero_obj
+    for x in model.base_objects:
+        pair = (x, zero) if k == 0 else (zero, x)
+        inc = binary_inclusions(model, *pair)[k]
+        proj = binary_projections(model, *pair)[k]
+        entry = model.compose(proj, model.compose(model.structure("i", *pair), inc))
+        if entry != model.identity(x):
+            yield _fail(law, **{"ab"[k]: x.name}, entry=entry)
 
 
 def check_prelinear(model: Model,

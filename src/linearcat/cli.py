@@ -35,6 +35,13 @@ SCHEMA_VERSION = 1
 # and 10 s at 8, with peak RSS 56, 113 and 322 MB (Python 3.11, 2 cores).
 MAX_DEPTH = 8
 
+# check and coherence build the length-2 word corpus, which grows about 18
+# times per unit leaf: 17,920 words at 3 units, 322,560 at 4 and 5,677,056
+# at 5.  check on pointed_sets_3.json takes 1.4 s and 56 MB at 3 units and
+# 2.7 s and 130 MB at 4 (Python 3.11, 2 cores); at 5 the corpus alone takes
+# about 30 s and 1.6 GB.
+MAX_UNITS = 4
+
 
 def _mode_arg(value: str) -> str:
     return {"prelinear": PRELINEAR, "partially-linear": PARTIALLY_LINEAR,
@@ -81,7 +88,8 @@ def _common_flags(p: argparse.ArgumentParser, model: bool = True) -> None:
                        help="largest object size used in coherence sweeps,"
                             " capped at 2 (default 3)")
         p.add_argument("--max-units", type=int, default=3,
-                       help="unit-leaf budget for word corpora (default 3)")
+                       help="unit-leaf budget for word corpora, 0 to"
+                            f" {MAX_UNITS} (default 3)")
         p.add_argument("--mixed-stride", type=int, default=8,
                        help="thinning stride for one-unit word pairs (default 8)")
         p.add_argument("--heavy-stride", type=int, default=16,
@@ -199,8 +207,7 @@ def _coherence_reports(model: Model, args) -> list[CheckReport]:
         return list(itertools.product(objs, repeat=n))
 
     for n in (1, 2, 3):
-        reports.append(identity_matrix_sweep(model, n, objects_for(n),
-                                             args.depth, PRELINEAR))
+        reports.append(identity_matrix_sweep(model, n, objects_for(n), args.depth))
     if args.mode == PARTIALLY_LINEAR:
         for n in (0, 1, 2):
             corpus = equal_length_pairs(n, args.max_units, args.mixed_stride,
@@ -215,8 +222,7 @@ def _coherence_reports(model: Model, args) -> list[CheckReport]:
                 reports.append(CheckReport(law, False, {"error": str(exc)}))
     corpus = equal_length_pairs(2, args.max_units, args.mixed_stride,
                                 args.heavy_stride)
-    reports.append(unit_square_sweep(model, corpus, objects_for,
-                                     min(args.depth, 4), PRELINEAR))
+    reports.append(unit_square_sweep(model, corpus, objects_for, min(args.depth, 4)))
     return reports
 
 
@@ -324,10 +330,11 @@ def main(argv=None) -> int:
             print(f"argument error: --{field.replace('_', '-')} must be"
                   f" at least {minimum}", file=sys.stderr)
             return 2
-    if getattr(args, "depth", 0) > MAX_DEPTH:
-        print(f"argument error: --depth must be at most {MAX_DEPTH}",
-              file=sys.stderr)
-        return 2
+    for field, maximum in (("depth", MAX_DEPTH), ("max_units", MAX_UNITS)):
+        if getattr(args, field, 0) > maximum:
+            print(f"argument error: --{field.replace('_', '-')} must be"
+                  f" at most {maximum}", file=sys.stderr)
+            return 2
     handler = {"word": cmd_word, "check": cmd_check,
                "central": cmd_central, "coherence": cmd_coherence}[args.command]
     with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -6,8 +6,7 @@ from .errors import ArityMismatch
 from .models import Model, Mor
 from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, IDENTITY, J_GEN, LUNIT_PROD,
                     LUNIT_SUM, PRELINEAR, RUNIT_PROD, RUNIT_SUM, CanonTerm,
-                    Generator, GenTerm, SumPar, VComp, invert, point_morphism,
-                    unit_cancel)
+                    Generator, GenTerm, VComp, invert, point_morphism, unit_cancel)
 from .words import (HOLE, ONE, PROD, SUM, ZERO, Word, length, node,
                     render_word)
 
@@ -124,7 +123,7 @@ def _eval_canon(model: Model, t: CanonTerm, objects: tuple) -> Mor:
         (t.left.source, t.right.source), objects)
     left = _eval_canon(model, t.left, left_objs)
     right = _eval_canon(model, t.right, right_objs)
-    if isinstance(t, SumPar):
+    if t.op == SUM:
         return model.sum_mor(left, right)
     return model.prod_mor(left, right)
 

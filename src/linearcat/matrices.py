@@ -122,22 +122,23 @@ def realize(model: Model, p: MatrixPresentation) -> Mor | None:
 
 
 @cache
-def _bracketing_graphs(n: int, depth: int, mode: str) -> tuple:
+def _bracketing_graphs(n: int, depth: int) -> tuple:
     """``(v, w, search graph)`` for every sum bracketing ``v`` and product
     bracketing ``w`` of length ``n``.  The graphs depend on no model, so
     they are built once per process.  That pays only in a process that
     checks several models (one ``check`` asks for each key once), and the
     graphs stay alive until the process ends: at depth 8 they add 20 to
     40 MB to the peak RSS of a ``check``."""
-    return tuple((v, w, search_graph(v, w, depth, mode))
+    return tuple((v, w, search_graph(v, w, depth, PRELINEAR))
                  for v in pure_bracketings(SUM, n) for w in pure_bracketings(PROD, n))
 
 
-def identity_matrix_sweep(model: Model, n: int, tuples, depth: int = 6,
-                          mode: str = PRELINEAR) -> CheckReport:
+def identity_matrix_sweep(model: Model, n: int, tuples,
+                          depth: int = 6) -> CheckReport:
     """For every sum bracketing to every product bracketing of length ``n``,
-    at each object tuple of ``tuples``: all depth-bounded canonical terms
-    must evaluate to one morphism whose matrix is the identity matrix.
+    at each object tuple of ``tuples``: all depth-bounded prelinear
+    canonical terms must evaluate to one morphism whose matrix is the
+    identity matrix.
 
     Each pair's search graph is built once per process (see
     ``_bracketing_graphs``).  Each tuple is checked against every pair, and
@@ -148,7 +149,7 @@ def identity_matrix_sweep(model: Model, n: int, tuples, depth: int = 6,
     if any(len(objects) != n for objects in tuples):
         raise ValueError("need exactly n objects")
     law = f"coherence-identity-matrix/n={n}"
-    pairs = _bracketing_graphs(n, depth, mode)
+    pairs = _bracketing_graphs(n, depth)
     for objects in tuples:
         for v, w, graph in pairs:
 
@@ -180,6 +181,6 @@ def identity_matrix_sweep(model: Model, n: int, tuples, depth: int = 6,
 
 
 def coherence_identity_check(model: Model, n: int, objects: tuple,
-                             depth: int = 6, mode: str = PRELINEAR) -> CheckReport:
+                             depth: int = 6) -> CheckReport:
     """``identity_matrix_sweep`` at the one object tuple ``objects``."""
-    return identity_matrix_sweep(model, n, [objects], depth, mode)
+    return identity_matrix_sweep(model, n, [objects], depth)

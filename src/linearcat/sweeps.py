@@ -147,10 +147,10 @@ def _cancellation_term(w: Word) -> CanonTerm:
 
 
 def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
-                      depth: int = 4, mode: str = PRELINEAR) -> CheckReport:
-    """The unit-cancellation square: for every canonical term c between two
-    length-2 words, normalized cancellation of the target after c equals
-    normalized cancellation of the source."""
+                      depth: int = 4) -> CheckReport:
+    """The unit-cancellation square: for every prelinear canonical term c
+    between two length-2 words, normalized cancellation of the target after
+    c equals normalized cancellation of the source."""
     law = "unit-cancellation-square"
     checked = 0
     tuples = objects_for(2)
@@ -169,7 +169,7 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
                     return g, lhs, u_v
             return None
 
-        graph = search_graph(v, w, depth, mode)
+        graph = search_graph(v, w, depth, PRELINEAR)
         failure = flood_check(model, graph, tuples, fault)
         if failure is not None:
             k, flood, (g, lhs, u_v) = failure

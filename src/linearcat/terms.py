@@ -2,10 +2,12 @@
 
 A canonical term is built from generators (associators, unitors, the
 transformer ``i``, the unit map ``j``, identities) closed under vertical
-composition and parallel sum/product composition.  Every term carries its
-source and target words; the two coherence regimes are selected by a mode
-flag: ``"prelinear"`` leaves ``i`` and ``j`` one-way, ``"partially_linear"``
-makes both invertible.
+composition and parallel sum/product composition.  A parallel composite is
+one node, ``Par(op, left, right)``, the twin of the word node
+``(op, left, right)``: its source and target are word nodes of its parts'
+sources and targets.  Every term carries its source and target words; the
+two coherence regimes are selected by a mode flag: ``"prelinear"`` leaves
+``i`` and ``j`` one-way, ``"partially_linear"`` makes both invertible.
 """
 
 from __future__ import annotations
@@ -132,27 +134,20 @@ class VComp(CanonTerm):
 
 
 @dataclass(frozen=True)
-class SumPar(CanonTerm):
+class Par(CanonTerm):
+    """Parallel composite ``left op right``, ``op`` being ``SUM`` or ``PROD``."""
+
+    op: str
     left: CanonTerm
     right: CanonTerm
     source: Word = field(init=False, compare=False, repr=False)
     target: Word = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source", Sum(self.left.source, self.right.source))
-        object.__setattr__(self, "target", Sum(self.left.target, self.right.target))
-
-
-@dataclass(frozen=True)
-class ProdPar(CanonTerm):
-    left: CanonTerm
-    right: CanonTerm
-    source: Word = field(init=False, compare=False, repr=False)
-    target: Word = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", Prod(self.left.source, self.right.source))
-        object.__setattr__(self, "target", Prod(self.left.target, self.right.target))
+        object.__setattr__(self, "source",
+                           node(self.op, self.left.source, self.right.source))
+        object.__setattr__(self, "target",
+                           node(self.op, self.left.target, self.right.target))
 
 
 def identity_term(w: Word) -> GenTerm:
@@ -167,16 +162,12 @@ def vcompose(later: CanonTerm, earlier: CanonTerm) -> VComp:
     return VComp(later, earlier)
 
 
-def sum_par(left: CanonTerm, right: CanonTerm) -> SumPar:
-    return SumPar(left, right)
+def sum_par(left: CanonTerm, right: CanonTerm) -> Par:
+    return Par(SUM, left, right)
 
 
-def prod_par(left: CanonTerm, right: CanonTerm) -> ProdPar:
-    return ProdPar(left, right)
-
-
-def _par(op: str, left: CanonTerm, right: CanonTerm) -> CanonTerm:
-    return SumPar(left, right) if op == SUM else ProdPar(left, right)
+def prod_par(left: CanonTerm, right: CanonTerm) -> Par:
+    return Par(PROD, left, right)
 
 
 def invert(t: CanonTerm, mode: str = PRELINEAR) -> CanonTerm:
@@ -187,10 +178,8 @@ def invert(t: CanonTerm, mode: str = PRELINEAR) -> CanonTerm:
         return GenTerm(t.gen.inverted(mode))
     if isinstance(t, VComp):
         return VComp(invert(t.earlier, mode), invert(t.later, mode))
-    if isinstance(t, SumPar):
-        return SumPar(invert(t.left, mode), invert(t.right, mode))
-    assert isinstance(t, ProdPar)
-    return ProdPar(invert(t.left, mode), invert(t.right, mode))
+    assert isinstance(t, Par)
+    return Par(t.op, invert(t.left, mode), invert(t.right, mode))
 
 
 def point_morphism() -> CanonTerm:
@@ -243,7 +232,7 @@ def collapse_to_one(w: Word) -> CanonTerm:
 def _par_unless_trivial(op: str, lt: CanonTerm, rt: CanonTerm) -> CanonTerm | None:
     if is_identity_term(lt) and is_identity_term(rt):
         return None
-    return _par(op, lt, rt)
+    return Par(op, lt, rt)
 
 
 def _kill_attachments(attachments: tuple[Attachment, ...], inner: Word) -> CanonTerm:
@@ -270,8 +259,8 @@ def _kill_attachments(attachments: tuple[Attachment, ...], inner: Word) -> Canon
         }[(att.op, att.side)]
         u_k: CanonTerm = GenTerm(Generator(unitor_kind, (stage,)))
         if not is_identity_term(collapse):
-            pre = _par(att.op, collapse, identity_term(stage)) if att.side == "left" \
-                else _par(att.op, identity_term(stage), collapse)
+            pre = Par(att.op, collapse, identity_term(stage)) if att.side == "left" \
+                else Par(att.op, identity_term(stage), collapse)
             u_k = vcompose(u_k, pre)
         term = u_k if term is None else vcompose(u_k, term)
     return identity_term(inner) if term is None else term
@@ -299,7 +288,7 @@ def unit_cancel(w: Word) -> CanonTerm:
         u2 = unit_cancel(split.w2)
         if is_identity_term(u1) and is_identity_term(u2):
             return outer
-        inner = _par(split.op, u1, u2)
+        inner = Par(split.op, u1, u2)
         if is_identity_term(outer):
             return inner
         return vcompose(inner, outer)
@@ -337,7 +326,7 @@ class ElementaryTerm:
 
     def to_canon(self) -> CanonTerm:
         """The generator at ``path``, identities on every sibling."""
-        return _around(self.source, self.path, GenTerm(self.gen), _par,
+        return _around(self.source, self.path, GenTerm(self.gen), Par,
                        identity_term)
 
 
@@ -362,9 +351,8 @@ def elementary_factorization(t: CanonTerm) -> tuple[ElementaryTerm, ...]:
         return (ElementaryTerm(t.gen.source, (), t.gen),)
     if isinstance(t, VComp):
         return elementary_factorization(t.earlier) + elementary_factorization(t.later)
-    op = SUM if isinstance(t, SumPar) else PROD
-    left = _embed(elementary_factorization(t.left), op, 0, t.right.source)
-    right = _embed(elementary_factorization(t.right), op, 1, t.left.target)
+    left = _embed(elementary_factorization(t.left), t.op, 0, t.right.source)
+    right = _embed(elementary_factorization(t.right), t.op, 1, t.left.target)
     return left + right
 
 
@@ -383,10 +371,8 @@ def elementary_factorization(t: CanonTerm) -> tuple[ElementaryTerm, ...]:
 def render_term(t: CanonTerm) -> str:
     if isinstance(t, VComp):
         return f"comp({render_term(t.later)}, {render_term(t.earlier)})"
-    if isinstance(t, SumPar):
-        return f"par+({render_term(t.left)}, {render_term(t.right)})"
-    if isinstance(t, ProdPar):
-        return f"par*({render_term(t.left)}, {render_term(t.right)})"
+    if isinstance(t, Par):
+        return f"par{t.op}({render_term(t.left)}, {render_term(t.right)})"
     assert isinstance(t, GenTerm)
     g = t.gen
     text = g.kind + ("'" if g.inverse else "")
@@ -421,7 +407,7 @@ def parse_term(text: str) -> CanonTerm:
     def parse(depth: int) -> CanonTerm:
         nonlocal pos
         skip_ws()
-        for head, build in (("comp(", VComp), ("par+(", SumPar), ("par*(", ProdPar)):
+        for head, build in (("comp(", VComp), ("par+(", sum_par), ("par*(", prod_par)):
             if text.startswith(head, pos):
                 if depth == MAX_NESTING:
                     raise ParseError(

@@ -23,7 +23,7 @@ from linearcat.matrices import (coherence_identity_check, matrix_of,
 from linearcat.models import Mor, PtObj, model_from_dict
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               unit_square_sweep)
-from linearcat.terms import PARTIALLY_LINEAR, PRELINEAR
+from linearcat.terms import PARTIALLY_LINEAR
 from linearcat.words import HOLE, Prod, Sum
 
 S2, P2 = Sum(HOLE, HOLE), Prod(HOLE, HOLE)
@@ -88,7 +88,7 @@ def test_criterion_4_unit_cancellation_square(pt2):
         return _tuples(pt2, 2, n)
 
     corpus = equal_length_pairs(2, 3, mixed_stride=4, heavy_stride=8)
-    report = unit_square_sweep(pt2, corpus, objects_for, depth=4, mode=PRELINEAR)
+    report = unit_square_sweep(pt2, corpus, objects_for, depth=4)
     _verdict(4, "unit-cancellation square commutes for all depth-4 terms"
                 " between length-2 words", report.passed,
              f"{report.details.get('terms_checked', 0)} terms checked"

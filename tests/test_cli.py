@@ -343,6 +343,22 @@ def test_depth_cap_is_documented(capsys):
     assert "depth, 1 to 8" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("command", ["check", "coherence", "central"])
+def test_max_units_above_cap_exit_2(capsys, command):
+    # 5 units would build a length-2 corpus of 5,677,056 words first
+    names = ["P2", "P2"] if command == "central" else []
+    code, out, err = run(capsys, command, *names, "--model",
+                         str(MODELS / "pointed_sets_3.json"), "--max-units", "5")
+    assert code == 2 and out == ""
+    assert "--max-units must be at most 4" in err
+
+
+def test_max_units_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        run(capsys, "coherence", "--help")
+    assert "word corpora, 0 to 4" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("asked, used", [(3, 2), (1, 1)])
 def test_coherence_max_size_is_reported(capsys, asked, used):
     code, out, _ = run(capsys, "coherence", "--model",

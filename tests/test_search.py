@@ -840,7 +840,7 @@ def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
 
     corpus = equal_length_pairs(n, max_units)
     if model.kind == "pointed_sets":
-        report = unit_square_sweep(model, corpus, objects_for, 4, PRELINEAR)
+        report = unit_square_sweep(model, corpus, objects_for, 4)
     else:
         report = coherence_sweep(model, corpus, objects_for, 4, PARTIALLY_LINEAR)
     assert report.passed, report.counterexample
