@@ -18,7 +18,7 @@ from .checks import CheckReport, _fail, _law, is_lineariser
 from .errors import IntegrityError, LineariserRequired
 from .evaluate import zero_morphism
 from .matrices import MatrixPresentation, matrix_of, realize
-from .models import Model, Mor
+from .models import Model, Mor, _memoised
 from .words import HOLE, PROD2, SUM2
 
 
@@ -78,10 +78,8 @@ def central_matrix(model: Model, f: Mor) -> MatrixPresentation:
 def _central_realizer(model: Model, f: Mor) -> Mor | None:
     """The realizer of ``central_matrix(model, f)``, or None if it has none,
     memoised per model in ``model.memo["central"]``."""
-    memo = model.memo["central"]
-    if f not in memo:
-        memo[f] = realize(model, central_matrix(model, f))
-    return memo[f]
+    return _memoised(model, "central",
+                     lambda model, f: realize(model, central_matrix(model, f)), f)
 
 
 def is_central_matrix(model: Model, f: Mor) -> bool:

@@ -76,8 +76,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import NotInvertibleInModel
-from .evaluate import _memoised, inclusion, projection
-from .models import Model, Mor
+from .evaluate import inclusion, projection
+from .models import Model, Mor, _memoised
 from .words import PROD2, SUM2
 
 
@@ -107,6 +107,11 @@ def _fail(law: str, **data) -> CheckReport:
 
 def _ok(law: str) -> CheckReport:
     return CheckReport(law, True)
+
+
+def _unbuilt(law: str, a, b, exc: ValueError) -> CheckReport:
+    """``law`` failed at ``(a, b)``, where building its maps raised ``exc``."""
+    return _fail(law, a=a.name, b=b.name, reason=f"maps cannot be built: {exc}")
 
 
 def binary_inclusions(model: Model, a, b) -> tuple[Mor, Mor]:
@@ -141,10 +146,7 @@ def _generating_set(model: Model) -> dict | None:
     ``model.hom`` per hom-set ``(x, y)`` of base-object indices, or None
     when its closure under ``compose`` is not every base hom-set.  Computed
     once per model, into ``model.memo["generating_set"]``."""
-    memo = model.memo["generating_set"]
-    if () not in memo:
-        memo[()] = _greedy_generating_set(model)
-    return memo[()]
+    return _memoised(model, "generating_set", _greedy_generating_set)
 
 
 def _greedy_generating_set(model: Model) -> dict | None:
@@ -408,7 +410,11 @@ def _legs_separate(model: Model, law: str, legs, maps, leg):
     ``(a, b, c)``, two maps ``maps(a, b, c)`` with the same two legs
     ``leg(u, k)``, for ``k`` in ``legs(model, a, b)``, are one map."""
     for a, b, c in itertools.product(model.base_objects, repeat=3):
-        k1, k2 = legs(model, a, b)
+        try:
+            k1, k2 = legs(model, a, b)
+        except ValueError as exc:
+            yield _unbuilt(law, a, b, exc)
+            continue
         seen = {}
         for u in maps(a, b, c):
             sig = (leg(u, k1).graph, leg(u, k2).graph)
@@ -558,8 +564,12 @@ def _i_entry_identity(model: Model, law: str, k: int):
     zero = model.zero_obj
     for x in model.base_objects:
         pair = (x, zero) if k == 0 else (zero, x)
-        inc = binary_inclusions(model, *pair)[k]
-        proj = binary_projections(model, *pair)[k]
+        try:
+            inc = binary_inclusions(model, *pair)[k]
+            proj = binary_projections(model, *pair)[k]
+        except ValueError as exc:
+            yield _unbuilt(law, *pair, exc)
+            continue
         entry = model.compose(proj, model.compose(model.structure("i", *pair), inc))
         if entry != model.identity(x):
             yield _fail(law, **{"ab"[k]: x.name}, entry=entry)
@@ -577,9 +587,13 @@ def check_prelinear(model: Model,
 
     def identity_matrices():
         for a, b in itertools.product(model.base_objects, repeat=2):
-            got = matrix_of(model, model.structure("i", a, b),
-                            (SUM2, (a, b)), (PROD2, (a, b)))
-            want = identity_matrix(model, (a, b), SUM2, PROD2)
+            try:
+                got = matrix_of(model, model.structure("i", a, b),
+                                (SUM2, (a, b)), (PROD2, (a, b)))
+                want = identity_matrix(model, (a, b), SUM2, PROD2)
+            except ValueError as exc:
+                yield _unbuilt("i-matrix-identity", a, b, exc)
+                continue
             if got.entries != want.entries:
                 yield _fail(
                     "i-matrix-identity", a=a.name, b=b.name,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ArityMismatch
-from .models import Model, Mor
+from .models import Model, Mor, _memoised
 from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, IDENTITY, J_GEN, LUNIT_PROD,
                     LUNIT_SUM, PRELINEAR, RUNIT_PROD, RUNIT_SUM, CanonTerm,
                     Generator, GenTerm, VComp, invert, point_morphism, unit_cancel)
@@ -12,28 +12,25 @@ from .words import (HOLE, ONE, PROD, SUM, ZERO, Word, length, node,
 
 
 def eval_object(model: Model, w: Word, objects: tuple):
-    """The word functor on objects: fill holes left to right."""
-    if len(objects) != length(w):
-        raise ArityMismatch(
-            f"word {render_word(w)} has length {length(w)}, got {len(objects)} object(s)")
-    obj, rest = _eval_object(model, w, tuple(objects))
-    assert not rest
-    return obj
+    """The word functor on objects: fill holes left to right.  Computed once
+    per model and ``(w, objects)``, as is each subword at its slice of
+    ``objects``, into ``model.memo["object"]``."""
+    return _memoised(model, "object", _eval_object, w, tuple(objects))
 
 
 def _eval_object(model: Model, w: Word, objects: tuple):
+    if len(objects) != length(w):
+        raise ArityMismatch(
+            f"word {render_word(w)} has length {length(w)}, got {len(objects)} object(s)")
     if w == HOLE:
-        return objects[0], objects[1:]
-    if w == ZERO:
-        return model.zero_obj, objects
-    if w == ONE:
-        return model.one_obj, objects
-    op, left_w, right_w = w
-    left, rest = _eval_object(model, left_w, objects)
-    right, rest = _eval_object(model, right_w, rest)
-    if op == SUM:
-        return model.sum_obj(left, right), rest
-    return model.prod_obj(left, right), rest
+        return objects[0]
+    if w == ZERO or w == ONE:
+        return model.zero_obj if w == ZERO else model.one_obj
+    op, left, right = w
+    cut = length(left)
+    a = eval_object(model, left, objects[:cut])
+    b = eval_object(model, right, objects[cut:])
+    return model.sum_obj(a, b) if op == SUM else model.prod_obj(a, b)
 
 
 def eval_morphism(model: Model, w: Word, morphisms: tuple[Mor, ...]) -> Mor:
@@ -129,19 +126,8 @@ def _eval_canon(model: Model, t: CanonTerm, objects: tuple) -> Mor:
 
 
 # ---------------------------------------------------------------------------
-# Inclusions, projections, zero morphisms.
-#
-# Each depends only on the model and its arguments, and a model is fixed once
-# built, so each is computed once into its own concern of ``model.memo``.  A
-# call that raises stores nothing.
-
-def _memoised(model: Model, concern: str, compute, *args):
-    memo = model.memo[concern]
-    mor = memo.get(args)
-    if mor is None:
-        mor = memo[args] = compute(model, *args)
-    return mor
-
+# Inclusions, projections, zero morphisms: each depends only on the model
+# and its arguments, so each is computed once into its own memo concern.
 
 def is_pure_word(w: Word, op: str) -> bool:
     """True when ``w`` is built from holes and ``op`` alone (units excluded)."""

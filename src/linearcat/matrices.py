@@ -7,11 +7,10 @@ from functools import cache
 
 from .checks import CheckReport
 from .errors import IntegrityError
-from .evaluate import (_memoised, eval_object, inclusion, is_pure_word,
-                       projection, zero_morphism)
-from .models import Model, Mor
-from .search import (eval_object_cached, flood_check, pure_bracketings,
-                     search_graph)
+from .evaluate import (eval_object, inclusion, is_pure_word, projection,
+                       zero_morphism)
+from .models import Model, Mor, _memoised
+from .search import flood_check, pure_bracketings, search_graph
 from .terms import PRELINEAR
 from .words import PROD, SUM, Word, length, render_word
 
@@ -161,8 +160,8 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
                     return {"reason": "two canonical terms evaluate differently",
                             "objects": names}
                 [g] = values
-                value = Mor(eval_object_cached(model, v, objects),
-                            eval_object_cached(model, w, objects), g)
+                value = Mor(eval_object(model, v, objects),
+                            eval_object(model, w, objects), g)
                 got = matrix_of(model, value, (v, objects), (w, objects))
                 if got.entry_key() == identity_matrix(model, objects, v, w).entry_key():
                     return None

@@ -15,7 +15,8 @@ carrier indices), and all structure components (associators, unitors,
 ``i``) are read through ``Model.structure(name, *objects)``.  A model is
 fixed once built: the overrides given to its constructor replace arbitrary
 components at base objects, which is how fault injection works, and the
-components at base objects are computed lazily into the model's ``memo``.
+other components at base objects are computed lazily into the model's
+``memo``.
 So are the graphs of composites, products and wedges, keyed by the graphs
 and sizes they depend on: the kernels still return a fresh ``Mor`` each
 call, but compute each graph once per model, however often the law checks
@@ -168,6 +169,23 @@ STRUCTURE_TABLES = (
     "lunit_prod", "lunit_prod_inv", "runit_prod", "runit_prod_inv", "i")
 
 
+def _memoised(model: Model, concern: str, compute, *args):
+    """``compute(model, *args)``, computed once per model into
+    ``model.memo[concern]`` under the key ``args``.  A result of None is kept
+    too; a call that raises stores nothing.  Only hot paths, where one more
+    call frame shows end to end, fill their concern inline: ``Model.compose``,
+    ``Model._pair`` and ``FinPtSet.sum_mor`` (hundreds of thousands of calls
+    per law run); the flood's ``object`` read in ``search._objects_at`` and
+    its ``component``, ``whisker`` and ``batch`` memos (once per move and
+    object tuple); and the ``laws`` verdicts, recorded and read by name."""
+    memo = model.memo[concern]
+    try:
+        return memo[args]
+    except KeyError:
+        value = memo[args] = compute(model, *args)
+        return value
+
+
 class Model:
     """Common machinery shared by the bundled finite instances.
 
@@ -272,13 +290,10 @@ class Model:
         return graph
 
     def hom(self, dom, cod) -> tuple[Mor, ...]:
-        homs = self.memo["hom"]
-        key = (dom, cod)
-        cached = homs.get(key)
-        if cached is None:
-            cached = homs[key] = tuple(sorted(self._enumerate_hom(dom, cod),
-                                              key=lambda m: m.graph))
-        return cached
+        return _memoised(self, "hom", Model._sorted_hom, dom, cod)
+
+    def _sorted_hom(self, dom, cod) -> tuple[Mor, ...]:
+        return tuple(sorted(self._enumerate_hom(dom, cod), key=lambda m: m.graph))
 
     def hom_count(self, dom, cod) -> int:
         return len(self.hom(dom, cod))
@@ -305,21 +320,16 @@ class Model:
         """The component of the structure table ``name`` (one of
         ``STRUCTURE_TABLES``) at ``objects``, e.g. ``structure("i", a, b)``.
 
-        Only components at base objects, the only tuples an override can
-        name, go to ``memo["structure"]``.  Any other is pristine and is
-        computed on each call: the pentagon alone meets thousands of them,
-        each once."""
-        tables = self.memo["structure"]
-        key = (name, objects)
-        mor = tables.get(key)
-        if mor is None:
-            if name not in STRUCTURE_TABLES:
-                raise ValueError(f"unknown structure table {name!r}")
-            if not self._base.issuperset(objects):
-                return self._compute_structure(name, objects)
-            mor = tables[key] = self._overrides.get(key) \
-                or self._compute_structure(name, objects)
-        return mor
+        An override names base objects only; the pristine components at
+        base objects go to ``memo["structure"]``.  Any other is pristine and
+        is computed on each call: the pentagon alone meets thousands of
+        them, each once."""
+        if name not in STRUCTURE_TABLES:
+            raise ValueError(f"unknown structure table {name!r}")
+        if not self._base.issuperset(objects):
+            return self._compute_structure(name, objects)
+        return self._overrides.get((name, objects)) \
+            or _memoised(self, "structure", Model._compute_structure, name, objects)
 
     def _compute_structure(self, name: str, objs: tuple) -> Mor:
         """The pristine component; ``name`` is in ``STRUCTURE_TABLES``.
@@ -492,10 +502,7 @@ class FinCMon(Model):
         unit.  The generator lemma makes this enough for ``_enumerate_hom``:
         a homomorphism is fixed by its values on ``gens``, and a map that
         fixes the unit is one iff it respects right multiplication by each
-        generator."""
-        cached = self.memo["generators"].get(m)
-        if cached is not None:
-            return cached
+        generator.  ``_enumerate_hom`` keeps it in ``memo["generators"]``."""
         table = m.table
         gens: list[int] = []
         tree: list[tuple[int, int, int]] = []
@@ -510,8 +517,7 @@ class FinCMon(Model):
                         reached.add(y)
                         order.append(y)
                         tree.append((y, x, k))
-        result = self.memo["generators"][m] = (tuple(gens), tuple(tree))
-        return result
+        return tuple(gens), tuple(tree)
 
     def _enumerate_hom(self, dom: CMonObj, cod: CMonObj):
         """The homomorphisms ``dom -> cod``, one per generator image tuple.
@@ -534,7 +540,7 @@ class FinCMon(Model):
                     graph = tuple(a * nd + b for a, b in zip(fc.graph, fd.graph))
                     yield Mor(dom, cod, graph)
             return
-        gens, tree = self._generators(dom)
+        gens, tree = _memoised(self, "generators", FinCMon._generators, dom)
         dt, ct = dom.table, cod.table
         # the tree edges hold by construction; test the other products
         edges = {(x, k) for _, x, k in tree}

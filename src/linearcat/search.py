@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import LinearcatError
-from .evaluate import (_memoised, eval_generator, eval_object, is_pure_word,
+from .evaluate import (eval_generator, eval_object, is_pure_word,
                        structure_table)
 from .models import Model, Mor, _identity_graph
 from .terms import (_ALWAYS_ISO, _ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
@@ -439,21 +439,15 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     return SearchGraph(v, w, depth, edges, words, tables, index.get(w))
 
 
-def eval_object_cached(model: Model, w: Word, objects: tuple):
-    """The word functor on objects, memoised per model."""
-    return _memoised(model, "object", eval_object, w, objects)
-
-
 def _objects_at(model: Model, pieces, objects: tuple) -> tuple:
     """The word functor at object slices: for each ``(word, first, end)`` of
-    ``pieces``, the object of ``word`` at ``objects[first:end]``, read from
-    the word functor memo."""
+    ``pieces``, the object of ``word`` at ``objects[first:end]``.  A hit
+    reads ``eval_object``'s memo inline, without its call frame."""
     evaluated = model.memo["object"]
     out = []
     for w, a, b in pieces:
         at = (w, objects[a:b])
-        obj = evaluated.get(at)
-        out.append(eval_object_cached(model, *at) if obj is None else obj)
+        out.append(evaluated.get(at) or eval_object(model, *at))
     return tuple(out)
 
 
@@ -582,7 +576,7 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, move id)`` that first reached it.
     """
-    size = sum(eval_object_cached(model, graph.source, objects).size
+    size = sum(eval_object(model, graph.source, objects).size
                for objects in tuples)
     id_graph = tuple(range(size))
     visited: list = [None] * len(graph.words)  # state -> {graph: first layer}
@@ -648,10 +642,10 @@ def flood_values(model: Model, graph: SearchGraph, tuples) -> list[dict]:
     cuts = []  # per tuple: the slice of a value it owns, and its shift
     start = shift = 0
     for objects in tuples:
-        stop = start + eval_object_cached(model, graph.source, objects).size
+        stop = start + eval_object(model, graph.source, objects).size
         cuts.append((start, stop, shift))
         start = stop
-        shift += eval_object_cached(model, graph.target, objects).size
+        shift += eval_object(model, graph.target, objects).size
     out: list[dict] = [{} for _ in tuples]
     for g, layer in values.items():
         for found, (start, stop, shift) in zip(out, cuts):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from .checks import CheckReport
-from .evaluate import _memoised, eval_canon
-from .models import Model, Mor, _invert_mor
-from .search import eval_object_cached, flood_check, search_graph, words_with
+from .evaluate import eval_canon, eval_object
+from .models import Model, Mor, _invert_mor, _memoised
+from .search import flood_check, search_graph, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     CanonTerm, GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length, render_word
@@ -93,8 +93,8 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             if len(values) > 1:
                 return {}
             [g] = values
-            if _invertible(model, Mor(eval_object_cached(model, v, objects),
-                                      eval_object_cached(model, w, objects), g)):
+            if _invertible(model, Mor(eval_object(model, v, objects),
+                                      eval_object(model, w, objects), g)):
                 return None
             return {"reason": "canonical morphism is not invertible", "value": list(g)}
 
@@ -160,8 +160,8 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
             nonlocal checked
             u_v = normalized_cancellation(model, v, objects)
             u_w = normalized_cancellation(model, w, objects)
-            src = eval_object_cached(model, v, objects)
-            tgt = eval_object_cached(model, w, objects)
+            src = eval_object(model, v, objects)
+            tgt = eval_object(model, w, objects)
             for g in sorted(values):
                 checked += 1
                 lhs = model.compose(u_w, Mor(src, tgt, g))

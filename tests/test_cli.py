@@ -130,6 +130,22 @@ def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("model, golden", [
+    ("pointed_sets_3_faulty.json", "pointed_sets_3_faulty.txt"),
+    # counterexamples with matrices, printed as grids under their reports
+    ("pointed_sets_3_zero_i.json", "pointed_sets_3_zero_i.txt"),
+])
+def test_check_text_matches_golden(capsys, monkeypatch, model, golden):
+    # The text goldens pin what the structured ones sort away: the order of
+    # counterexample keys and the `matrix:` grids.  Each is the output of
+    # `linearcat check --model models/<model>`, run as above.
+    bundled = (MODELS / model).exists()
+    monkeypatch.chdir(MODELS.parent if bundled else GOLDEN.parent)
+    got, out, _ = run(capsys, "check", "--model", f"models/{model}")
+    assert got == 1
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["check", "coherence"])
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_partially_linear_sweep_error_is_a_failed_law(capsys, command, fmt):

@@ -8,8 +8,8 @@ laws, so only these cases reach their failure branches.
 
 from linearcat import centrality
 from linearcat.centrality import CentralMonoid, central_hom, check_distributivity
-from linearcat.checks import (_check_initial_terminal, check_structure,
-                              check_transformer)
+from linearcat.checks import (_check_initial_terminal, check_prelinear,
+                              check_structure, check_transformer)
 from linearcat.models import FinCMon, FinPtSet, Mor, PtObj, all_commutative_monoids
 
 P2, P3 = PtObj(2), PtObj(3)
@@ -74,6 +74,31 @@ def test_units_fail_initial_and_terminal_at_misplaced_bangs():
     assert _failing(_check_initial_terminal(_MisplacedBangs((1, 2, 3)))) == [
         "[FAIL] zero-initial  counterexample: {'x': 'P3', 'homs': [[0]]}",
         "[FAIL] one-terminal  counterexample: {'x': 'P3', 'homs': [[0, 0, 0]]}",
+    ]
+
+
+def test_laws_whose_maps_cannot_be_built_fail_at_misplaced_bangs():
+    # the inclusions and projections of (P1, P3), and of (P3, P1), compose
+    # a misplaced bang with a unitor, and the zero maps at P3 compose the
+    # point after a misplaced bang
+    def unbuilt(law, a, b, cod, dom):
+        return (f"[FAIL] {law}  counterexample: {{'a': '{a}', 'b': '{b}',"
+                f" 'reason': 'maps cannot be built: cannot compose:"
+                f" PtObj({cod}) != PtObj({dom})'}}")
+
+    model = _MisplacedBangs((1, 2, 3))
+    assert _failing(check_structure(model)) == [
+        "[FAIL] zero-initial  counterexample: {'x': 'P3', 'homs': [[0]]}",
+        "[FAIL] one-terminal  counterexample: {'x': 'P3', 'homs': [[0, 0, 0]]}",
+        unbuilt("inclusions-jointly-epi", "P1", "P3", 1, 2),
+        unbuilt("projections-jointly-mono", "P1", "P3", 2, 1),
+    ]
+    assert _failing(check_transformer(model)) == [
+        unbuilt("i-first-entry-identity", "P3", "P1", 1, 2),
+        unbuilt("i-second-entry-identity", "P1", "P3", 1, 2),
+    ]
+    assert _failing(check_prelinear(model)) == [
+        unbuilt("i-matrix-identity", "P1", "P3", 1, 2),
     ]
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from linearcat.checks import check_structure
+from linearcat.evaluate import eval_object
 from linearcat.models import (STRUCTURE_TABLES, CMonObj, FinCMon, FinPtSet,
                                Mor, PtObj, all_commutative_monoids, load_model)
-from linearcat.search import eval_object_cached, pure_bracketings, words_with
+from linearcat.search import pure_bracketings, words_with
 from linearcat.words import LEAVES, PROD, SUM, length
 
 TESTS = Path(__file__).resolve().parent
@@ -212,11 +213,11 @@ def _subword_objects(model, words, objs) -> tuple[set, set]:
             continue
         seen.add(w)
         for at in itertools.product(objs, repeat=length(w)):
-            objects.add(eval_object_cached(model, w, at))
+            objects.add(eval_object(model, w, at))
             if w not in LEAVES:
                 cut = length(w[1])
-                pairs.add((eval_object_cached(model, w[1], at[:cut]),
-                           eval_object_cached(model, w[2], at[cut:])))
+                pairs.add((eval_object(model, w[1], at[:cut]),
+                           eval_object(model, w[2], at[cut:])))
         if w not in LEAVES:
             stack += w[1:]
     return objects, pairs

@@ -348,10 +348,11 @@ def test_law_runs_read_their_tables(monkeypatch):
     check_transformer(model)
     assert counts["structure"] <= 100, counts  # 284 without the i table
     # the tables live in the run, not in the model's memo, which gains only
-    # the base category's generating set and the recorded law verdicts
+    # the base category's generating set and the recorded law verdicts (and
+    # the word functor on objects, which the inclusions evaluate)
     assert set(model.memo) == {"composite", "generating_set", "generators", "hom",
-                               "inclusion", "laws", "pair", "projection",
-                               "structure"}
+                               "inclusion", "laws", "object", "pair",
+                               "projection", "structure"}
 
 
 # -- one structure: the product laws as the sum laws renamed --------------------

@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from linearcat import checks, evaluate, models
-from linearcat.centrality import check_linearity_theorem
+from linearcat import centrality, checks, evaluate, models
+from linearcat.centrality import check_linearity_theorem, is_central_matrix
 from linearcat.checks import check_structure, check_transformer
-from linearcat.evaluate import inclusion, projection, zero_morphism
-from linearcat.models import (FinCMon, FinPtSet, PtObj, all_commutative_monoids,
-                              load_model)
+from linearcat.errors import ArityMismatch
+from linearcat.evaluate import eval_object, inclusion, projection, zero_morphism
+from linearcat.models import (FinCMon, FinPtSet, Mor, PtObj,
+                              all_commutative_monoids, load_model)
 from linearcat.search import pure_bracketings
-from linearcat.words import PROD, PROD2, SUM, SUM2, length
+from linearcat.words import (HOLE, PROD, PROD2, SUM, SUM2, ZERO, Prod, Sum,
+                             length)
 
 
 def _derived_maps(model):
@@ -164,3 +166,53 @@ def test_readme_names_every_process_cache():
     assert sorted(name for name in cached if f"`{name}`" not in readme) == []
     # and the table each monoid keeps of its products with right factors
     assert "`a._products`" in readme
+
+
+# -- the memo rule: one entry per key, None kept, nothing kept on a raise -------
+
+def test_a_result_of_none_is_computed_once(monkeypatch):
+    # Every pointed map has a realizer of its central matrix, since a map
+    # out of a wedge into a product is free on each summand and factor.  A
+    # carrier map that moves the basepoint has none.
+    calls = []
+    inner = centrality.realize
+    monkeypatch.setattr(centrality, "realize",
+                        lambda model, p: calls.append(p) or inner(model, p))
+    model = FinPtSet((1, 2))
+    f = Mor(PtObj(2), PtObj(2), (1, 1))
+    assert not is_central_matrix(model, f)
+    assert not is_central_matrix(model, f)
+    assert len(calls) == 1
+    assert model.memo["central"] == {(f,): None}
+
+
+def test_second_eval_object_call_evaluates_nothing(monkeypatch):
+    calls = []
+    inner = evaluate._eval_object
+    monkeypatch.setattr(evaluate, "_eval_object",
+                        lambda *args: calls.append(args) or inner(*args))
+    model = FinPtSet((1, 2))
+    w = Prod(SUM2, Sum(HOLE, ZERO))
+    at = (PtObj(2), PtObj(1), PtObj(2))
+    first = eval_object(model, w, at)
+    assert calls
+    calls.clear()
+    assert eval_object(model, w, list(at)) is first
+    assert calls == []
+
+
+def test_wrong_arity_eval_object_raises_and_stores_nothing():
+    model = FinPtSet((1, 2))
+    with pytest.raises(ArityMismatch):
+        eval_object(model, SUM2, (PtObj(2),))
+    assert model.memo["object"] == {}
+
+
+def test_structure_keeps_base_components_only():
+    model = FinPtSet((1, 2))
+    p2, p3 = PtObj(2), PtObj(3)
+    off_base = model.structure("i", p2, p3)
+    assert model.structure("i", p2, p3) == off_base
+    assert model.memo["structure"] == {}
+    at_base = model.structure("i", p2, p2)
+    assert model.memo["structure"] == {("i", (p2, p2)): at_base}
