@@ -565,8 +565,8 @@ def _i_entry_identity(model: Model, law: str, k: int):
     for x in model.base_objects:
         pair = (x, zero) if k == 0 else (zero, x)
         try:
-            inc = binary_inclusions(model, *pair)[k]
-            proj = binary_projections(model, *pair)[k]
+            inc = inclusion(model, SUM2, pair, k + 1)
+            proj = projection(model, PROD2, pair, k + 1)
         except ValueError as exc:
             yield _unbuilt(law, *pair, exc)
             continue

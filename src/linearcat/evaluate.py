@@ -34,28 +34,20 @@ def _eval_object(model: Model, w: Word, objects: tuple):
 
 
 def eval_morphism(model: Model, w: Word, morphisms: tuple[Mor, ...]) -> Mor:
-    """The word functor on morphisms; units contribute identities."""
+    """The word functor on morphisms; units contribute identities.  Each
+    subword takes its slice of ``morphisms``, as in ``_eval_object``."""
     if len(morphisms) != length(w):
         raise ArityMismatch(
             f"word {render_word(w)} has length {length(w)}, got {len(morphisms)} morphism(s)")
-    mor, rest = _eval_morphism(model, w, tuple(morphisms))
-    assert not rest
-    return mor
-
-
-def _eval_morphism(model: Model, w: Word, morphisms: tuple[Mor, ...]):
     if w == HOLE:
-        return morphisms[0], morphisms[1:]
-    if w == ZERO:
-        return model.identity(model.zero_obj), morphisms
-    if w == ONE:
-        return model.identity(model.one_obj), morphisms
-    op, left_w, right_w = w
-    left, rest = _eval_morphism(model, left_w, morphisms)
-    right, rest = _eval_morphism(model, right_w, rest)
-    if op == SUM:
-        return model.sum_mor(left, right), rest
-    return model.prod_mor(left, right), rest
+        return morphisms[0]
+    if w == ZERO or w == ONE:
+        return model.identity(model.zero_obj if w == ZERO else model.one_obj)
+    op, left, right = w
+    cut = length(left)
+    a = eval_morphism(model, left, morphisms[:cut])
+    b = eval_morphism(model, right, morphisms[cut:])
+    return model.sum_mor(a, b) if op == SUM else model.prod_mor(a, b)
 
 
 def _split_objects(words, objects):

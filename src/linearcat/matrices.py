@@ -10,7 +10,7 @@ from .errors import IntegrityError
 from .evaluate import (eval_object, inclusion, is_pure_word, projection,
                        zero_morphism)
 from .models import Model, Mor, _memoised
-from .search import flood_check, pure_bracketings, search_graph
+from .search import flood_check, pure_bracketings, search_graph, value_flood
 from .terms import PRELINEAR
 from .words import PROD, SUM, Word, length, render_word
 
@@ -158,7 +158,8 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
                 names = [o.name for o in objects]
                 if len(values) > 1:
                     return {"reason": "two canonical terms evaluate differently",
-                            "objects": names}
+                            "objects": names,
+                            **value_flood(model, graph, objects).disagreement()}
                 [g] = values
                 value = Mor(eval_object(model, v, objects),
                             eval_object(model, w, objects), g)
@@ -169,12 +170,8 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
                         "matrix": [[list(m.graph) for m in row] for row in got.entries],
                         "reason": "canonical morphism matrix is not the identity"}
 
-            failure = flood_check(model, graph, [objects], fault)
-            if failure is not None:
-                _, flood, ce = failure
-                ce = {"source": render_word(v), "target": render_word(w), **ce}
-                if len(flood.values) > 1:
-                    ce.update(flood.disagreement(graph))
+            ce = flood_check(model, graph, [objects], fault)
+            if ce is not None:
                 return CheckReport(law, False, ce)
     return CheckReport(law, True)
 

@@ -67,11 +67,12 @@ objects.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values in order, and
-re-flood the first failing tuple alone with ``value_flood`` for witness
-terms.  No search graph is memoised per model; the identity-matrix
-sweep builds its bracketing graphs once per process
-(``matrices._bracketing_graphs``).  The sweeps' unit
-cancellations go to ``model.memo["cancellation"]``, keyed by
+return the first failing tuple's counterexample.  A sweep's check floods
+its tuple alone with ``value_flood`` only where it names witness terms
+(``FloodResult.witness_term``, ``FloodResult.disagreement``).  No search
+graph is memoised per model; the identity-matrix sweep builds its
+bracketing graphs once per process (``matrices._bracketing_graphs``).  The
+sweeps' unit cancellations go to ``model.memo["cancellation"]``, keyed by
 ``(word, objects)``.
 """
 
@@ -90,7 +91,7 @@ from .terms import (_ALWAYS_ISO, _ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
                     RUNIT_PROD, RUNIT_SUM, CanonTerm, ElementaryTerm,
                     Generator, identity_term, render_term, vcompose)
 from .words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Word, length,
-                    unit_count)
+                    render_word, unit_count)
 
 
 def to_key(w: Word) -> Word:
@@ -497,17 +498,19 @@ def elementary_from_edge(x: Word, edge: Edge) -> ElementaryTerm:
 class FloodResult:
     """Values of all depth-bounded canonical terms from source to target."""
 
+    graph: SearchGraph
     values: dict  # value graph (tuple) -> layer of first realization
     parents: dict  # (state, graph) -> (prev_state, prev_graph, move id) | None
 
-    def disagreement(self, graph: SearchGraph) -> dict:
+    def disagreement(self) -> dict:
         """Every value, each with one term realizing it, in discovery order."""
-        return {"terms": [str(self.witness_term(graph, g)) for g in self.values],
+        return {"terms": [str(self.witness_term(g)) for g in self.values],
                 "values": [list(g) for g in self.values]}
 
-    def witness_term(self, graph: SearchGraph, value: tuple) -> CanonTerm:
+    def witness_term(self, value: tuple) -> CanonTerm:
         """Reconstruct one canonical term realizing the value graph ``value``
         at the target."""
+        graph = self.graph
         state = (graph.target_index, value)
         steps = []
         while True:
@@ -631,7 +634,7 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
     values arriving at one state share their boundary objects.
     """
     parents: dict = {}
-    return FloodResult(_flood(model, graph, (objects,), parents), parents)
+    return FloodResult(graph, _flood(model, graph, (objects,), parents), parents)
 
 
 def flood_values(model: Model, graph: SearchGraph, tuples) -> list[dict]:
@@ -659,22 +662,25 @@ def flood_check(model: Model, graph: SearchGraph, tuples, check):
     """Flood ``graph`` at every object tuple of ``tuples`` and call
     ``check(objects, values)`` on each tuple's values, in tuple order.
 
-    ``check`` returns None when the values pass, else what is wrong.  Returns
-    None if every tuple passes, else the first failing tuple's index, its
-    ``value_flood`` for witness terms, and what ``check`` returned.  If the
-    flood over all tuples raises, each tuple is flooded alone as it is
-    checked, so the caller meets the first failure or exception of per-tuple
-    floods."""
+    ``check`` returns None when the values pass, else the fields of the
+    counterexample; a check that names witness terms floods its tuple alone
+    with ``value_flood`` for them.  Returns None if every tuple passes, else
+    the first failing tuple's counterexample: the graph's source and target,
+    then the fields.  If the flood over all tuples raises, each tuple is
+    flooded alone as it is checked, so the caller meets the first failure or
+    exception of per-tuple floods."""
     tuples = tuple(tuples)
     try:
         batched = flood_values(model, graph, tuples)
     except LinearcatError:
         batched = None
     for k, objects in enumerate(tuples):
-        flood = value_flood(model, graph, objects) if batched is None else None
-        fault = check(objects, batched[k] if flood is None else flood.values)
-        if fault is not None:
-            return k, flood or value_flood(model, graph, objects), fault
+        values = value_flood(model, graph, objects).values if batched is None \
+            else batched[k]
+        fields = check(objects, values)
+        if fields is not None:
+            return {"source": render_word(graph.source),
+                    "target": render_word(graph.target), **fields}
     return None
 
 

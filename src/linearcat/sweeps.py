@@ -16,10 +16,10 @@ from functools import cache
 from .checks import CheckReport
 from .evaluate import eval_canon, eval_object
 from .models import Model, Mor, _invert_mor, _memoised
-from .search import flood_check, search_graph, words_with
+from .search import flood_check, search_graph, value_flood, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     CanonTerm, GenTerm, Generator, I_GEN)
-from .words import HOLE, SUM, Word, core_split, length, render_word
+from .words import HOLE, SUM, Word, core_split, length
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             # two directions, so the mirrored pair carries the same content
             continue
         seen.add((v, w))
+        graph = search_graph(v, w, depth, mode)
 
         def fault(objects, values):
             nonlocal checked
@@ -91,22 +92,17 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
                 return None
             checked += 1
             if len(values) > 1:
-                return {}
+                return {"objects": [o.name for o in objects],
+                        **value_flood(model, graph, objects).disagreement()}
             [g] = values
             if _invertible(model, Mor(eval_object(model, v, objects),
                                       eval_object(model, w, objects), g)):
                 return None
-            return {"reason": "canonical morphism is not invertible", "value": list(g)}
+            return {"objects": [o.name for o in objects],
+                    "reason": "canonical morphism is not invertible", "value": list(g)}
 
-        graph = search_graph(v, w, depth, mode)
-        tuples = objects_for(length(v))
-        failure = flood_check(model, graph, tuples, fault)
-        if failure is not None:
-            k, flood, fields = failure
-            ce = {"source": render_word(v), "target": render_word(w),
-                  "objects": [o.name for o in tuples[k]], **fields}
-            if len(flood.values) > 1:
-                ce.update(flood.disagreement(graph))
+        ce = flood_check(model, graph, objects_for(length(v)), fault)
+        if ce is not None:
             return CheckReport(law, False, ce)
     return CheckReport(law, True, None,
                        {"corpus": corpus.description, "pairs": len(corpus.pairs),
@@ -155,6 +151,7 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
     checked = 0
     tuples = objects_for(2)
     for v, w in corpus.pairs:
+        graph = search_graph(v, w, depth, PRELINEAR)
 
         def fault(objects, values):
             nonlocal checked
@@ -166,19 +163,14 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
                 checked += 1
                 lhs = model.compose(u_w, Mor(src, tgt, g))
                 if lhs != u_v:
-                    return g, lhs, u_v
+                    term = value_flood(model, graph, objects).witness_term(g)
+                    return {"objects": [o.name for o in objects], "term": str(term),
+                            "lhs": list(lhs.graph), "rhs": list(u_v.graph)}
             return None
 
-        graph = search_graph(v, w, depth, PRELINEAR)
-        failure = flood_check(model, graph, tuples, fault)
-        if failure is not None:
-            k, flood, (g, lhs, u_v) = failure
-            return CheckReport(law, False, {
-                "source": render_word(v), "target": render_word(w),
-                "objects": [o.name for o in tuples[k]],
-                "term": str(flood.witness_term(graph, g)),
-                "lhs": list(lhs.graph),
-                "rhs": list(u_v.graph)})
+        ce = flood_check(model, graph, tuples, fault)
+        if ce is not None:
+            return CheckReport(law, False, ce)
     return CheckReport(law, True, None,
                        {"corpus": corpus.description, "terms_checked": checked,
                         "depth": depth})

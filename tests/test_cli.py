@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from linearcat import matrices, search, sweeps
 from linearcat.cli import main
-from linearcat.words import MAX_NESTING
+from linearcat.words import MAX_NESTING, render_word
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -130,20 +131,43 @@ def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("model, golden", [
-    ("pointed_sets_3_faulty.json", "pointed_sets_3_faulty.txt"),
+@pytest.mark.parametrize("model, flags, golden", [
+    ("pointed_sets_3_faulty.json", [], "pointed_sets_3_faulty.txt"),
     # counterexamples with matrices, printed as grids under their reports
-    ("pointed_sets_3_zero_i.json", "pointed_sets_3_zero_i.txt"),
+    ("pointed_sets_3_zero_i.json", [], "pointed_sets_3_zero_i.txt"),
+    # the partially-linear sweep's terms and values, the unit square's
+    # term, and the identity sweep's reason-first shape
+    ("pointed_sets_3_faulty.json", ["--mode", "partially-linear"],
+     "pointed_sets_3_faulty_plin.txt"),
 ])
-def test_check_text_matches_golden(capsys, monkeypatch, model, golden):
+def test_check_text_matches_golden(capsys, monkeypatch, model, flags, golden):
     # The text goldens pin what the structured ones sort away: the order of
     # counterexample keys and the `matrix:` grids.  Each is the output of
-    # `linearcat check --model models/<model>`, run as above.
+    # `linearcat check --model models/<model> <flags>`, run as above.
     bundled = (MODELS / model).exists()
     monkeypatch.chdir(MODELS.parent if bundled else GOLDEN.parent)
-    got, out, _ = run(capsys, "check", "--model", f"models/{model}")
+    got, out, _ = run(capsys, "check", "--model", f"models/{model}", *flags)
     assert got == 1
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_check_floods_a_tuple_alone_only_for_witness_terms(capsys, monkeypatch):
+    # The identity-matrix sweeps at n = 2 and n = 3 fail on a matrix, which
+    # names no term, so only the n = 1 sweep's two values and the unit
+    # square's term are flooded alone for their witness terms.
+    floods = []
+    value_flood = search.value_flood
+
+    def counting(model, graph, objects):
+        floods.append((render_word(graph.source), render_word(graph.target)))
+        return value_flood(model, graph, objects)
+
+    for module in (search, sweeps, matrices):
+        monkeypatch.setattr(module, "value_flood", counting, raising=False)
+    monkeypatch.chdir(GOLDEN.parent)
+    got, _, _ = run(capsys, "check", "--model", "models/pointed_sets_3_zero_i.json")
+    assert got == 1
+    assert floods == [("_", "_"), ("(_*_)", "(_*_)")]
 
 
 @pytest.mark.parametrize("command", ["check", "coherence"])

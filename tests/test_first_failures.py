@@ -78,9 +78,11 @@ def test_units_fail_initial_and_terminal_at_misplaced_bangs():
 
 
 def test_laws_whose_maps_cannot_be_built_fail_at_misplaced_bangs():
-    # the inclusions and projections of (P1, P3), and of (P3, P1), compose
-    # a misplaced bang with a unitor, and the zero maps at P3 compose the
-    # point after a misplaced bang
+    # the inclusion and projection of P1 beside P3 compose a misplaced bang
+    # with a unitor, and the zero maps at P3 compose the point after a
+    # misplaced bang; the entry-identity laws build only the entry of P3
+    # (P1 is the zero object), which is the identity, so they pass and the
+    # prelinear laws disagree with the transformer laws
     def unbuilt(law, a, b, cod, dom):
         return (f"[FAIL] {law}  counterexample: {{'a': '{a}', 'b': '{b}',"
                 f" 'reason': 'maps cannot be built: cannot compose:"
@@ -93,12 +95,10 @@ def test_laws_whose_maps_cannot_be_built_fail_at_misplaced_bangs():
         unbuilt("inclusions-jointly-epi", "P1", "P3", 1, 2),
         unbuilt("projections-jointly-mono", "P1", "P3", 2, 1),
     ]
-    assert _failing(check_transformer(model)) == [
-        unbuilt("i-first-entry-identity", "P3", "P1", 1, 2),
-        unbuilt("i-second-entry-identity", "P1", "P3", 1, 2),
-    ]
+    assert _failing(check_transformer(model)) == []
     assert _failing(check_prelinear(model)) == [
         unbuilt("i-matrix-identity", "P1", "P3", 1, 2),
+        "[FAIL] prelinear-iff-transformer",
     ]
 
 

@@ -203,6 +203,18 @@ def test_identity_check_builds_each_graph_once(monkeypatch):
     assert len(built) == len(set(built)) == 1
 
 
+def test_identity_sweep_reports_a_missing_term_without_objects():
+    # the one counterexample shape no golden reaches: a pair with no term
+    # within the depth names neither objects nor terms
+    model = FinPtSet((1, 2))
+    tuples = list(itertools.product(model.base_objects, repeat=3))
+    report = identity_matrix_sweep(model, 3, tuples, depth=1)
+    assert str(report) == (
+        "[FAIL] coherence-identity-matrix/n=3  counterexample:"
+        " {'source': '(_+(_+_))', 'target': '(_*(_*_))',"
+        " 'reason': 'no canonical term within depth 1'}")
+
+
 def test_bracketing_graph_cache_keeps_reports():
     # The bracketing graphs are built once per process and shared by every
     # model.  Sweeping three models in a row, two of them failing, gives
@@ -243,7 +255,7 @@ def _reference_identity_sweep(model, n, tuples, depth):
                     return CheckReport(law, False, dict(
                         where, reason="two canonical terms evaluate differently",
                         objects=names,
-                        terms=[str(flood.witness_term(graph, g))
+                        terms=[str(flood.witness_term(g))
                                for g in flood.values],
                         values=[list(g) for g in flood.values]))
                 [g] = flood.values

@@ -126,7 +126,7 @@ def test_flood_witness_reconstruction(pt3):
     flood = value_flood(pt3, graph, (PtObj(3),))
     assert flood.values
     for value in flood.values:
-        term = flood.witness_term(graph, value)
+        term = flood.witness_term(value)
         assert term.source == v and term.target == w
         assert eval_canon(pt3, term, (PtObj(3),)).graph == value
 
@@ -168,6 +168,23 @@ def test_small_partially_linear_sweep(cmon):
     report = coherence_sweep(cmon, corpus, objects_for, depth=4,
                              mode=PARTIALLY_LINEAR)
     assert report.passed, report.counterexample
+
+
+def test_sweep_reports_a_value_that_is_not_invertible(monkeypatch, cmon):
+    # the one partially-linear counterexample shape no golden reaches: a
+    # single value, named with its reason instead of witness terms
+    monkeypatch.setattr("linearcat.sweeps._invertible", lambda model, m: False)
+    small = [o for o in cmon.base_objects if o.size <= 2]
+
+    def objects_for(n):
+        return list(itertools.product(small, repeat=n))
+
+    report = coherence_sweep(cmon, equal_length_pairs(1, 1), objects_for,
+                             depth=4)
+    assert str(report) == (
+        "[FAIL] coherence/partially-linear  counterexample:"
+        " {'source': '_', 'target': '_', 'objects': ['M0_1'],"
+        " 'reason': 'canonical morphism is not invertible', 'value': [0]}")
 
 
 def test_normalized_cancellation_lands_in_product(pt3):
