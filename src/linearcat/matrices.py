@@ -10,7 +10,7 @@ from .errors import IntegrityError
 from .evaluate import (eval_object, inclusion, is_pure_word, projection,
                        zero_morphism)
 from .models import Model, Mor, _memoised
-from .search import flood_check, pure_bracketings, search_graph, value_flood
+from .search import flood_check, pure_bracketings, search_graph
 from .terms import PRELINEAR
 from .words import PROD, SUM, Word, length, render_word
 
@@ -152,14 +152,13 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
     for objects in tuples:
         for v, w, graph in pairs:
 
-            def fault(objects, values):
+            def fault(objects, values, trace):
                 if not values:
                     return {"reason": f"no canonical term within depth {depth}"}
                 names = [o.name for o in objects]
                 if len(values) > 1:
                     return {"reason": "two canonical terms evaluate differently",
-                            "objects": names,
-                            **value_flood(model, graph, objects).disagreement()}
+                            "objects": names, **trace().disagreement()}
                 [g] = values
                 value = Mor(eval_object(model, v, objects),
                             eval_object(model, w, objects), g)

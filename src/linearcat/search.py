@@ -32,15 +32,16 @@ themselves.  A word's ``MoveTable`` is built from its
 children's in compressed-sparse-row style: per move it stores only the
 target word and a one-byte code for (kind, inverse), about 83 bytes a move
 together with the cache.  Each table takes one block of process-unique move
-ids, ``first + k``, and rebuilds a move on demand by walking down the child
-tables.  How a move changes the counts the bound reads comes from its
-generator's schema (``_DELTA``).
+ids, ``first + k``, and rebuilds move ``k`` on demand by walking down the
+child tables, as the ``terms.ElementaryTerm`` it applies (``step``), the
+search's one record of a move.  How a move changes the counts the bound
+reads comes from its generator's schema (``_DELTA``).
 
 Values at an object tuple go to the model's own ``memo``, one dict per
 concern.  A search graph numbers its states, keeps each state's table, and
 lists its edges as ``(move id, target state, last layer)``, so the value
 flood runs over integers.  One flood serves every object tuple of a sweep
-at once (``flood_values``): a value is its graphs at the K tuples laid end
+at once (``flood_check``): a value is its graphs at the K tuples laid end
 to end, each shifted past the carriers of the tuples before it, and a
 move's graph is batched the same way, so one tuple map applies the move at
 all K tuples.  The batched graphs live in ``model.memo["batch"]``, keyed by
@@ -66,10 +67,12 @@ move's path, through a memo keyed by the component's key and the sibling
 objects.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
-graph over a list of object tuples, check each tuple's values in order, and
-return the first failing tuple's counterexample.  A sweep's check floods
-its tuple alone with ``value_flood`` only where it names witness terms
-(``FloodResult.witness_term``, ``FloodResult.disagreement``).  No search
+graph over a list of object tuples, check each tuple's values, sliced out
+of the batched flood, in order, and return the first failing tuple's
+counterexample.  A sweep's check calls ``trace()`` for its tuple's
+``FloodResult`` only where it names witness terms
+(``FloodResult.witness_term``, ``FloodResult.disagreement``): that floods
+the tuple alone, or returns the flood the per-tuple fallback made.  No search
 graph is memoised per model; the identity-matrix sweep builds its
 bracketing graphs once per process (``matrices._bracketing_graphs``).  The
 sweeps' unit cancellations go to ``model.memo["cancellation"]``, keyed by
@@ -100,9 +103,6 @@ def to_key(w: Word) -> Word:
 
 
 # -- elementary moves ---------------------------------------------------------
-
-# An edge is (path, kind, inverse, args, move id) with args given as words.
-Edge = tuple[tuple[int, ...], str, bool, tuple, int]
 
 # A move's code is 2 * (index of its kind) + inverse, one byte per move.
 _KINDS = (ASSOC_SUM, ASSOC_PROD, I_GEN, J_GEN,
@@ -216,7 +216,7 @@ class MoveTable:
     move ``k`` has id ``first + k``, and the first ``n_local`` moves are
     those at the root.  A move is rebuilt on demand by walking down the
     child tables, whose local moves are computed on the first walk that
-    ends there.  Iterating yields ``(edge, target)``."""
+    ends there."""
 
     __slots__ = ("word", "mode", "targets", "codes", "first", "n_local",
                  "left", "right", "holes", "_local")
@@ -232,20 +232,6 @@ class MoveTable:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __iter__(self):
-        """Every move as ``(edge, target)``, from one preorder walk over the
-        child tables."""
-        k = 0
-        stack = [(self, ())]
-        while stack:
-            table, path = stack.pop()
-            for kind, inverse, args, _ in table.local_moves():
-                yield (path, kind, inverse, args, self.first + k), self.targets[k]
-                k += 1
-            if table.left is not None:
-                stack.append((table.right, path + (1,)))
-                stack.append((table.left, path + (0,)))
 
     def local_moves(self) -> list[tuple[str, bool, tuple, tuple]]:
         """The moves at this table's root, ``_local_moves`` of its word, as
@@ -284,11 +270,11 @@ class MoveTable:
                 table = table.right
         return table.local_moves()[k], start, start + table.holes, chain
 
-    def edge(self, k: int) -> Edge:
-        """Move ``k`` as ``(path, kind, inverse, args, move id)``."""
+    def step(self, k: int) -> ElementaryTerm:
+        """Move ``k`` as the elementary term it applies to the table's word."""
         (kind, inverse, args, _), _, _, chain = self.walk(k)
-        return (tuple([step[1] for step in chain]), kind, inverse, args,
-                self.first + k)
+        return ElementaryTerm(self.word, tuple([side for _, side, _ in chain]),
+                              Generator(kind, args, inverse))
 
 
 @cache
@@ -376,16 +362,18 @@ class SearchGraph:
     tables: list  # state -> its move table, for every expanded state
     target_index: int | None  # None when the target is out of reach
 
-    def edge(self, state: int, move_id: int) -> Edge:
-        """The edge of move ``move_id`` out of ``state``."""
+    def step(self, state: int, move_id: int) -> ElementaryTerm:
+        """The elementary term of move ``move_id`` out of ``state``."""
         table = self.tables[state]
-        return table.edge(move_id - table.first)
+        return table.step(move_id - table.first)
 
 
 def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     """Every move that can lie on a path of at most ``depth`` moves from
     ``v`` to ``w``.  Each edge carries the last layer it may end on: a move
     into ``y`` ending on layer ``k`` is admitted iff ``k <= last``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     # A deep table toward a small target lets a bulky source prune at once;
     # between words of similar size a half-depth table is far cheaper.
     if length(v) + unit_count(v) > length(w) + unit_count(w) + 1:
@@ -489,11 +477,6 @@ def edge_morphism(model: Model, chain: list, objects: tuple, key: tuple,
     return mor
 
 
-def elementary_from_edge(x: Word, edge: Edge) -> ElementaryTerm:
-    path, kind, inverse, args, _ = edge
-    return ElementaryTerm(x, path, Generator(kind, args, inverse))
-
-
 @dataclass
 class FloodResult:
     """Values of all depth-bounded canonical terms from source to target."""
@@ -513,21 +496,15 @@ class FloodResult:
         graph = self.graph
         state = (graph.target_index, value)
         steps = []
-        while True:
-            parent = self.parents[state]
-            if parent is None:
-                break
+        while (parent := self.parents[state]) is not None:
             prev, prev_graph, mid = parent
-            steps.append((graph.words[prev], graph.edge(prev, mid)))
+            steps.append(graph.step(prev, mid))
             state = (prev, prev_graph)
-        steps.reverse()
-        if not steps:
-            return identity_term(graph.source)
         term: CanonTerm | None = None
-        for w, edge in steps:
-            elem = elementary_from_edge(w, edge).to_canon()
+        for step in reversed(steps):
+            elem = step.to_canon()
             term = elem if term is None else vcompose(elem, term)
-        return term
+        return identity_term(graph.source) if term is None else term
 
 
 def _move_graph(model: Model, table: MoveTable, k: int,
@@ -637,47 +614,42 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
     return FloodResult(graph, _flood(model, graph, (objects,), parents), parents)
 
 
-def flood_values(model: Model, graph: SearchGraph, tuples) -> list[dict]:
-    """``value_flood(model, graph, objects).values`` for each object tuple
-    of ``tuples``, from one flood over all of them."""
-    tuples = tuple(tuples)
-    values = _flood(model, graph, tuples)
-    cuts = []  # per tuple: the slice of a value it owns, and its shift
-    start = shift = 0
-    for objects in tuples:
-        stop = start + eval_object(model, graph.source, objects).size
-        cuts.append((start, stop, shift))
-        start = stop
-        shift += eval_object(model, graph.target, objects).size
-    out: list[dict] = [{} for _ in tuples]
-    for g, layer in values.items():
-        for found, (start, stop, shift) in zip(out, cuts):
-            piece = tuple([t - shift for t in g[start:stop]])
-            if found.get(piece, layer) >= layer:
-                found[piece] = layer
-    return out
-
-
 def flood_check(model: Model, graph: SearchGraph, tuples, check):
-    """Flood ``graph`` at every object tuple of ``tuples`` and call
-    ``check(objects, values)`` on each tuple's values, in tuple order.
+    """Flood ``graph`` once at every object tuple of ``tuples`` and call
+    ``check(objects, values, trace)`` on each tuple's values, in tuple order:
+    ``value_flood(model, graph, objects).values``, sliced out of the batched
+    values when that tuple's check comes up.  ``trace()``, called within
+    that check, returns the tuple's ``FloodResult``, for a check that names
+    witness terms.
 
     ``check`` returns None when the values pass, else the fields of the
-    counterexample; a check that names witness terms floods its tuple alone
-    with ``value_flood`` for them.  Returns None if every tuple passes, else
-    the first failing tuple's counterexample: the graph's source and target,
-    then the fields.  If the flood over all tuples raises, each tuple is
-    flooded alone as it is checked, so the caller meets the first failure or
-    exception of per-tuple floods."""
+    counterexample.  Returns None if every tuple passes, else the first
+    failing tuple's counterexample: the graph's source and target, then the
+    fields.  If the flood over all tuples raises, each tuple is flooded
+    alone as it is checked, so the caller meets the first failure or
+    exception of per-tuple floods, and ``trace()`` returns that flood."""
     tuples = tuple(tuples)
     try:
-        batched = flood_values(model, graph, tuples)
+        batched = _flood(model, graph, tuples)
     except LinearcatError:
         batched = None
-    for k, objects in enumerate(tuples):
-        values = value_flood(model, graph, objects).values if batched is None \
-            else batched[k]
-        fields = check(objects, values)
+    start = shift = 0  # the slice of a batched value the next tuple owns
+    for objects in tuples:
+        if batched is None:
+            flood = value_flood(model, graph, objects)
+            values = flood.values
+        else:
+            flood = None
+            stop = start + eval_object(model, graph.source, objects).size
+            values = {}
+            for g, layer in batched.items():
+                piece = tuple([t - shift for t in g[start:stop]])
+                if values.get(piece, layer) >= layer:
+                    values[piece] = layer
+            start = stop
+            shift += eval_object(model, graph.target, objects).size
+        fields = check(objects, values,
+                       lambda: flood or value_flood(model, graph, objects))
         if fields is not None:
             return {"source": render_word(graph.source),
                     "target": render_word(graph.target), **fields}
@@ -705,8 +677,7 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
         for mid, yi, last in graph.edges[xi]:
             if g + 1 > last:
                 continue
-            elem = elementary_from_edge(graph.words[xi],
-                                        graph.edge(xi, mid)).to_canon()
+            elem = graph.step(xi, mid).to_canon()
             term = elem if chain is None else vcompose(elem, chain)
             if yi == graph.target_index:
                 out.append(term)

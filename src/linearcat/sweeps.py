@@ -16,7 +16,7 @@ from functools import cache
 from .checks import CheckReport
 from .evaluate import eval_canon, eval_object
 from .models import Model, Mor, _invert_mor, _memoised
-from .search import flood_check, search_graph, value_flood, words_with
+from .search import flood_check, search_graph, words_with
 from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     CanonTerm, GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length
@@ -84,16 +84,15 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             # two directions, so the mirrored pair carries the same content
             continue
         seen.add((v, w))
-        graph = search_graph(v, w, depth, mode)
 
-        def fault(objects, values):
+        def fault(objects, values, trace):
             nonlocal checked
             if not values:
                 return None
             checked += 1
             if len(values) > 1:
                 return {"objects": [o.name for o in objects],
-                        **value_flood(model, graph, objects).disagreement()}
+                        **trace().disagreement()}
             [g] = values
             if _invertible(model, Mor(eval_object(model, v, objects),
                                       eval_object(model, w, objects), g)):
@@ -101,7 +100,8 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
             return {"objects": [o.name for o in objects],
                     "reason": "canonical morphism is not invertible", "value": list(g)}
 
-        ce = flood_check(model, graph, objects_for(length(v)), fault)
+        ce = flood_check(model, search_graph(v, w, depth, mode),
+                         objects_for(length(v)), fault)
         if ce is not None:
             return CheckReport(law, False, ce)
     return CheckReport(law, True, None,
@@ -151,9 +151,8 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
     checked = 0
     tuples = objects_for(2)
     for v, w in corpus.pairs:
-        graph = search_graph(v, w, depth, PRELINEAR)
 
-        def fault(objects, values):
+        def fault(objects, values, trace):
             nonlocal checked
             u_v = normalized_cancellation(model, v, objects)
             u_w = normalized_cancellation(model, w, objects)
@@ -163,12 +162,12 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
                 checked += 1
                 lhs = model.compose(u_w, Mor(src, tgt, g))
                 if lhs != u_v:
-                    term = value_flood(model, graph, objects).witness_term(g)
+                    term = trace().witness_term(g)
                     return {"objects": [o.name for o in objects], "term": str(term),
                             "lhs": list(lhs.graph), "rhs": list(u_v.graph)}
             return None
 
-        ce = flood_check(model, graph, tuples, fault)
+        ce = flood_check(model, search_graph(v, w, depth, PRELINEAR), tuples, fault)
         if ce is not None:
             return CheckReport(law, False, ce)
     return CheckReport(law, True, None,

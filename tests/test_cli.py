@@ -151,10 +151,21 @@ def test_check_text_matches_golden(capsys, monkeypatch, model, flags, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-def test_check_floods_a_tuple_alone_only_for_witness_terms(capsys, monkeypatch):
+@pytest.mark.parametrize("model, flags, want", [
     # The identity-matrix sweeps at n = 2 and n = 3 fail on a matrix, which
     # names no term, so only the n = 1 sweep's two values and the unit
     # square's term are flooded alone for their witness terms.
+    ("pointed_sets_3_zero_i.json", [], [("_", "_"), ("(_*_)", "(_*_)")]),
+    # Each failing coherence sweep names two values' terms, and the unit
+    # square one term.  The partially-linear sweep at n = 2 floods each
+    # tuple alone, since its batched flood meets i's inverse, which is no
+    # map on pointed sets: its failing tuple, (P1, P2), is flooded once.
+    ("pointed_sets_3_faulty.json", ["--mode", "partially-linear"],
+     [("_", "_"), ("(_+_)", "(_*_)"), ("(_+(_+_))", "(_*(_*_))"), ("_", "_"),
+      ("(_*_)", "(_*_)"), ("(_*_)", "(_*_)"), ("(_*_)", "(_*_)")]),
+])
+def test_check_floods_a_tuple_alone_only_for_witness_terms(capsys, monkeypatch,
+                                                            model, flags, want):
     floods = []
     value_flood = search.value_flood
 
@@ -164,10 +175,10 @@ def test_check_floods_a_tuple_alone_only_for_witness_terms(capsys, monkeypatch):
 
     for module in (search, sweeps, matrices):
         monkeypatch.setattr(module, "value_flood", counting, raising=False)
-    monkeypatch.chdir(GOLDEN.parent)
-    got, _, _ = run(capsys, "check", "--model", "models/pointed_sets_3_zero_i.json")
+    monkeypatch.chdir(MODELS.parent if (MODELS / model).exists() else GOLDEN.parent)
+    got, _, _ = run(capsys, "check", "--model", f"models/{model}", *flags)
     assert got == 1
-    assert floods == [("_", "_"), ("(_*_)", "(_*_)")]
+    assert floods == want
 
 
 @pytest.mark.parametrize("command", ["check", "coherence"])

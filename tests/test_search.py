@@ -9,12 +9,12 @@ import pytest
 
 from linearcat.evaluate import eval_canon, eval_generator, structure_table
 from linearcat.models import FinPtSet, PtObj, load_model
-from linearcat.search import (_CHANGE, _DELTA, PASS_THROUGH, _counts,
+from linearcat.search import (_CHANGE, _CODE, _DELTA, PASS_THROUGH, _counts,
                               _local_moves, _predecessors,
                               _subword_predecessors, _unpack, backward_table,
-                              canonical_between, elementary_from_edge,
-                              flood_values, moves, pure_bracketings,
-                              search_graph, to_key, value_flood, words_with)
+                              canonical_between, flood_check, moves,
+                              pure_bracketings, search_graph, to_key,
+                              value_flood, words_with)
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
@@ -53,13 +53,24 @@ def test_result_is_sorted_and_deterministic():
     assert texts == sorted(texts)
 
 
-def test_validations():
+def test_validations(cmon):
     with pytest.raises(ValueError):
         canonical_between(HOLE, Sum(HOLE, HOLE), depth=2)
     with pytest.raises(ValueError):
         canonical_between(HOLE, HOLE, depth=0)
     with pytest.raises(ValueError):
         canonical_between(HOLE, HOLE, depth=2, mode="nonsense")
+    # The CLI's spelling "partially-linear" is no search mode either: a
+    # sweep given it must not fall back to a prelinear search, which never
+    # reaches (_+_) from (_*_), and pass after evaluating nothing.
+    corpus = equal_length_pairs(2, 0)
+    assert (Prod(HOLE, HOLE), Sum(HOLE, HOLE)) in corpus.pairs
+    obj = cmon.base_objects[0]
+    for mode in ("partially-linear", "nonsense"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            search_graph(Prod(HOLE, HOLE), Sum(HOLE, HOLE), 2, mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            coherence_sweep(cmon, corpus, lambda n: [(obj,) * n], 2, mode)
 
 
 def test_prelinear_mode_excludes_inverse_transformer():
@@ -286,21 +297,26 @@ def _spine_moves(w, mode) -> list:
 def test_moves_match_spine_rebuild(mode):
     # Move tables are built from the children's tables; they must list the
     # same moves, with the same targets, in the same order as a rebuild of
-    # the spine at every position, and every edge rebuilt from the child
-    # tables must be the spine's.  A table's move ids are one block, taken
-    # after its children's.  Words with 5 leaves are built unmemoised so that
-    # only the tables of their (smaller) children are kept.
+    # the spine at every position, and every elementary term rebuilt from
+    # the child tables must be the spine's.  On words with at most 4 leaves
+    # each term also starts at the table's word, ends at the move's stored
+    # target and has the move's stored code.  A table's move ids are one
+    # block, taken after its children's.  Words with 5 leaves are built
+    # unmemoised so that only the tables of their (smaller) children are
+    # kept.
     ids = Counter()
     for w in _keys_up_to(5):
         leaves = length(w) + unit_count(w)
         table = moves(w, mode) if leaves < 5 else moves.__wrapped__(w, mode)
-        spine = _spine_moves(w, mode)
-        edges = list(table)
-        assert [(edge[:4], y) for edge, y in edges] == spine, w
-        assert [(table.edge(k)[:4], y) for k, y in enumerate(table.targets)] \
-            == spine, w
+        steps = [table.step(k) for k in range(len(table))]
+        assert [((s.path, s.gen.kind, s.gen.inverse, s.gen.args), y)
+                for s, y in zip(steps, table.targets)] == _spine_moves(w, mode), w
+        if leaves <= 4:
+            for s, y, code in zip(steps, table.targets, table.codes):
+                assert s.source == table.word == w, (w, s)
+                assert s.target == y, (w, s)
+                assert _CODE[s.gen.kind, s.gen.inverse] == code, (w, s)
         block = list(range(table.first, table.first + len(table)))
-        assert [edge[4] for edge, _ in edges] == block, w
         for child in (table.left, table.right):
             assert child is None or child.first + len(child) <= table.first
         ids.update(block)
@@ -439,10 +455,11 @@ def _unpruned_values(model, v, w, depth, mode, objects) -> dict:
         values[eval_canon(model, identity_term(v), objects).graph] = 0
 
     def dfs(x, g, chain):
-        for edge, y in moves.__wrapped__(x, mode):  # unmemoised
+        table = moves.__wrapped__(x, mode)  # unmemoised
+        for k, y in enumerate(table.targets):
             if y != w_key and g + 1 == depth:
                 continue
-            elem = elementary_from_edge(x, edge).to_canon()
+            elem = table.step(k).to_canon()
             term = elem if chain is None else vcompose(elem, chain)
             if y == w_key:
                 value = eval_canon(model, term, objects).graph
@@ -480,13 +497,13 @@ def test_flood_pruning_is_exact(cmon):
 
 def _flood_and_own(model, pairs, depth, mode, objects_for):
     """Flood every pair at every object tuple.  Returns the flood values and
-    a map from each move id met in a search graph to its (word, edge)."""
+    a map from each move id met in a search graph to its elementary term."""
     owner, values = {}, {}
     for v, w in pairs:
         graph = search_graph(v, w, depth, mode)
         for xi, out in graph.edges.items():
             for mid, _, _ in out:
-                owner[mid] = (graph.words[xi], graph.edge(xi, mid))
+                owner[mid] = graph.step(xi, mid)
         for objects in objects_for(length(v)):
             values[(v, w, objects)] = value_flood(model, graph, objects).values
     return values, owner
@@ -498,9 +515,17 @@ def _edge_tables(model) -> dict:
             if len(tuples) == 1}
 
 
-def _edge_values(model, x, edge, tuples) -> list:
-    """The values of the move ``edge`` out of ``x`` at each object tuple."""
-    term = elementary_from_edge(x, edge).to_canon()
+def _batched_values(model, graph, tuples) -> list:
+    """Each tuple's values, from one ``flood_check`` over all of ``tuples``."""
+    out = []
+    assert flood_check(model, graph, tuples,
+                       lambda objects, values, trace: out.append(values)) is None
+    return out
+
+
+def _edge_values(model, step, tuples) -> list:
+    """The values of the elementary term ``step`` at each object tuple."""
+    term = step.to_canon()
     return [eval_canon(model, term, objects) for objects in tuples]
 
 
@@ -508,34 +533,32 @@ def _is_identity(mor) -> bool:
     return mor.graph == tuple(range(mor.dom.size)) and mor.cod.size == mor.dom.size
 
 
-def _components(model, x, edge, tuples) -> list:
-    """The generator component that the move ``edge`` out of ``x`` applies
+def _components(model, step, tuples) -> list:
+    """The generator component that the elementary term ``step`` applies
     at its subword, at each object tuple."""
-    path, kind, inverse, args, _ = edge
-    sub, start = x, 0
-    for side in path:
+    sub, start = step.source, 0
+    for side in step.path:
         if side:
             start += length(sub[1])
         sub = sub[1 + side]
-    gen = Generator(kind, args, inverse)
-    return [eval_generator(model, gen, objects[start:start + length(sub)])
+    return [eval_generator(model, step.gen, objects[start:start + length(sub)])
             for objects in tuples]
 
 
-def _is_batch_entry(model, x, edge, tuples, eg) -> bool:
-    """Assert that ``eg``, the flood memo's entry for the move ``edge`` out
-    of ``x`` at the object tuples ``tuples``, is ``PASS_THROUGH`` exactly
-    where every tuple's generator component is the identity carrier map,
-    and elsewhere the move's graphs at each tuple laid end to end, each
-    shifted past the codomain carriers of the tuples before it.  A marked
-    move must be the identity at every tuple, and a move of one of the
-    model's identity tables must have no entry.  Returns whether the entry
-    is marked."""
-    _, kind, inverse, _, _ = edge
-    mors = _edge_values(model, x, edge, tuples)
-    where = (x, edge, tuples)
-    assert structure_table(kind, inverse) not in model.identity_tables, where
-    if all(map(_is_identity, _components(model, x, edge, tuples))):
+def _is_batch_entry(model, step, tuples, eg) -> bool:
+    """Assert that ``eg``, the flood memo's entry for the move of the
+    elementary term ``step`` at the object tuples ``tuples``, is
+    ``PASS_THROUGH`` exactly where every tuple's generator component is the
+    identity carrier map, and elsewhere the move's graphs at each tuple laid
+    end to end, each shifted past the codomain carriers of the tuples before
+    it.  A marked move must be the identity at every tuple, and a move of
+    one of the model's identity tables must have no entry.  Returns whether
+    the entry is marked."""
+    mors = _edge_values(model, step, tuples)
+    where = (step, tuples)
+    assert structure_table(step.gen.kind, step.gen.inverse) \
+        not in model.identity_tables, where
+    if all(map(_is_identity, _components(model, step, tuples))):
         assert eg is PASS_THROUGH, where
         assert all(map(_is_identity, mors)), where
         return True
@@ -559,7 +582,7 @@ def _assert_sound(model, tables, owner):
     checked = marked = 0
     for objects, table in tables.items():
         for mid, eg in table.items():
-            marked += _is_batch_entry(model, *owner[mid], (objects,), eg)
+            marked += _is_batch_entry(model, owner[mid], (objects,), eg)
             checked += 1
     _assert_marks(model, marked, checked)
 
@@ -609,8 +632,8 @@ def test_edge_table_is_sound(path, mode):
 
 def _unskipped_search_graph(v, w, depth, mode):
     """The plain reference for ``search_graph``: every move is looked up in
-    the backward table, with no unit insertion skipped, and read from its
-    rebuilt edge.  Returns (words, edges, target index)."""
+    the backward table, with no unit insertion skipped, and numbered from
+    its table's first move id.  Returns (words, edges, target index)."""
     if length(v) + unit_count(v) > length(w) + unit_count(w) + 1:
         radius = depth - 1
     else:
@@ -625,7 +648,8 @@ def _unskipped_search_graph(v, w, depth, mode):
         nxt = []
         for xi in frontier:
             kept = []
-            for edge, y in moves(words[xi], mode):
+            table = moves(words[xi], mode)
+            for mid, y in enumerate(table.targets, table.first):
                 bty = bt.get(y)
                 last = free_last if bty is None else depth - bty
                 if layer > last:
@@ -635,7 +659,7 @@ def _unskipped_search_graph(v, w, depth, mode):
                     yi = index[y] = len(words)
                     words.append(y)
                     nxt.append(yi)
-                kept.append((edge[4], yi, last))
+                kept.append((mid, yi, last))
             edges[xi] = tuple(kept)
         frontier = nxt
     for xi in frontier:
@@ -678,8 +702,9 @@ def test_unit_insertion_skip_is_exact(depth, mode):
         assert len(graph.tables) > max(expanded, default=-1)
         assert all(table is moves(x, mode)
                    for table, x in zip(graph.tables, graph.words))
-        admitted |= {graph.edge(xi, mid)[1:3]
-                     for xi, out in edges.items() for mid, _, _ in out}
+        admitted |= {(step.gen.kind, step.gen.inverse)
+                     for step in (graph.step(xi, mid)
+                                  for xi, out in edges.items() for mid, _, _ in out)}
     if mode == PARTIALLY_LINEAR:
         assert {(kind, inverse) for kind in ("j", "i", "lunit+", "runit+",
                                              "lunit*", "runit*")
@@ -733,21 +758,22 @@ def test_flood_memo_holds_no_identity_table_move(path):
         tuples = list(itertools.product(small, repeat=length(v)))
         for xi, out in graph.edges.items():
             for mid, _, _ in out:
-                x, edge = owner[mid] = (graph.words[xi], graph.edge(xi, mid))
+                step = owner[mid] = graph.step(xi, mid)
                 # the flood passes values through this move unevaluated
-                if structure_table(*edge[1:3]) in model.identity_tables:
-                    assert all(map(_is_identity, _edge_values(model, x, edge, tuples))), \
-                        (x, edge)
+                if structure_table(step.gen.kind, step.gen.inverse) \
+                        in model.identity_tables:
+                    assert all(map(_is_identity, _edge_values(model, step, tuples))), \
+                        step
                     passed += 1
-        flood_values(model, graph, tuples)
+        _batched_values(model, graph, tuples)
         for objects in tuples[:2]:
             value_flood(model, graph, objects)
     assert passed > 0
     evaluated = set()
     for tuples, table in model.memo["batch"].items():
         for mid, eg in table.items():
-            _is_batch_entry(model, *owner[mid], tuples, eg)
-            evaluated.add(structure_table(*owner[mid][1][1:3]))
+            _is_batch_entry(model, owner[mid], tuples, eg)
+            evaluated.add(structure_table(owner[mid].gen.kind, owner[mid].gen.inverse))
     assert overridden <= evaluated
 
 
@@ -756,7 +782,7 @@ def test_flood_memo_holds_no_identity_table_move(path):
     ("pointed_sets_3_faulty.json", PRELINEAR),
     ("commutative_monoids_3.json", PARTIALLY_LINEAR),
 ])
-def test_flood_values_match_value_flood(model_file, mode):
+def test_batched_flood_matches_value_flood(model_file, mode):
     # One flood over all object tuples gives each tuple the values, with
     # their first layers, of a flood at that tuple alone.  Its move graphs
     # are the moves' graphs at each tuple laid end to end, each shifted past
@@ -774,9 +800,9 @@ def test_flood_values_match_value_flood(model_file, mode):
         graph = search_graph(v, w, 4, mode)
         for xi, out in graph.edges.items():
             for mid, _, _ in out:
-                owner[mid] = (graph.words[xi], graph.edge(xi, mid))
+                owner[mid] = graph.step(xi, mid)
         tuples = list(itertools.product(small, repeat=length(v)))
-        batched.append((graph, tuples, flood_values(model, graph, tuples)))
+        batched.append((graph, tuples, _batched_values(model, graph, tuples)))
     # only the length-0 floods, over the one empty tuple, have one tuple
     assert {t for t in model.memo["batch"] if len(t) == 1} == {((),)}
     many = 0
@@ -789,7 +815,7 @@ def test_flood_values_match_value_flood(model_file, mode):
     checked = marked = 0
     for tuples, table in model.memo["batch"].items():
         for mid, eg in table.items():
-            marked += _is_batch_entry(model, *owner[mid], tuples, eg)
+            marked += _is_batch_entry(model, owner[mid], tuples, eg)
             checked += 1
     _assert_marks(model, marked, checked)
 
@@ -812,20 +838,20 @@ def test_range_shaped_component_is_no_identity():
         graph = search_graph(v, w, 2, PRELINEAR)
         for xi, out in graph.edges.items():
             for mid, _, _ in out:
-                owner[mid] = (graph.words[xi], graph.edge(xi, mid))
+                owner[mid] = graph.step(xi, mid)
         tuples = list(itertools.product((p1, p2), repeat=length(v)))
-        flood_values(model, graph, tuples)
+        _batched_values(model, graph, tuples)
         twos = (p2,) * length(v)
         assert value_flood(model, graph, twos).values == \
             _unpruned_values(model, v, w, 2, PRELINEAR, twos), v_text
     for tuples, table in model.memo["batch"].items():
         for mid, eg in table.items():
-            x, edge = owner[mid]
-            if _is_batch_entry(model, x, edge, tuples, eg):
+            step = owner[mid]
+            if _is_batch_entry(model, step, tuples, eg):
                 continue
             range_shaped += eg == tuple(range(len(eg)))
-            whiskered += edge[0] != () and edge[1] == "i" \
-                and tuples == ((p2,) * length(x),)
+            whiskered += step.path != () and step.gen.kind == "i" \
+                and tuples == ((p2,) * length(step.source),)
     # ((_+_)+_) and (_*(_+_)) each move i at (P2, P2) by one whisker
     assert whiskered == 2
     # the root i at (P2, P2) is stored as its graph (0, 1, 2), not marked
