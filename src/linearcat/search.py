@@ -15,8 +15,8 @@ changes each of the numbers of unit leaves, + nodes and * nodes by at most
 one, so the largest difference between those counts and the target's
 bounds the distance to the target from below (an admissible heuristic in
 the sense of A*), and moves the bound rules out are skipped before their
-targets are looked up.  The pruning is exact: no path within the depth bound
-is ever lost.
+targets are built or looked up.  The pruning is exact: no path within the
+depth bound is ever lost.
 
 Symbolic results (move tables, the predecessor lists of subwords, corpus
 words, the count bound's verdict tables) are memoised with
@@ -29,13 +29,17 @@ A word's predecessors are its root's reverse moves plus one new node around
 each cached predecessor of a child, so they share their unchanged subtrees
 with the cache; the words a distance table expands are not cached
 themselves.  A word's ``MoveTable`` is built from its
-children's in compressed-sparse-row style: per move it stores only the
-target word and a one-byte code for (kind, inverse), about 83 bytes a move
-together with the cache.  Each table takes one block of process-unique move
-ids, ``first + k``, and rebuilds move ``k`` on demand by walking down the
-child tables, as the ``terms.ElementaryTerm`` it applies (``step``), the
-search's one record of a move.  How a move changes the counts the bound
-reads comes from its generator's schema (``_DELTA``).
+children's in compressed-sparse-row style: per move it stores a one-byte
+code for (kind, inverse), and the target word only from its first read
+(``target``), built from the child table's target.  The count bound drops
+most moves by their code, so a search reads about a quarter of its tables'
+targets; a table with none read takes about 30 bytes a move together with
+the cache, and about 83 with all read.  Each table takes one block of
+process-unique move ids, ``first + k``, and rebuilds move ``k`` on demand
+by walking down the child tables, as the ``terms.ElementaryTerm`` it
+applies (``step``), the search's one record of a move.  How a move changes
+the counts the bound reads comes from its generator's schema
+(``_DELTA``).
 
 Values at an object tuple go to the model's own ``memo``, one dict per
 concern.  A search graph numbers its states, keeps each state's table, and
@@ -212,26 +216,65 @@ class MoveTable:
     """The moves out of one word in one mode, in preorder: the moves at the
     root, then each move inside the left child, then each inside the right.
 
-    Per move only its target word and its code (kind, inverse) are stored;
-    move ``k`` has id ``first + k``, and the first ``n_local`` moves are
-    those at the root.  A move is rebuilt on demand by walking down the
-    child tables, whose local moves are computed on the first walk that
-    ends there."""
+    Per move only its code (kind, inverse) is stored when the table is
+    built; move ``k`` has id ``first + k``, and the first ``n_local`` moves
+    are those at the root.  A move's target word is built on its first
+    read (``target``), from the child table's own target, and kept; the
+    root moves' targets come with their codes.  A move is rebuilt on demand
+    by walking down the child tables, whose local moves are computed on the
+    first walk that ends there."""
 
-    __slots__ = ("word", "mode", "targets", "codes", "first", "n_local",
-                 "left", "right", "holes", "_local")
+    __slots__ = ("word", "mode", "codes", "first", "n_local", "left", "right",
+                 "holes", "_targets", "_local")
 
-    def __init__(self, word, mode, targets, codes, n_local, left, right, holes):
+    def __init__(self, word, mode, local_targets, codes, left, right, holes):
         global _next_move_id
-        self.word, self.mode = word, mode
-        self.targets, self.codes, self.n_local = targets, codes, n_local
+        self.word, self.mode, self.codes = word, mode, codes
+        self.n_local = len(local_targets)
         self.left, self.right, self.holes = left, right, holes
         self.first = _next_move_id
-        _next_move_id += len(targets)
+        _next_move_id += len(codes)
+        # move k -> its target word, or None until it is first read; a
+        # tuple once every target is built
+        if left is None:
+            self._targets = tuple(local_targets)
+        else:
+            self._targets = local_targets + [None] * (len(codes) - self.n_local)
         self._local = None
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return len(self.codes)
+
+    def target(self, k: int) -> Word:
+        """The target word of move ``k``, built on first read."""
+        y = self._targets[k]
+        if y is None:
+            op, left_word, right_word = self.word
+            j = k - self.n_local
+            n_left = len(self.left.codes)
+            if j < n_left:
+                y = (op, self.left.target(j), right_word)
+            else:
+                y = (op, left_word, self.right.target(j - n_left))
+            self._targets[k] = y
+        return y
+
+    @property
+    def targets(self) -> tuple[Word, ...]:
+        """Every move's target word, in move order, built in bulk where not
+        yet read."""
+        ts = self._targets
+        if isinstance(ts, list):
+            op, left_word, right_word = self.word
+            n = self.n_local
+            m = n + len(self.left.codes)
+            ts = self._targets = (
+                *ts[:n],
+                *[x or (op, y, right_word)
+                  for x, y in zip(ts[n:m], self.left.targets)],
+                *[x or (op, left_word, y)
+                  for x, y in zip(ts[m:], self.right.targets)])
+        return ts
 
     def local_moves(self) -> list[tuple[str, bool, tuple, tuple]]:
         """The moves at this table's root, ``_local_moves`` of its word, as
@@ -259,12 +302,12 @@ class MoveTable:
             k -= table.n_local
             op, left_word, right_word = table.word
             left = table.left
-            if k < len(left.targets):
+            if k < len(left.codes):
                 chain.append((op, 0, (right_word, start + left.holes,
                                       start + table.holes)))
                 table = left
             else:
-                k -= len(left.targets)
+                k -= len(left.codes)
                 chain.append((op, 1, (left_word, start, start + left.holes)))
                 start += left.holes
                 table = table.right
@@ -283,19 +326,17 @@ def moves(w: Word, mode: str) -> MoveTable:
     table with a fresh block of move ids.
 
     Built from the subwords' tables, in preorder: the moves at the root,
-    then each move inside the left child, then each inside the right."""
+    then each move inside the left child, then each inside the right.  Only
+    the root moves' targets are built here; the others are built as they
+    are read."""
     local = _local_moves(w, mode)
     targets = [new for _, _, _, new in local]
     codes = bytes([_CODE[kind, inverse] for kind, inverse, _, _ in local])
     if w in LEAVES:
-        return MoveTable(w, mode, tuple(targets), codes, len(local), None, None,
-                         length(w))
-    op, left_word, right_word = w
-    left, right = moves(left_word, mode), moves(right_word, mode)
-    targets += [(op, y, right_word) for y in left.targets]
-    targets += [(op, left_word, y) for y in right.targets]
-    return MoveTable(w, mode, tuple(targets), codes + left.codes + right.codes,
-                     len(local), left, right, left.holes + right.holes)
+        return MoveTable(w, mode, targets, codes, None, None, length(w))
+    left, right = moves(w[1], mode), moves(w[2], mode)
+    return MoveTable(w, mode, targets, codes + left.codes + right.codes,
+                     left, right, left.holes + right.holes)
 
 
 def _predecessors(w: Word, mode: str) -> list[Word]:
@@ -396,18 +437,22 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
         # Past free_last a move is admitted only into a word within
         # depth - layer moves of w.  A move changes each count by at most
         # one, so a target whose counts differ from w's by more than that
-        # in any component cannot be admitted: skip its move before hashing
-        # the target.
+        # in any component cannot be admitted: skip its move before building
+        # or hashing the target.
         past = layer > free_last
         for xi in frontier:
             table = moves(words[xi], mode)
             tables.append(table)
             dx = diffs[xi]
-            out = zip(itertools.count(table.first), table.targets, table.codes)
-            if past:
-                keep = _admissible(dx, depth - layer)
-                if keep is not None:
-                    out = itertools.compress(out, table.codes.translate(keep))
+            codes, first = table.codes, table.first
+            keep = _admissible(dx, depth - layer) if past else None
+            if keep is None:
+                out = zip(itertools.count(first), table.targets, codes)
+            else:
+                # only the admitted moves' targets are built
+                target = table.target
+                out = [(first + k, target(k), codes[k]) for k in
+                       itertools.compress(range(len(codes)), codes.translate(keep))]
             kept = []
             for mid, y, code in out:
                 bty = bt.get(y)

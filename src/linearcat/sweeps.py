@@ -17,7 +17,7 @@ from .checks import CheckReport
 from .evaluate import eval_canon, eval_object
 from .models import Model, Mor, _invert_mor, _memoised
 from .search import flood_check, search_graph, words_with
-from .terms import (PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
+from .terms import (MODES, PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     CanonTerm, GenTerm, Generator, I_GEN)
 from .words import HOLE, SUM, Word, core_split, length
 
@@ -76,6 +76,8 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
                     law: str = "coherence/partially-linear") -> CheckReport:
     """All depth-bounded canonical terms within each pair must agree, and
     their common value must be invertible in the model."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     checked = 0
     seen: set = set()
     for v, w in corpus.pairs:

@@ -62,15 +62,20 @@ def test_validations(cmon):
         canonical_between(HOLE, HOLE, depth=2, mode="nonsense")
     # The CLI's spelling "partially-linear" is no search mode either: a
     # sweep given it must not fall back to a prelinear search, which never
-    # reaches (_+_) from (_*_), and pass after evaluating nothing.
+    # reaches (_+_) from (_*_), and pass after evaluating nothing.  It is
+    # refused on entry, so also on a corpus with no pairs, which builds no
+    # search graph.
     corpus = equal_length_pairs(2, 0)
     assert (Prod(HOLE, HOLE), Sum(HOLE, HOLE)) in corpus.pairs
+    empty = equal_length_pairs(0, 0)
+    assert empty.pairs == ()
     obj = cmon.base_objects[0]
     for mode in ("partially-linear", "nonsense"):
         with pytest.raises(ValueError, match="unknown mode"):
             search_graph(Prod(HOLE, HOLE), Sum(HOLE, HOLE), 2, mode)
-        with pytest.raises(ValueError, match="unknown mode"):
-            coherence_sweep(cmon, corpus, lambda n: [(obj,) * n], 2, mode)
+        for pairs in (corpus, empty):
+            with pytest.raises(ValueError, match="unknown mode"):
+                coherence_sweep(cmon, pairs, lambda n: [(obj,) * n], 2, mode)
 
 
 def test_prelinear_mode_excludes_inverse_transformer():
@@ -324,21 +329,62 @@ def test_moves_match_spine_rebuild(mode):
 
 
 def test_move_tables_are_compact():
-    # Per move a table keeps its target word and a one-byte code; edges are
-    # rebuilt on demand.  Measured over the tables of every word with at most
-    # 4 leaves in both modes (235,230 moves), with the functools cache.
+    # Per move a table keeps a one-byte code, and its target word from its
+    # first read on; edges are rebuilt on demand.  Measured over the tables
+    # of every word with at most 4 leaves in both modes (235,230 moves),
+    # with the functools cache: first as built, with only the root moves'
+    # targets, then with every table's targets read.
     small = _keys_up_to(4)
+    modes = (PRELINEAR, PARTIALLY_LINEAR)
     moves.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        count = sum(len(moves(w, mode)) for mode in (PRELINEAR, PARTIALLY_LINEAR)
-                    for w in small)
-        used = tracemalloc.get_traced_memory()[0] - before
+        count = sum(len(moves(w, mode)) for mode in modes for w in small)
+        unread = tracemalloc.get_traced_memory()[0] - before
+        for mode in modes:
+            for w in small:
+                moves(w, mode).targets
+        read = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert count == 235230
-    assert used / count <= 120, used / count
+    assert unread / count <= 40, unread / count
+    assert read / count <= 120, read / count
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_targets_are_built_on_first_read(mode):
+    # A move's target is built on its first read, from the child table's
+    # target, in any order of reads; a later read of ``targets`` builds the
+    # rest in bulk and keeps the targets already built.  Larger words come
+    # first, so that their children's targets are still unbuilt when the
+    # parent reads them.
+    moves.cache_clear()
+    for w in reversed(_keys_up_to(4)):
+        table = moves(w, mode)
+        got = [table.target(k) for k in reversed(range(len(table)))][::-1]
+        assert got == [y for _, y in _spine_moves(w, mode)], w
+        assert list(table.targets) == got, w
+        assert all(a is b for a, b in zip(table.targets, got)), w
+
+
+def test_search_builds_only_admitted_targets():
+    # Past the free layers search_graph reads a target only for a move the
+    # count bound admits, so a bulky source's search builds few of its
+    # tables' targets: here 28 %, where tables built eagerly hold them all.
+    moves.cache_clear()
+    graph = search_graph(parse_word("((0+_)*1)"), HOLE, 6, PARTIALLY_LINEAR)
+    tables, stack = {}, list(graph.tables)
+    while stack:
+        table = stack.pop()
+        if table is not None and id(table) not in tables:
+            tables[id(table)] = table
+            stack += [table.left, table.right]
+    count = sum(len(table) for table in tables.values())
+    built = sum(y is not None for table in tables.values() for y in table._targets)
+    assert count > 20000
+    assert built < count / 2, (built, count)
 
 
 def _plain_predecessors(w, mode) -> list:
