@@ -28,18 +28,17 @@ A table is a pure function of its key, so an eviction changes no result.
 A word's predecessors are its root's reverse moves plus one new node around
 each cached predecessor of a child, so they share their unchanged subtrees
 with the cache; the words a distance table expands are not cached
-themselves.  A word's ``MoveTable`` is built from its
-children's in compressed-sparse-row style: per move it stores a one-byte
-code for (kind, inverse), and the target word only from its first read
-(``target``), built from the child table's target.  The count bound drops
-most moves by their code, so a search reads about a quarter of its tables'
-targets; a table with none read takes about 30 bytes a move together with
-the cache, and about 83 with all read.  Each table takes one block of
-process-unique move ids, ``first + k``, and rebuilds move ``k`` on demand
-by walking down the child tables, as the ``terms.ElementaryTerm`` it
+themselves.  A word's ``MoveTable`` is built from its children's in
+compressed-sparse-row style: per move it stores a one-byte code for (kind,
+inverse), and the target word only from its first read (``target``, the one
+builder of targets), built from the child table's target.  The count bound
+drops most moves by their code, so a search reads about a quarter of its
+tables' targets; a table with none read takes about 30 bytes a move
+together with the cache, and about 83 with all read.  Each table takes one
+block of process-unique move ids, ``first + k``, and rebuilds move ``k`` on
+demand by walking down the child tables, as the ``terms.ElementaryTerm`` it
 applies (``step``), the search's one record of a move.  How a move changes
-the counts the bound reads comes from its generator's schema
-(``_DELTA``).
+the counts the bound reads comes from its generator's schema (``_DELTA``).
 
 Values at an object tuple go to the model's own ``memo``, one dict per
 concern.  A search graph numbers its states, keeps each state's table, and
@@ -234,12 +233,8 @@ class MoveTable:
         self.left, self.right, self.holes = left, right, holes
         self.first = _next_move_id
         _next_move_id += len(codes)
-        # move k -> its target word, or None until it is first read; a
-        # tuple once every target is built
-        if left is None:
-            self._targets = tuple(local_targets)
-        else:
-            self._targets = local_targets + [None] * (len(codes) - self.n_local)
+        # move k -> its target word, or None until it is first read
+        self._targets = local_targets + [None] * (len(codes) - self.n_local)
         self._local = None
 
     def __len__(self) -> int:
@@ -260,21 +255,9 @@ class MoveTable:
         return y
 
     @property
-    def targets(self) -> tuple[Word, ...]:
-        """Every move's target word, in move order, built in bulk where not
-        yet read."""
-        ts = self._targets
-        if isinstance(ts, list):
-            op, left_word, right_word = self.word
-            n = self.n_local
-            m = n + len(self.left.codes)
-            ts = self._targets = (
-                *ts[:n],
-                *[x or (op, y, right_word)
-                  for x, y in zip(ts[n:m], self.left.targets)],
-                *[x or (op, left_word, y)
-                  for x, y in zip(ts[m:], self.right.targets)])
-        return ts
+    def targets(self) -> list[Word]:
+        """Every move's target word, in move order."""
+        return [self.target(k) for k in range(len(self))]
 
     def local_moves(self) -> list[tuple[str, bool, tuple, tuple]]:
         """The moves at this table's root, ``_local_moves`` of its word, as
@@ -444,17 +427,15 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
             table = moves(words[xi], mode)
             tables.append(table)
             dx = diffs[xi]
-            codes, first = table.codes, table.first
+            codes, first, targets = table.codes, table.first, table._targets
             keep = _admissible(dx, depth - layer) if past else None
-            if keep is None:
-                out = zip(itertools.count(first), table.targets, codes)
-            else:
+            admitted = range(len(codes))
+            if keep is not None:
                 # only the admitted moves' targets are built
-                target = table.target
-                out = [(first + k, target(k), codes[k]) for k in
-                       itertools.compress(range(len(codes)), codes.translate(keep))]
+                admitted = itertools.compress(admitted, codes.translate(keep))
             kept = []
-            for mid, y, code in out:
+            for k in admitted:
+                y = targets[k] or table.target(k)
                 bty = bt.get(y)
                 last = free_last if bty is None else depth - bty
                 if layer > last:
@@ -463,9 +444,9 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
                 if yi is None:
                     yi = index[y] = len(words)
                     words.append(y)
-                    diffs.append(dx + _DELTA[code])
+                    diffs.append(dx + _DELTA[codes[k]])
                     nxt.append(yi)
-                kept.append((mid, yi, last))
+                kept.append((first + k, yi, last))
             edges[xi] = tuple(kept)
         frontier = nxt
     for xi in frontier:

@@ -356,10 +356,9 @@ def test_move_tables_are_compact():
 @pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
 def test_targets_are_built_on_first_read(mode):
     # A move's target is built on its first read, from the child table's
-    # target, in any order of reads; a later read of ``targets`` builds the
-    # rest in bulk and keeps the targets already built.  Larger words come
-    # first, so that their children's targets are still unbuilt when the
-    # parent reads them.
+    # target, in any order of reads, and kept: ``targets`` lists the same
+    # objects.  Larger words come first, so that their children's targets
+    # are still unbuilt when the parent reads them.
     moves.cache_clear()
     for w in reversed(_keys_up_to(4)):
         table = moves(w, mode)
@@ -385,6 +384,33 @@ def test_search_builds_only_admitted_targets():
     built = sum(y is not None for table in tables.values() for y in table._targets)
     assert count > 20000
     assert built < count / 2, (built, count)
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_search_graph_is_the_same_from_cold_and_read_tables(mode):
+    # search_graph takes a move's target from its table where it was read
+    # before and builds it otherwise: a graph built over fresh tables must
+    # equal one built over fresh tables whose every target was read first.
+    # The count bound masks the same moves in both, so the read tables are
+    # rebuilt before the second search, and move ids are compared from
+    # each table's first.
+    def relative(graph):
+        return {xi: tuple((mid - graph.tables[xi].first, yi, last)
+                          for mid, yi, last in out)
+                for xi, out in graph.edges.items()}
+
+    cases = [(parse_word("((0+_)*1)"), HOLE, 6)]
+    cases += [(v, w, 4) for v, w in equal_length_pairs(2, 1).pairs[::40]]
+    for v, w, depth in cases:
+        moves.cache_clear()
+        cold = search_graph(v, w, depth, mode)
+        moves.cache_clear()
+        for x in cold.words[:len(cold.tables)]:
+            moves(x, mode).targets
+        read = search_graph(v, w, depth, mode)
+        assert read.words == cold.words, (v, w)
+        assert relative(read) == relative(cold), (v, w)
+        assert read.target_index == cold.target_index, (v, w)
 
 
 def _plain_predecessors(w, mode) -> list:
