@@ -77,16 +77,22 @@ def structure_table(kind: str, inverse: bool) -> str | None:
 
 def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:
     """The component of a generator at the given objects."""
-    k = gen.kind
-    if k == IDENTITY:
+    if gen.kind == IDENTITY:
         return model.identity(eval_object(model, gen.args[0], objects))
-    if k == J_GEN:
-        if gen.inverse:
+    return component_at(model, gen.kind, gen.inverse, tuple(
+        eval_object(model, w, o)
+        for w, o in zip(gen.args, _split_objects(gen.args, objects))))
+
+
+def component_at(model: Model, kind: str, inverse: bool, objs: tuple) -> Mor:
+    """The component of a non-identity generator at its argument objects:
+    j and j' are computed, i' is ``Model.i_inverse``, any other is read
+    through ``Model.structure``."""
+    if kind == J_GEN:
+        if inverse:
             return eval_canon(model, point_morphism(), ())
         return model.j_morphism()
-    arg_objs = _split_objects(gen.args, objects)
-    objs = tuple(eval_object(model, w, o) for w, o in zip(gen.args, arg_objs))
-    table = structure_table(k, gen.inverse)
+    table = structure_table(kind, inverse)
     if table is None:
         return model.i_inverse(*objs)
     return model.structure(table, *objs)

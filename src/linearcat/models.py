@@ -14,14 +14,13 @@ identity (in C) wherever they key a memo, across models and after
 carrier indices), and all structure components (associators, unitors,
 ``i``) are read through ``Model.structure(name, *objects)``.  A model is
 fixed once built: the overrides given to its constructor replace arbitrary
-components at base objects, which is how fault injection works, and the
-other components at base objects are computed lazily into the model's
-``memo``.
-So are the graphs of composites, products and wedges, keyed by the graphs
-and sizes they depend on: the kernels still return a fresh ``Mor`` each
-call, but compute each graph once per model, however often the law checks
-meet its inputs (``check_structure`` on the bundled monoids takes 91
-thousand products over 848 distinct keys).
+components at base objects, which is how fault injection works, and every
+other component is computed on each call.
+The graphs of composites, products and wedges go to the model's ``memo``,
+keyed by the graphs and sizes they depend on: the kernels still return a
+fresh ``Mor`` each call, but compute each graph once per model, however
+often the law checks meet its inputs (``check_structure`` on the bundled
+monoids takes 91 thousand products over 848 distinct keys).
 """
 
 from __future__ import annotations
@@ -201,10 +200,9 @@ class Model:
     tables and of their ``_prod`` twins agree, object by object and graph by
     graph.  Then every product law is its sum law over again, and the law
     layer evaluates it once.  ``memo`` is its only
-    mutable state.  It holds values derived from that data (hom-sets,
-    structure components at base objects, and what other layers compute
-    from them), one dict per concern, so they never outlive or cross
-    models.
+    mutable state.  It holds values derived from that data (hom-sets, and
+    what other layers compute from the model), one dict per concern, so
+    they never outlive or cross models.
     """
 
     kind: str
@@ -212,7 +210,6 @@ class Model:
     def __init__(self, objects, zero, overrides=()):
         self.base_objects = tuple(objects)
         self._by_name = MappingProxyType({o.name: o for o in self.base_objects})
-        self._base = frozenset(self.base_objects)
         self._zero = zero
         self.memo: defaultdict[str, dict] = defaultdict(dict)
         self._overrides = MappingProxyType(self._check_overrides(overrides))
@@ -320,16 +317,13 @@ class Model:
         """The component of the structure table ``name`` (one of
         ``STRUCTURE_TABLES``) at ``objects``, e.g. ``structure("i", a, b)``.
 
-        An override names base objects only; the pristine components at
-        base objects go to ``memo["structure"]``.  Any other is pristine and
-        is computed on each call: the pentagon alone meets thousands of
-        them, each once."""
+        The override at ``objects``, if there is one; else the pristine
+        component, computed on each call.  The flood keeps the components it
+        reads in ``memo["component"]``."""
         if name not in STRUCTURE_TABLES:
             raise ValueError(f"unknown structure table {name!r}")
-        if not self._base.issuperset(objects):
-            return self._compute_structure(name, objects)
         return self._overrides.get((name, objects)) \
-            or _memoised(self, "structure", Model._compute_structure, name, objects)
+            or self._compute_structure(name, objects)
 
     def _compute_structure(self, name: str, objs: tuple) -> Mor:
         """The pristine component; ``name`` is in ``STRUCTURE_TABLES``.
@@ -361,16 +355,20 @@ class Model:
 
     def i_inverse(self, a, b) -> Mor:
         """Two-sided inverse of ``i`` at (a, b); raises when there is none."""
-        i = self.structure("i", a, b)
-        n = len(i.graph)
-        if i.cod.size != n or len(set(i.graph)) != n:
+        return self.inverse(self.structure("i", a, b), f"i at ({a.name}, {b.name})")
+
+    def inverse(self, m: Mor, what: str) -> Mor:
+        """Two-sided inverse of ``m``, named ``what`` in the message of the
+        ``NotInvertibleInModel`` raised when there is none: ``m`` must be
+        bijective, and its inverse graph a morphism."""
+        n = len(m.graph)
+        if m.cod.size != n or len(set(m.graph)) != n:
             raise NotInvertibleInModel(
-                f"i at ({a.name}, {b.name}) is not bijective:"
-                f" |{i.dom.name}| = {i.dom.size}, |{i.cod.name}| = {i.cod.size}")
-        candidate = _invert_mor(i)
+                f"{what} is not bijective:"
+                f" |{m.dom.name}| = {m.dom.size}, |{m.cod.name}| = {m.cod.size}")
+        candidate = _invert_mor(m)
         if not self.is_morphism(candidate):
-            raise NotInvertibleInModel(
-                f"the inverse graph of i at ({a.name}, {b.name}) is not a morphism")
+            raise NotInvertibleInModel(f"the inverse graph of {what} is not a morphism")
         return candidate
 
     # -- hooks for the two instances ------------------------------------------

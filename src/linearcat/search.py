@@ -62,7 +62,8 @@ touches; a step along one of their moves keeps the value tuple as it is,
 told from the move's code alone, with no batch entry.  Any other move meets
 its component in one place, ``_move_graph``, which reads the component at
 each tuple once from ``model.memo["component"]``, keyed by kind, direction
-and argument objects, so each is evaluated once per model.  Where it is
+and argument objects, the arguments of ``evaluate.component_at`` on a miss,
+so each is evaluated once per model.  Where it is
 the identity at every tuple, the batch entry is the shared marker
 ``PASS_THROUGH``, which passes values through in the same way; elsewhere
 ``edge_morphism`` only whiskers the component it is handed along the
@@ -89,8 +90,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import LinearcatError
-from .evaluate import (eval_generator, eval_object, is_pure_word,
-                       structure_table)
+from .evaluate import component_at, eval_object, is_pure_word, structure_table
 from .models import Model, Mor, _identity_graph
 from .terms import (_ALWAYS_ISO, _ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
                     LUNIT_PROD, LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR,
@@ -541,16 +541,14 @@ def _move_graph(model: Model, table: MoveTable, k: int,
     component the move applies is the identity at every tuple.  Each
     tuple's component is read here once, and ``edge_morphism`` only
     whiskers it."""
-    (kind, inverse, args, pieces), start, stop, chain = table.walk(k)
+    (kind, inverse, _, pieces), start, stop, chain = table.walk(k)
     components = model.memo["component"]
     found = []  # per tuple: (component key, component)
     for objects in tuples:
-        sub = objects[start:stop]
-        key = (kind, inverse, _objects_at(model, pieces, sub))
+        key = (kind, inverse, _objects_at(model, pieces, objects[start:stop]))
         mor = components.get(key)
         if mor is None:
-            mor = components[key] = eval_generator(
-                model, Generator(kind, args, inverse), sub)
+            mor = components[key] = component_at(model, *key)
         found.append((key, mor))
     if all(_is_identity(mor) for _, mor in found):
         return PASS_THROUGH
@@ -688,8 +686,6 @@ def canonical_between(v: Word, w: Word, *, depth: int = 1,
                       mode: str = PRELINEAR) -> list[CanonTerm]:
     """All canonical terms from ``v`` to ``w`` with at most ``depth``
     elementary steps, ordered lexicographically by their text form."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if length(v) != length(w):

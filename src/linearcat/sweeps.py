@@ -15,7 +15,8 @@ from functools import cache
 
 from .checks import CheckReport
 from .evaluate import eval_canon, eval_object
-from .models import Model, Mor, _invert_mor, _memoised
+from .errors import NotInvertibleInModel
+from .models import Model, Mor, _memoised
 from .search import flood_check, search_graph, words_with
 from .terms import (MODES, PARTIALLY_LINEAR, PRELINEAR, vcompose, unit_cancel,
                     CanonTerm, GenTerm, Generator, I_GEN)
@@ -81,11 +82,12 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
     checked = 0
     seen: set = set()
     for v, w in corpus.pairs:
-        if mode == PARTIALLY_LINEAR and (w, v) in seen:
-            # inverting terms gives a depth-preserving bijection between the
-            # two directions, so the mirrored pair carries the same content
-            continue
-        seen.add((v, w))
+        if mode == PARTIALLY_LINEAR:
+            if (w, v) in seen:
+                # inverting terms gives a depth-preserving bijection between
+                # the two directions, so the mirrored pair carries the same content
+                continue
+            seen.add((v, w))
 
         def fault(objects, values, trace):
             nonlocal checked
@@ -96,11 +98,14 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
                 return {"objects": [o.name for o in objects],
                         **trace().disagreement()}
             [g] = values
-            if _invertible(model, Mor(eval_object(model, v, objects),
-                                      eval_object(model, w, objects), g)):
-                return None
-            return {"objects": [o.name for o in objects],
-                    "reason": "canonical morphism is not invertible", "value": list(g)}
+            try:
+                model.inverse(Mor(eval_object(model, v, objects),
+                                  eval_object(model, w, objects), g), "the value")
+            except NotInvertibleInModel:
+                return {"objects": [o.name for o in objects],
+                        "reason": "canonical morphism is not invertible",
+                        "value": list(g)}
+            return None
 
         ce = flood_check(model, search_graph(v, w, depth, mode),
                          objects_for(length(v)), fault)
@@ -109,13 +114,6 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
     return CheckReport(law, True, None,
                        {"corpus": corpus.description, "pairs": len(corpus.pairs),
                         "evaluations": checked, "depth": depth})
-
-
-def _invertible(model: Model, m: Mor) -> bool:
-    n = len(m.graph)
-    if m.cod.size != n or len(set(m.graph)) != n:
-        return False
-    return model.is_morphism(_invert_mor(m))
 
 
 def normalized_cancellation(model: Model, w: Word, objects: tuple) -> Mor:

@@ -352,7 +352,7 @@ def test_law_runs_read_their_tables(monkeypatch):
     # the word functor on objects, which the inclusions evaluate)
     assert set(model.memo) == {"composite", "generating_set", "generators", "hom",
                                "inclusion", "laws", "object", "pair",
-                               "projection", "structure"}
+                               "projection"}
 
 
 # -- one structure: the product laws as the sum laws renamed --------------------
@@ -443,13 +443,11 @@ def test_one_structure_halves_the_law_work(monkeypatch):
     assert model.one_structure
     check_structure(model)
     assert counts["kernel"] <= 100_000, counts  # 182,016 evaluated per structure
-    # components away from base objects are computed on each call, never kept
+    # structure components are computed on each call, never kept
     for model in (FinCMon(), FinPtSet((1, 2, 3))):
         check_structure(model)
         check_transformer(model)
-        base = set(model.base_objects)
-        assert model.memo["structure"]
-        assert all(set(objs) <= base for _, objs in model.memo["structure"])
+        assert "structure" not in model.memo
 
 
 # -- laws by generators --------------------------------------------------------

@@ -208,11 +208,16 @@ def test_wrong_arity_eval_object_raises_and_stores_nothing():
     assert model.memo["object"] == {}
 
 
-def test_structure_keeps_base_components_only():
-    model = FinPtSet((1, 2))
-    p2, p3 = PtObj(2), PtObj(3)
-    off_base = model.structure("i", p2, p3)
-    assert model.structure("i", p2, p3) == off_base
-    assert model.memo["structure"] == {}
-    at_base = model.structure("i", p2, p2)
-    assert model.memo["structure"] == {("i", (p2, p2)): at_base}
+def test_structure_reads_overrides_and_keeps_no_component():
+    swap = ("i", ("P1", "P2"), (1, 0))
+    model, pristine = FinPtSet((1, 2), [swap]), FinPtSet((1, 2))
+    p1, p2, p3 = PtObj(1), PtObj(2), PtObj(3)
+    # the override at its base objects
+    assert model.structure("i", p1, p2) == Mor(p2, p2, (1, 0))
+    # every other component is computed on each call, at base objects or not
+    for name, objects in [("i", (p2, p2)), ("i", (p2, p3)),
+                          ("lunit_sum", (p2,)), ("assoc_prod", (p1, p2, p3))]:
+        first = model.structure(name, *objects)
+        assert first == pristine.structure(name, *objects)
+        assert model.structure(name, *objects) is not first
+    assert "structure" not in model.memo

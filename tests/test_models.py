@@ -590,3 +590,17 @@ def test_is_morphism_rejects_bad_graphs(stem, bad):
 def test_i_inverse_raises_for_pointed_sets(pt3):
     with pytest.raises(NotInvertibleInModel):
         pt3.i_inverse(PtObj(2), PtObj(2))
+
+
+def test_inverse_names_what_fails():
+    # i at (P1, P2) overridden by the swap: a bijection whose inverse moves
+    # the basepoint, so no morphism
+    model = FinPtSet((1, 2), [("i", ("P1", "P2"), (1, 0))])
+    p1, p2 = PtObj(1), PtObj(2)
+    with pytest.raises(NotInvertibleInModel) as exc:
+        model.i_inverse(p2, p2)
+    assert str(exc.value) == "i at (P2, P2) is not bijective: |P3| = 3, |P4| = 4"
+    with pytest.raises(NotInvertibleInModel) as exc:
+        model.i_inverse(p1, p2)
+    assert str(exc.value) == "the inverse graph of i at (P1, P2) is not a morphism"
+    assert model.i_inverse(p1, p1) == Mor(p1, p1, (0,))

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from linearcat.evaluate import eval_canon, eval_generator, structure_table
-from linearcat.models import FinPtSet, PtObj, load_model
+from linearcat.errors import NotInvertibleInModel
+from linearcat.models import FinPtSet, Model, PtObj, load_model
 from linearcat.search import (_CHANGE, _CODE, _DELTA, PASS_THROUGH, _counts,
                               _local_moves, _predecessors,
                               _subword_predecessors, _unpack, backward_table,
@@ -189,7 +190,15 @@ def test_small_partially_linear_sweep(cmon):
 def test_sweep_reports_a_value_that_is_not_invertible(monkeypatch, cmon):
     # the one partially-linear counterexample shape no golden reaches: a
     # single value, named with its reason instead of witness terms
-    monkeypatch.setattr("linearcat.sweeps._invertible", lambda model, m: False)
+    inverse = Model.inverse
+
+    def not_invertible(self, m, what):
+        # the sweep's value has no inverse; i' is inverted as before
+        if what.startswith("i at"):
+            return inverse(self, m, what)
+        raise NotInvertibleInModel(f"{what} has no inverse")
+
+    monkeypatch.setattr(Model, "inverse", not_invertible)
     small = [o for o in cmon.base_objects if o.size <= 2]
 
     def objects_for(n):
@@ -943,7 +952,7 @@ def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
     # evaluated once per model, into model.memo["component"].
     from linearcat import search
     calls = Counter()
-    for name in ("edge_morphism", "eval_generator"):
+    for name in ("edge_morphism", "component_at"):
         inner = getattr(search, name)
         monkeypatch.setattr(search, name, lambda *args, _f=inner, _n=name:
                             calls.update([_n]) or _f(*args))
@@ -962,7 +971,7 @@ def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
     entries = sum(map(len, model.memo["batch"].values()))
     assert entries > 100
     components = model.memo["component"]
-    assert 0 < calls["eval_generator"] <= len(components)
+    assert 0 < calls["component_at"] == len(components)
     assert "is_identity" not in model.memo
     if model.kind == "pointed_sets":
         assert 0 < calls["edge_morphism"] < entries
