@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from .errors import ArityMismatch
-from .models import Model, Mor, _memoised
-from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, IDENTITY, J_GEN, LUNIT_PROD,
-                    LUNIT_SUM, PRELINEAR, RUNIT_PROD, RUNIT_SUM, CanonTerm,
-                    Generator, GenTerm, VComp, invert, point_morphism, unit_cancel)
+from .models import Model, Mor, _memoised, structure_table
+from .terms import (IDENTITY, J_GEN, PRELINEAR, CanonTerm, Generator, GenTerm,
+                    VComp, invert, point_morphism, unit_cancel)
 from .words import (HOLE, ONE, PROD, SUM, ZERO, Word, length, node,
                     render_word)
 
@@ -58,21 +57,6 @@ def _split_objects(words, objects):
         out.append(rest[:n])
         rest = rest[n:]
     return out
-
-
-# generator kind -> the structure table of its components
-_STRUCTURE_TABLE = {ASSOC_SUM: "assoc_sum", LUNIT_SUM: "lunit_sum",
-                    RUNIT_SUM: "runit_sum", ASSOC_PROD: "assoc_prod",
-                    LUNIT_PROD: "lunit_prod", RUNIT_PROD: "runit_prod",
-                    I_GEN: "i"}
-
-
-def structure_table(kind: str, inverse: bool) -> str | None:
-    """The structure table the components of a generator are read from;
-    None for j, j' and i', which are computed."""
-    if kind == J_GEN or (kind == I_GEN and inverse):
-        return None
-    return _STRUCTURE_TABLE[kind] + "_inv" * inverse
 
 
 def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:

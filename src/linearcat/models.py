@@ -33,6 +33,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import ModelFileError, NotInvertibleInModel
+from .terms import (ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN, LUNIT_PROD, LUNIT_SUM,
+                    RUNIT_PROD, RUNIT_SUM)
 
 
 # The intern tables of base objects, filled as the process runs; the product
@@ -167,6 +169,20 @@ STRUCTURE_TABLES = (
     "runit_sum", "runit_sum_inv", "assoc_prod", "assoc_prod_inv",
     "lunit_prod", "lunit_prod_inv", "runit_prod", "runit_prod_inv", "i")
 
+# generator kind -> the structure table of its components; j has none
+_STRUCTURE_TABLE = {ASSOC_SUM: "assoc_sum", LUNIT_SUM: "lunit_sum",
+                    RUNIT_SUM: "runit_sum", ASSOC_PROD: "assoc_prod",
+                    LUNIT_PROD: "lunit_prod", RUNIT_PROD: "runit_prod",
+                    I_GEN: "i"}
+
+
+def structure_table(kind: str, inverse: bool) -> str | None:
+    """The structure table the components of a generator are read from;
+    None for j, j' and i', which are computed."""
+    if kind == J_GEN or (kind == I_GEN and inverse):
+        return None
+    return _STRUCTURE_TABLE[kind] + "_inv" * inverse
+
 
 def _memoised(model: Model, concern: str, compute, *args):
     """``compute(model, *args)``, computed once per model into
@@ -190,10 +206,14 @@ class Model:
 
     A model is fixed once built: its objects, its zero object and the
     structure components that ``overrides`` replace, given as
-    ``(table name, object names, graph)`` triples.  ``identity_tables``
-    names the structure tables whose every component is the identity
-    carrier map: the associators and unitors, with their inverses, that no
-    override touches.  ``one_structure`` says that the sum and the product
+    ``(table name, object names, graph)`` triples.  ``identity_moves`` is
+    the one statement of which move kinds ``(generator kind, inverse)``
+    have the identity carrier map as every component, decided here once:
+    the associators and unitors, with their inverses, that no override
+    touches; ``j`` and ``j'``, since the zero object is the one object and
+    has one point; and ``i`` and ``i'`` where the class states that its
+    pristine ``i`` is the identity (``identity_i``) and no override touches
+    ``i``.  ``one_structure`` says that the sum and the product
     are one structure, as biproducts are in a linear category: ``sum_obj``
     and ``prod_obj`` are one method, so are ``sum_mor`` and ``prod_mor``,
     the zero object is the one object, and the overrides of the ``_sum``
@@ -206,6 +226,8 @@ class Model:
     """
 
     kind: str
+    # whether the pristine ``i`` is the identity carrier map at every pair
+    identity_i = False
 
     def __init__(self, objects, zero, overrides=()):
         self.base_objects = tuple(objects)
@@ -214,10 +236,18 @@ class Model:
         self.memo: defaultdict[str, dict] = defaultdict(dict)
         self._overrides = MappingProxyType(self._check_overrides(overrides))
         # every associator and unitor, and each inverse, is the identity
-        # carrier map (see ``_compute_structure``) unless an override says
-        # otherwise
-        self.identity_tables = frozenset(STRUCTURE_TABLES) - {"i"} \
-            - {name for name, _ in self._overrides}
+        # carrier map (see ``_compute_structure``), and so is i where the
+        # class says so, unless an override says otherwise; i' is then the
+        # inverse of an identity, and j and j' are maps of the one-point
+        # zero object to itself
+        identity = set(STRUCTURE_TABLES) - {name for name, _ in self._overrides}
+        if not self.identity_i:
+            identity.discard("i")
+        self.identity_moves = frozenset(
+            (kind, inverse) for kind, table in _STRUCTURE_TABLE.items()
+            for inverse in (False, True)
+            if table + "_inv" * (inverse and kind != I_GEN) in identity) \
+            | {(J_GEN, False), (J_GEN, True)}
         cls = type(self)
         self.one_structure = cls.sum_obj is cls.prod_obj \
             and cls.sum_mor is cls.prod_mor and self.zero_obj is self.one_obj \
@@ -460,10 +490,15 @@ class FinPtSet(Model):
 
 
 class FinCMon(Model):
-    """Commutative monoids; both structures are the direct product and the
-    transformer is the identity carrier map, hence invertible."""
+    """Commutative monoids; both structures are the direct product, with one
+    numbering, and the transformer is the identity carrier map, hence
+    invertible.  So this is the linear case, where the two structures agree:
+    every pristine structure map, ``i`` and ``i'`` included, is an identity
+    (``identity_i``), and a coherence flood knows every move's value from
+    its code."""
 
     kind = "commutative_monoids"
+    identity_i = True
 
     def __init__(self, objects=None, overrides=()):
         objects = tuple(all_commutative_monoids(3) if objects is None else objects)

@@ -56,19 +56,24 @@ component it applies at its subword is the identity (``_is_identity``:
 equal carrier sizes and the identity graph), since every whisker of an
 identity is an identity.  This is the finite form of Mac Lane's remark that
 coherence is trivial where the structure maps are identities.  The rule is
-read at two grains.  ``model.identity_tables`` names the tables whose every
-component is the identity, the associators and unitors that no override
-touches; a step along one of their moves keeps the value tuple as it is,
-told from the move's code alone, with no batch entry.  Any other move meets
-its component in one place, ``_move_graph``, which reads the component at
-each tuple once from ``model.memo["component"]``, keyed by kind, direction
-and argument objects, the arguments of ``evaluate.component_at`` on a miss,
-so each is evaluated once per model.  Where it is
-the identity at every tuple, the batch entry is the shared marker
-``PASS_THROUGH``, which passes values through in the same way; elsewhere
-``edge_morphism`` only whiskers the component it is handed along the
-move's path, through a memo keyed by the component's key and the sibling
-objects.
+read at two grains.  ``model.identity_moves`` names the move kinds whose
+every component is the identity: the associators and unitors that no
+override touches, ``j`` and ``j'`` in every model, and ``i`` and ``i'`` on
+a model that states its pristine ``i`` is the identity (the monoids).  A
+step along one of their moves keeps the value tuple as it is, told from
+the move's code alone, with no batch entry, table walk or component read;
+and where every code passes, as on the monoids, a flood that needs no
+witness terms skips its breadth-first search and reads the one value, the
+identity, from the layer on which ``search_graph`` first reached the
+target.  Any other move meets its component in one place, ``_move_graph``,
+which reads the component at each tuple once from
+``model.memo["component"]``, keyed by kind, direction and argument objects,
+the arguments of ``evaluate.component_at`` on a miss, so each is evaluated
+once per model.  Where it is the identity at every tuple, the batch entry
+is the shared marker ``PASS_THROUGH``, which passes values through in the
+same way; elsewhere ``edge_morphism`` only whiskers the component it is
+handed along the move's path, through a memo keyed by the component's key
+and the sibling objects.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values, sliced out
@@ -90,7 +95,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import LinearcatError
-from .evaluate import component_at, eval_object, is_pure_word, structure_table
+from .evaluate import component_at, eval_object, is_pure_word
 from .models import Model, Mor, _identity_graph
 from .terms import (_ALWAYS_ISO, _ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
                     LUNIT_PROD, LUNIT_SUM, MODES, PARTIALLY_LINEAR, PRELINEAR,
@@ -112,8 +117,6 @@ _KINDS = (ASSOC_SUM, ASSOC_PROD, I_GEN, J_GEN,
           LUNIT_SUM, RUNIT_SUM, LUNIT_PROD, RUNIT_PROD)
 _CODE = {(kind, inverse): 2 * k + inverse
          for k, kind in enumerate(_KINDS) for inverse in (False, True)}
-# code -> the structure table the move's components are read from, or None
-_TABLE_OF = tuple(structure_table(kind, inverse) for kind, inverse in _CODE)
 
 # A word's counts of unit leaves, + nodes and * nodes, packed into one int,
 # one _BASE-sized digit each, so that packed counts add and subtract as
@@ -385,6 +388,7 @@ class SearchGraph:
     words: list  # state -> word
     tables: list  # state -> its move table, for every expanded state
     target_index: int | None  # None when the target is out of reach
+    target_layer: int | None  # the layer that first reached the target
 
     def step(self, state: int, move_id: int) -> ElementaryTerm:
         """The elementary term of move ``move_id`` out of ``state``."""
@@ -414,6 +418,7 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     index = {v: 0}
     frontier = [0]
     layer = 0
+    target_layer = 0 if v == w else None
     while frontier and layer < depth:
         layer += 1
         nxt = []
@@ -449,9 +454,12 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
                 kept.append((first + k, yi, last))
             edges[xi] = tuple(kept)
         frontier = nxt
+        if target_layer is None and w in index:
+            target_layer = layer
     for xi in frontier:
         edges.setdefault(xi, ())
-    return SearchGraph(v, w, depth, edges, words, tables, index.get(w))
+    return SearchGraph(v, w, depth, edges, words, tables, index.get(w),
+                       target_layer)
 
 
 def _objects_at(model: Model, pieces, objects: tuple) -> tuple:
@@ -571,25 +579,34 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     A value is its graphs at the K tuples laid end to end, each shifted past
     the carriers of the tuples before it, and so is a move's graph (see
     ``_move_graph``), so one tuple map applies a move at all K tuples.  A
-    step along a move of a table in ``model.identity_tables`` keeps the
-    value tuple as it is, with no memo entry.  The graphs of the other
-    moves live in ``model.memo["batch"][tuples]``, keyed by move id, where
-    a move whose component is the identity at every tuple is stored as
+    step along a move whose kind is in ``model.identity_moves`` keeps the
+    value tuple as it is, told from its code, with no memo entry, table
+    walk or component read.  The graphs of the other moves live in
+    ``model.memo["batch"][tuples]``, keyed by move id, where a move whose
+    component is the identity at every tuple is stored as
     ``PASS_THROUGH`` and passes values through in the same way.
     Returns the target's values, each with the first layer realizing it;
     ``parents``, when given, maps each (state, value) to the
-    ``(prev_state, prev_value, move id)`` that first reached it.
+    ``(prev_state, prev_value, move id)`` that first reached it.  Where
+    every move code keeps the value and no ``parents`` are asked for, the
+    breadth-first search is skipped: every state holds the one value, the
+    identity, from the layer that first reached it, so the target's values
+    are the identity at the layer on which ``search_graph`` first reached
+    the target, or none when it did not.
     """
     size = sum(eval_object(model, graph.source, objects).size
                for objects in tuples)
     id_graph = tuple(range(size))
+    passes = [move in model.identity_moves for move in _CODE]  # code -> bool
+    if parents is None and all(passes):
+        reached = graph.target_layer
+        return {} if reached is None else {id_graph: reached}
     visited: list = [None] * len(graph.words)  # state -> {graph: first layer}
     visited[0] = {id_graph: 0}
     if parents is not None:
         parents[(0, id_graph)] = None
     frontier = [(0, id_graph)]
     graphs = model.memo["batch"].setdefault(tuples, {})  # move id -> graph
-    passes = [t in model.identity_tables for t in _TABLE_OF]  # code -> bool
     layer = 0
     depth = graph.depth
     graph_edges = graph.edges

@@ -116,6 +116,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("commutative_monoids_3_zero_runit_prod_inv.json",
      FAST + ["--mode", "partially-linear"], 1,
      "commutative_monoids_3_zero_runit_prod_inv.json"),
+    # the CI smoke step's passing partially-linear run on monoids, whose
+    # every flood is one that no move can change
+    ("commutative_monoids_3.json",
+     ["--mode", "partially-linear", "--depth", "4", "--max-units", "2"], 0,
+     "commutative_monoids_3_plin_units2.json"),
 ])
 def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                                          code, golden):

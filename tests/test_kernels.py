@@ -8,15 +8,26 @@ from pathlib import Path
 import pytest
 
 from linearcat.checks import check_structure
-from linearcat.evaluate import eval_object
-from linearcat.models import (STRUCTURE_TABLES, CMonObj, FinCMon, FinPtSet,
-                               Mor, PtObj, all_commutative_monoids, load_model)
+from linearcat.evaluate import component_at, eval_object
+from linearcat.models import (CMonObj, FinCMon, FinPtSet, Mor, PtObj,
+                               all_commutative_monoids, load_model,
+                               structure_table)
 from linearcat.search import pure_bracketings, words_with
+from linearcat.terms import (_ARITY, ASSOC_PROD, ASSOC_SUM, I_GEN, J_GEN,
+                             LUNIT_PROD, LUNIT_SUM, RUNIT_PROD, RUNIT_SUM)
 from linearcat.words import LEAVES, PROD, SUM, length
 
 TESTS = Path(__file__).resolve().parent
-# every structure table but i: the associators and unitors, with inverses
-ASSOCIATORS_AND_UNITORS = frozenset(STRUCTURE_TABLES) - {"i"}
+MODEL_FILES = [*sorted((TESTS.parent / "models").glob("*.json")),
+               *sorted((TESTS / "models").glob("*.json"))]
+# the move kinds (generator kind, inverse) of the associators and unitors,
+# of j and of i, each with its inverse
+ASSOCIATORS_AND_UNITORS = frozenset(
+    (kind, inverse) for kind in (ASSOC_SUM, ASSOC_PROD, LUNIT_SUM, RUNIT_SUM,
+                                 LUNIT_PROD, RUNIT_PROD)
+    for inverse in (False, True))
+J_MOVES = frozenset({(J_GEN, False), (J_GEN, True)})
+I_MOVES = frozenset({(I_GEN, False), (I_GEN, True)})
 
 
 def _pair_graph(f, g):
@@ -177,28 +188,46 @@ def _is_identity(m: Mor) -> bool:
 
 @pytest.mark.parametrize("name", ["pt3", "cmon2"])
 def test_associators_unitors_and_their_whiskers_are_identities(request, name):
-    # The value flood passes values through every move of an identity
-    # table unevaluated.  That is sound because each component, at base
-    # objects and at a product object, is the identity carrier map, and so
-    # is its sum and its product with the identity of each base object, on
-    # either side.
+    # The value flood passes values through every move of a kind in
+    # identity_moves unevaluated, told from its code: the associators and
+    # unitors, j and j' in every model, and i and i' on monoids.  That is
+    # sound because each component, at base objects and at a product
+    # object, is the identity carrier map, and so is its sum and its product
+    # with the identity of each base object, on either side.
     model = request.getfixturevalue(name)
-    assert model.identity_tables == ASSOCIATORS_AND_UNITORS
+    monoids = isinstance(model, FinCMon)
+    assert model.identity_moves == \
+        ASSOCIATORS_AND_UNITORS | J_MOVES | (I_MOVES if monoids else set())
     objs = model.base_objects
     at = objs + (model.prod_obj(*objs[-2:]),)
     checked = 0
-    for table in sorted(model.identity_tables):
-        arity = 3 if table.startswith("assoc") else 1
-        for args in itertools.product(at, repeat=arity):
-            mor = model.structure(table, *args)
-            assert _is_identity(mor), (table, args)
+    for kind, inverse in sorted(model.identity_moves):
+        for args in itertools.product(at, repeat=_ARITY[kind]):
+            mor = component_at(model, kind, inverse, args)
+            assert _is_identity(mor), (kind, inverse, args)
             for c in objs:
                 ident = model.identity(c)
                 for whisker in (model.sum_mor, model.prod_mor):
                     for pair in ((mor, ident), (ident, mor)):
-                        assert _is_identity(whisker(*pair)), (table, args, c)
+                        assert _is_identity(whisker(*pair)), (kind, inverse, args, c)
             checked += 1
-    assert checked == 4 * len(at) ** 3 + 8 * len(at)
+    assert checked == 4 * len(at) ** 3 + 8 * len(at) + 2 \
+        + (2 * len(at) ** 2 if monoids else 0)
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_zero_object_is_the_one_object_with_one_point(path):
+    # j and j' pass values by their code in every model: each is a map
+    # from the zero object to itself, since the zero object is also the
+    # product unit, and a one-point object has one endomorphism, its
+    # identity.
+    model = load_model(path)
+    zero = model.zero_obj
+    assert zero is model.one_obj
+    assert zero.size == 1
+    assert zero in model.base_objects
+    assert model.hom(zero, zero) == (model.identity(zero),)
+    assert J_MOVES <= model.identity_moves
 
 
 def _subword_objects(model, words, objs) -> tuple[set, set]:
@@ -254,11 +283,33 @@ def test_kernels_send_identity_pairs_to_identities(model_file):
     *sorted((TESTS / "models").glob("*.json")),
 ], ids=lambda path: path.stem)
 def test_identity_tables_omit_exactly_the_overridden_tables(path):
+    # The moves of an overridden table drop out of identity_moves, and
+    # with i its inverse; j and j' stay, and so do i and i' on monoids
+    # whose i no override touches.
     overridden = {ov["table"] for ov in
                   json.loads(path.read_text(encoding="utf-8"))["overrides"]}
     assert overridden
     model = load_model(path)
-    assert model.identity_tables == ASSOCIATORS_AND_UNITORS - overridden
+    moves = ASSOCIATORS_AND_UNITORS | J_MOVES
+    if model.kind == "commutative_monoids":
+        moves |= I_MOVES
+    assert model.identity_moves == {
+        (kind, inverse) for kind, inverse in moves
+        if kind == J_GEN or structure_table(kind, inverse and kind != I_GEN)
+        not in overridden}
+    assert J_MOVES <= model.identity_moves
+
+
+def test_monoid_i_override_keeps_i_and_its_inverse_out():
+    # A monoid model states that its pristine i is the identity; an
+    # override of i, here the swap of the factors at (M1_2, M1_2), which is
+    # an automorphism but no identity, takes i and i' out of the set.
+    model = FinCMon(all_commutative_monoids(2),
+                    [("i", ("M1_2", "M1_2"), (0, 2, 1, 3))])
+    assert FinCMon.identity_i and not FinPtSet.identity_i
+    assert model.identity_moves == ASSOCIATORS_AND_UNITORS | J_MOVES
+    assert FinCMon(all_commutative_monoids(2)).identity_moves == \
+        ASSOCIATORS_AND_UNITORS | J_MOVES | I_MOVES
 
 
 @pytest.mark.parametrize("build, objects", [

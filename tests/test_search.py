@@ -9,7 +9,8 @@ import pytest
 
 from linearcat.evaluate import eval_canon, eval_generator, structure_table
 from linearcat.errors import NotInvertibleInModel
-from linearcat.models import FinPtSet, Model, PtObj, load_model
+from linearcat.models import (FinCMon, FinPtSet, Model, PtObj,
+                               all_commutative_monoids, load_model)
 from linearcat.search import (_CHANGE, _CODE, _DELTA, PASS_THROUGH, _counts,
                               _local_moves, _predecessors,
                               _subword_predecessors, _unpack, backward_table,
@@ -633,12 +634,11 @@ def _is_batch_entry(model, step, tuples, eg) -> bool:
     identity carrier map, and elsewhere the move's graphs at each tuple laid
     end to end, each shifted past the codomain carriers of the tuples before
     it.  A marked move must be the identity at every tuple, and a move of
-    one of the model's identity tables must have no entry.  Returns whether
-    the entry is marked."""
+    a kind in the model's ``identity_moves`` must have no entry.  Returns
+    whether the entry is marked."""
     mors = _edge_values(model, step, tuples)
     where = (step, tuples)
-    assert structure_table(step.gen.kind, step.gen.inverse) \
-        not in model.identity_tables, where
+    assert (step.gen.kind, step.gen.inverse) not in model.identity_moves, where
     if all(map(_is_identity, _components(model, step, tuples))):
         assert eg is PASS_THROUGH, where
         assert all(map(_is_identity, mors)), where
@@ -652,11 +652,14 @@ def _is_batch_entry(model, step, tuples, eg) -> bool:
 
 
 def _assert_marks(model, marked, checked):
-    # every structure map of the monoid model is an identity, but on
-    # pointed sets i is not, and neither is an overridden component
-    assert checked > 100
-    exact = model.kind != "pointed_sets" and not model._overrides
-    assert marked == checked if exact else 0 < marked < checked
+    # every structure map of the monoid model is an identity, so every move
+    # passes by its code and none gets a batch entry; but on pointed sets i
+    # is not always an identity, and neither is an overridden component
+    if model.identity_moves == set(_CODE):
+        assert checked == 0
+    else:
+        assert checked > 100
+        assert 0 < marked < checked
 
 
 def _assert_sound(model, tables, owner):
@@ -693,12 +696,15 @@ def test_edge_table_is_sound(path, mode):
 
     pairs = [(parse_word(v), parse_word(w)) for v, w in [
         ("(0+_)", "(_*1)"), ("(_*1)", "(_+0)"), ("((0*1)+_)", "_"),
-        ("(_+_)", "(_*_)"), ("((_+0)*_)", "(_+(1*_))"), ("0", "1")]]
+        ("(_+_)", "(_*_)"), ("((_+0)*_)", "(_+(1*_))"), ("0", "1"),
+        ("((_+_)+_)", "(_*(_*_))")]]
     values, owner = _flood_and_own(model, pairs, 4, mode, objects_for)
     before = _edge_tables(model)
     _assert_sound(model, before, owner)
     entries = sum(len(table) for table in before.values())
-    assert len(model.memo["whisker"]) < entries
+    whiskered = len(model.memo["whisker"])
+    # on the monoids every move passes by its code, and none is whiskered
+    assert whiskered < entries if entries else whiskered == 0
 
     moves.cache_clear()
     # in another order, so that reused ids would name other moves
@@ -820,8 +826,8 @@ def test_count_deltas_are_exact(mode):
 @pytest.mark.parametrize("path", [*sorted(MODELS.glob("*.json")), *OVERRIDE_FIXTURES],
                          ids=lambda path: path.stem)
 def test_flood_memo_holds_no_identity_table_move(path):
-    # A step along a move of an identity table keeps the value with no
-    # memo lookup, so no flood memo entry may belong to such a move, in a
+    # A step along a move of a kind in identity_moves keeps the value with
+    # no memo lookup, so no flood memo entry may belong to such a move, in a
     # one-tuple or a batched flood; each such move of the graphs must be
     # the identity at every flooded tuple.  The moves of every overridden
     # table are still evaluated, into sound entries.
@@ -841,8 +847,7 @@ def test_flood_memo_holds_no_identity_table_move(path):
             for mid, _, _ in out:
                 step = owner[mid] = graph.step(xi, mid)
                 # the flood passes values through this move unevaluated
-                if structure_table(step.gen.kind, step.gen.inverse) \
-                        in model.identity_tables:
+                if (step.gen.kind, step.gen.inverse) in model.identity_moves:
                     assert all(map(_is_identity, _edge_values(model, step, tuples))), \
                         step
                     passed += 1
@@ -858,10 +863,19 @@ def test_flood_memo_holds_no_identity_table_move(path):
     assert overridden <= evaluated
 
 
+def _swapped_i_monoids():
+    """The monoids of size <= 2 with i at (M1_2, M1_2) overridden by the
+    swap of the two factors: an automorphism, so i' exists, but no
+    identity, so neither i nor i' passes by its code."""
+    return FinCMon(all_commutative_monoids(2),
+                   [("i", ("M1_2", "M1_2"), (0, 2, 1, 3))])
+
+
 @pytest.mark.parametrize("model_file, mode", [
     ("pointed_sets_3.json", PRELINEAR),
     ("pointed_sets_3_faulty.json", PRELINEAR),
     ("commutative_monoids_3.json", PARTIALLY_LINEAR),
+    pytest.param(None, PARTIALLY_LINEAR, id="monoids_swapped_i-partially_linear"),
 ])
 def test_batched_flood_matches_value_flood(model_file, mode):
     # One flood over all object tuples gives each tuple the values, with
@@ -869,8 +883,11 @@ def test_batched_flood_matches_value_flood(model_file, mode):
     # are the moves' graphs at each tuple laid end to end, each shifted past
     # the codomain carriers of the tuples before it, or PASS_THROUGH where
     # that is the identity, and the flood memo keys them by the tuple of
-    # object tuples, as it keys the one-tuple floods.
-    model = load_model(MODELS / model_file)
+    # object tuples, as it keys the one-tuple floods.  On the monoid model
+    # every move passes by its code: no flood leaves a batch entry, and the
+    # batched floods skip their search.
+    model = _swapped_i_monoids() if model_file is None \
+        else load_model(MODELS / model_file)
     small = [o for o in model.base_objects if o.size <= 2]
     pairs = [(parse_word(v), parse_word(w)) for v, w in [
         ("0", "1"), ("(0*1)", "1"), ("1", "0"),
@@ -884,15 +901,20 @@ def test_batched_flood_matches_value_flood(model_file, mode):
                 owner[mid] = graph.step(xi, mid)
         tuples = list(itertools.product(small, repeat=length(v)))
         batched.append((graph, tuples, _batched_values(model, graph, tuples)))
-    # only the length-0 floods, over the one empty tuple, have one tuple
-    assert {t for t in model.memo["batch"] if len(t) == 1} == {((),)}
+    if model.identity_moves == set(_CODE):
+        assert not model.memo["batch"]
+    else:
+        # only the length-0 floods, over the one empty tuple, have one tuple
+        assert {t for t in model.memo["batch"] if len(t) == 1} == {((),)}
     many = 0
     for graph, tuples, got in batched:
         want = [value_flood(model, graph, objects).values for objects in tuples]
         assert got == want, (graph.source, graph.target)
         many += sum(len(values) > 1 for values in got)
-    # the faulty model's unitor gives (_*_) -> (_*_) two values
-    assert many > 0 if "faulty" in model_file else many == 0
+    # the faulty model's unitor gives (_*_) -> (_*_) two values, and the
+    # swapped i gives (_+_) -> (_*_) two at (M1_2, M1_2)
+    assert many > 0 if model_file in ("pointed_sets_3_faulty.json", None) \
+        else many == 0
     checked = marked = 0
     for tuples, table in model.memo["batch"].items():
         for mid, eg in table.items():
@@ -946,10 +968,11 @@ def test_range_shaped_component_is_no_identity():
 def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
     # A move whose generator component is the identity at its subword
     # passes values through with no whisker evaluated.  On the monoid model
-    # every structure map is the identity, so a partially-linear sweep calls
-    # edge_morphism not once and leaves the whisker memo empty.  On pointed
-    # sets i is not always the identity; still, each generator component is
-    # evaluated once per model, into model.memo["component"].
+    # every structure map is the identity, and every move kind passes by its
+    # code, so a partially-linear sweep evaluates no component, calls
+    # edge_morphism not once and leaves the batch and whisker memos empty.
+    # On pointed sets i is not always the identity; still, each generator
+    # component is evaluated once per model, into model.memo["component"].
     from linearcat import search
     calls = Counter()
     for name in ("edge_morphism", "component_at"):
@@ -969,14 +992,57 @@ def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
         report = coherence_sweep(model, corpus, objects_for, 4, PARTIALLY_LINEAR)
     assert report.passed, report.counterexample
     entries = sum(map(len, model.memo["batch"].values()))
-    assert entries > 100
     components = model.memo["component"]
-    assert 0 < calls["component_at"] == len(components)
+    assert calls["component_at"] == len(components)
     assert "is_identity" not in model.memo
     if model.kind == "pointed_sets":
+        assert entries > 100
+        assert 0 < calls["component_at"]
         assert 0 < calls["edge_morphism"] < entries
     else:
+        assert not model.memo["batch"] and not components
         assert calls["edge_morphism"] == 0
         assert not model.memo["whisker"]
-        assert all(eg is PASS_THROUGH for table in model.memo["batch"].values()
-                   for eg in table.values())
+
+
+def test_monoid_sweep_passes_every_move_by_its_code(monkeypatch):
+    # On the monoid model every move kind is in identity_moves, so a
+    # partially-linear sweep builds no move's graph and reads no component:
+    # each flood without witness terms skips its search and gives the
+    # target one value, the identity, first realized on the layer where
+    # search_graph first reached the target.  Those values are the ones a
+    # full flood at each tuple alone finds, layers included, also on the
+    # pairs whose target is out of reach.
+    from linearcat import search
+    model = load_model(MODELS / "commutative_monoids_3.json")
+    assert model.identity_moves == set(_CODE)
+    calls = Counter()
+    for name in ("_move_graph", "component_at"):
+        inner = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args, _f=inner, _n=name:
+                            calls.update([_n]) or _f(*args))
+    small = [o for o in model.base_objects if o.size <= 2]
+
+    def objects_for(k):
+        return list(itertools.product(small, repeat=k))
+
+    corpus = equal_length_pairs(1, 2)
+    report = coherence_sweep(model, corpus, objects_for, 4, PARTIALLY_LINEAR)
+    assert report.passed, report.counterexample
+    assert not model.memo["batch"]
+    assert not model.memo["component"]
+    assert not model.memo["whisker"]
+    assert not calls
+    layers = Counter()
+    for v, w in corpus.pairs:
+        graph = search_graph(v, w, 4, PARTIALLY_LINEAR)
+        tuples = objects_for(length(v))
+        got = _batched_values(model, graph, tuples)
+        assert got == [value_flood(model, graph, objects).values
+                       for objects in tuples], (v, w)
+        layers.update(layer for values in got[:1] for layer in values.values())
+        layers[None] += not got[0]
+    assert not calls
+    assert not any(model.memo["batch"].values())
+    # targets reached on every layer, and targets out of reach
+    assert set(layers) == {0, 1, 2, 3, 4, None}, layers
