@@ -308,8 +308,6 @@ def test_monoid_i_override_keeps_i_and_its_inverse_out():
                     [("i", ("M1_2", "M1_2"), (0, 2, 1, 3))])
     assert FinCMon.identity_i and not FinPtSet.identity_i
     assert model.identity_moves == ASSOCIATORS_AND_UNITORS | J_MOVES
-    assert FinCMon(all_commutative_monoids(2)).identity_moves == \
-        ASSOCIATORS_AND_UNITORS | J_MOVES | I_MOVES
 
 
 @pytest.mark.parametrize("build, objects", [
