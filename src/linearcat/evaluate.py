@@ -49,23 +49,15 @@ def eval_morphism(model: Model, w: Word, morphisms: tuple[Mor, ...]) -> Mor:
     return model.sum_mor(a, b) if op == SUM else model.prod_mor(a, b)
 
 
-def _split_objects(words, objects):
-    out = []
-    rest = tuple(objects)
-    for w in words:
-        n = length(w)
-        out.append(rest[:n])
-        rest = rest[n:]
-    return out
-
-
 def eval_generator(model: Model, gen: Generator, objects: tuple) -> Mor:
     """The component of a generator at the given objects."""
     if gen.kind == IDENTITY:
         return model.identity(eval_object(model, gen.args[0], objects))
-    return component_at(model, gen.kind, gen.inverse, tuple(
-        eval_object(model, w, o)
-        for w, o in zip(gen.args, _split_objects(gen.args, objects))))
+    objs, start = [], 0  # each argument word takes the next slice of objects
+    for w in gen.args:
+        objs.append(eval_object(model, w, objects[start:start + length(w)]))
+        start += length(w)
+    return component_at(model, gen.kind, gen.inverse, tuple(objs))
 
 
 def component_at(model: Model, kind: str, inverse: bool, objs: tuple) -> Mor:
@@ -98,10 +90,9 @@ def _eval_canon(model: Model, t: CanonTerm, objects: tuple) -> Mor:
         earlier = _eval_canon(model, t.earlier, objects)
         later = _eval_canon(model, t.later, objects)
         return model.compose(later, earlier)
-    left_objs, right_objs = _split_objects(
-        (t.left.source, t.right.source), objects)
-    left = _eval_canon(model, t.left, left_objs)
-    right = _eval_canon(model, t.right, right_objs)
+    cut = length(t.left.source)
+    left = _eval_canon(model, t.left, objects[:cut])
+    right = _eval_canon(model, t.right, objects[cut:])
     if t.op == SUM:
         return model.sum_mor(left, right)
     return model.prod_mor(left, right)

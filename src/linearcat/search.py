@@ -49,7 +49,8 @@ to end, each shifted past the carriers of the tuples before it, and a
 move's graph is batched the same way, so one tuple map applies the move at
 all K tuples.  The batched graphs live in ``model.memo["batch"]``, keyed by
 the tuple of object tuples and then by move id; ``value_flood`` is the
-one-tuple case, keyed by ``(objects,)``.
+one-tuple case, keyed by ``(objects,)``.  A flood's values are the target's
+value graphs, in the order its breadth-first search first realized them.
 
 One rule says whether a move changes a value: not if the generator
 component it applies at its subword is the identity (``_is_identity``:
@@ -63,17 +64,17 @@ a model that states its pristine ``i`` is the identity (the monoids).  A
 step along one of their moves keeps the value tuple as it is, told from
 the move's code alone, with no batch entry, table walk or component read;
 and where every code passes, as on the monoids, a flood that needs no
-witness terms skips its breadth-first search and reads the one value, the
-identity, from the layer on which ``search_graph`` first reached the
-target.  Any other move meets its component in one place, ``_move_graph``,
-which reads the component at each tuple once from
-``model.memo["component"]``, keyed by kind, direction and argument objects,
-the arguments of ``evaluate.component_at`` on a miss, so each is evaluated
-once per model.  Where it is the identity at every tuple, the batch entry
-is the shared marker ``PASS_THROUGH``, which passes values through in the
-same way; elsewhere ``edge_morphism`` only whiskers the component it is
-handed along the move's path, through a memo keyed by the component's key
-and the sibling objects.
+witness terms skips its breadth-first search: the target's one value is the
+identity, or it has none when ``search_graph`` did not reach it.  Any other
+move meets its component in one place, ``_move_graph``, which reads the
+component at each tuple once from ``model.memo["component"]``, keyed by
+kind, direction and argument objects, the arguments of
+``evaluate.component_at`` on a miss, so each is evaluated once per model.
+Where it is the identity at every tuple, the batch entry is the shared
+marker ``PASS_THROUGH``, which passes values through in the same way;
+elsewhere ``edge_morphism`` only whiskers the component it is handed along
+the move's path, through a memo keyed by the component's key and the
+sibling objects.
 
 All three coherence sweeps take one path, ``flood_check``: flood a search
 graph over a list of object tuples, check each tuple's values, sliced out
@@ -388,7 +389,6 @@ class SearchGraph:
     words: list  # state -> word
     tables: list  # state -> its move table, for every expanded state
     target_index: int | None  # None when the target is out of reach
-    target_layer: int | None  # the layer that first reached the target
 
     def step(self, state: int, move_id: int) -> ElementaryTerm:
         """The elementary term of move ``move_id`` out of ``state``."""
@@ -418,7 +418,6 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     index = {v: 0}
     frontier = [0]
     layer = 0
-    target_layer = 0 if v == w else None
     while frontier and layer < depth:
         layer += 1
         nxt = []
@@ -454,12 +453,9 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
                 kept.append((first + k, yi, last))
             edges[xi] = tuple(kept)
         frontier = nxt
-        if target_layer is None and w in index:
-            target_layer = layer
     for xi in frontier:
         edges.setdefault(xi, ())
-    return SearchGraph(v, w, depth, edges, words, tables, index.get(w),
-                       target_layer)
+    return SearchGraph(v, w, depth, edges, words, tables, index.get(w))
 
 
 def _objects_at(model: Model, pieces, objects: tuple) -> tuple:
@@ -516,7 +512,7 @@ class FloodResult:
     """Values of all depth-bounded canonical terms from source to target."""
 
     graph: SearchGraph
-    values: dict  # value graph (tuple) -> layer of first realization
+    values: tuple  # the target's value graphs, in discovery order
     parents: dict  # (state, graph) -> (prev_state, prev_graph, move id) | None
 
     def disagreement(self) -> dict:
@@ -572,7 +568,7 @@ def _move_graph(model: Model, table: MoveTable, k: int,
 
 
 def _flood(model: Model, graph: SearchGraph, tuples: tuple,
-           parents: dict | None = None) -> dict:
+           parents: dict | None = None) -> tuple:
     """Breadth-first flood over (state, value) pairs within the budget, at
     every object tuple of ``tuples`` at once.
 
@@ -585,24 +581,23 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     ``model.memo["batch"][tuples]``, keyed by move id, where a move whose
     component is the identity at every tuple is stored as
     ``PASS_THROUGH`` and passes values through in the same way.
-    Returns the target's values, each with the first layer realizing it;
-    ``parents``, when given, maps each (state, value) to the
+    Returns the target's values as a tuple, in the order the search first
+    realized them; ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, move id)`` that first reached it.  Where
     every move code keeps the value and no ``parents`` are asked for, the
-    breadth-first search is skipped: every state holds the one value, the
-    identity, from the layer that first reached it, so the target's values
-    are the identity at the layer on which ``search_graph`` first reached
-    the target, or none when it did not.
+    breadth-first search is skipped: every state it reaches holds the one
+    value, the identity, so the target's values are the identity, or none
+    when ``search_graph`` did not reach the target.
     """
     size = sum(eval_object(model, graph.source, objects).size
                for objects in tuples)
     id_graph = tuple(range(size))
     passes = [move in model.identity_moves for move in _CODE]  # code -> bool
     if parents is None and all(passes):
-        reached = graph.target_layer
-        return {} if reached is None else {id_graph: reached}
-    visited: list = [None] * len(graph.words)  # state -> {graph: first layer}
-    visited[0] = {id_graph: 0}
+        return () if graph.target_index is None else (id_graph,)
+    # state -> its values, as dict keys in the order they were first reached
+    visited: list = [None] * len(graph.words)
+    visited[0] = {id_graph: None}
     if parents is not None:
         parents[(0, id_graph)] = None
     frontier = [(0, id_graph)]
@@ -633,14 +628,14 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
                     bucket = visited[yi] = {}
                 elif my in bucket:
                     continue
-                bucket[my] = layer_out
+                bucket[my] = None
                 if parents is not None:
                     parents[(yi, my)] = (xi, m, mid)
                 nxt.append((yi, my))
         frontier = nxt
         layer = layer_out
     target = graph.target_index
-    return {} if target is None else visited[target]
+    return () if target is None else tuple(visited[target])
 
 
 def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult:
@@ -648,8 +643,9 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
 
     Every canonical term from source to target with at most ``depth``
     elementary steps realizes one of the returned values, and every returned
-    value is realized by such a term.  Values travel as raw graphs: all
-    values arriving at one state share their boundary objects.
+    value is realized by such a term; they come in the order the search
+    first realized them.  Values travel as raw graphs: all values arriving
+    at one state share their boundary objects.
     """
     parents: dict = {}
     return FloodResult(graph, _flood(model, graph, (objects,), parents), parents)
@@ -658,10 +654,11 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
 def flood_check(model: Model, graph: SearchGraph, tuples, check):
     """Flood ``graph`` once at every object tuple of ``tuples`` and call
     ``check(objects, values, trace)`` on each tuple's values, in tuple order:
-    ``value_flood(model, graph, objects).values``, sliced out of the batched
-    values when that tuple's check comes up.  ``trace()``, called within
-    that check, returns the tuple's ``FloodResult``, for a check that names
-    witness terms.
+    ``value_flood(model, graph, objects).values``, in the same order: each
+    batched value's slice for that tuple, first occurrences only, cut when
+    that tuple's check comes up.  ``trace()``, called within that check,
+    returns the tuple's ``FloodResult``, for a check that names witness
+    terms.
 
     ``check`` returns None when the values pass, else the fields of the
     counterexample.  Returns None if every tuple passes, else the first
@@ -682,11 +679,8 @@ def flood_check(model: Model, graph: SearchGraph, tuples, check):
         else:
             flood = None
             stop = start + eval_object(model, graph.source, objects).size
-            values = {}
-            for g, layer in batched.items():
-                piece = tuple([t - shift for t in g[start:stop]])
-                if values.get(piece, layer) >= layer:
-                    values[piece] = layer
+            values = tuple(dict.fromkeys(
+                tuple([t - shift for t in g[start:stop]]) for g in batched))
             start = stop
             shift += eval_object(model, graph.target, objects).size
         fields = check(objects, values,

@@ -20,7 +20,8 @@ from linearcat.search import (_CHANGE, _CODE, _DELTA, PASS_THROUGH, _counts,
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
-                             identity_term, render_term, vcompose)
+                             elementary_factorization, identity_term,
+                             render_term, vcompose)
 from linearcat.words import (HOLE, LEAVES, ONE, PROD, SUM, ZERO, Prod, Sum,
                              length, parse_word, render_word, unit_count)
 
@@ -553,6 +554,16 @@ def _unpruned_values(model, v, w, depth, mode, objects) -> dict:
     return values
 
 
+def _witness_lengths(flood) -> dict:
+    """Each of the flood's values, which must not repeat, with the number
+    of elementary steps of its witness term: the witness is read back along
+    the first arrivals of the breadth-first search, so that is the first
+    layer realizing the value."""
+    assert len(set(flood.values)) == len(flood.values), flood.values
+    return {g: len(elementary_factorization(flood.witness_term(g)))
+            for g in flood.values}
+
+
 def test_flood_pruning_is_exact(cmon):
     faulty = load_model(MODELS / "pointed_sets_3_faulty.json")
     p2 = faulty.object_by_name("P2")
@@ -573,8 +584,8 @@ def test_flood_pruning_is_exact(cmon):
         flood = value_flood(model, graph, objs)
         want = _unpruned_values(model, v, w, depth, mode, objs)
         assert want, (v_text, w_text)
-        # the flood records the first layer that realizes each value
-        assert flood.values == want, (v_text, w_text, mode)
+        # the flood finds each value once, with a shortest witness term
+        assert _witness_lengths(flood) == want, (v_text, w_text, mode)
 
 
 def _flood_and_own(model, pairs, depth, mode, objects_for):
@@ -878,8 +889,8 @@ def _swapped_i_monoids():
     pytest.param(None, PARTIALLY_LINEAR, id="monoids_swapped_i-partially_linear"),
 ])
 def test_batched_flood_matches_value_flood(model_file, mode):
-    # One flood over all object tuples gives each tuple the values, with
-    # their first layers, of a flood at that tuple alone.  Its move graphs
+    # One flood over all object tuples gives each tuple the values, in the
+    # same order, of a flood at that tuple alone.  Its move graphs
     # are the moves' graphs at each tuple laid end to end, each shifted past
     # the codomain carriers of the tuples before it, or PASS_THROUGH where
     # that is the identity, and the flood memo keys them by the tuple of
@@ -945,7 +956,7 @@ def test_range_shaped_component_is_no_identity():
         tuples = list(itertools.product((p1, p2), repeat=length(v)))
         _batched_values(model, graph, tuples)
         twos = (p2,) * length(v)
-        assert value_flood(model, graph, twos).values == \
+        assert _witness_lengths(value_flood(model, graph, twos)) == \
             _unpruned_values(model, v, w, 2, PRELINEAR, twos), v_text
     for tuples, table in model.memo["batch"].items():
         for mid, eg in table.items():
@@ -1009,10 +1020,10 @@ def test_monoid_sweep_passes_every_move_by_its_code(monkeypatch):
     # On the monoid model every move kind is in identity_moves, so a
     # partially-linear sweep builds no move's graph and reads no component:
     # each flood without witness terms skips its search and gives the
-    # target one value, the identity, first realized on the layer where
-    # search_graph first reached the target.  Those values are the ones a
-    # full flood at each tuple alone finds, layers included, also on the
-    # pairs whose target is out of reach.
+    # target one value, the identity, where search_graph reached it.  Those
+    # values are the ones a full flood at each tuple alone finds, also on
+    # the pairs whose target is out of reach, and their witness terms reach
+    # the target on every layer.
     from linearcat import search
     model = load_model(MODELS / "commutative_monoids_3.json")
     assert model.identity_moves == set(_CODE)
@@ -1038,9 +1049,9 @@ def test_monoid_sweep_passes_every_move_by_its_code(monkeypatch):
         graph = search_graph(v, w, 4, PARTIALLY_LINEAR)
         tuples = objects_for(length(v))
         got = _batched_values(model, graph, tuples)
-        assert got == [value_flood(model, graph, objects).values
-                       for objects in tuples], (v, w)
-        layers.update(layer for values in got[:1] for layer in values.values())
+        floods = [value_flood(model, graph, objects) for objects in tuples]
+        assert got == [flood.values for flood in floods], (v, w)
+        layers.update(_witness_lengths(floods[0]).values())
         layers[None] += not got[0]
     assert not calls
     assert not any(model.memo["batch"].values())
