@@ -121,15 +121,14 @@ def realize(model: Model, p: MatrixPresentation) -> Mor | None:
 
 
 @cache
-def _bracketing_graphs(n: int, depth: int) -> tuple:
-    """``(v, w, search graph)`` for every sum bracketing ``v`` and product
-    bracketing ``w`` of length ``n``.  The graphs depend on no model, so
-    they are built once per process.  That pays only in a process that
-    checks several models (one ``check`` asks for each key once), and the
-    graphs stay alive until the process ends: at depth 8 they add 20 to
-    40 MB to the peak RSS of a ``check``."""
-    return tuple((v, w, search_graph(v, w, depth, PRELINEAR))
-                 for v in pure_bracketings(SUM, n) for w in pure_bracketings(PROD, n))
+def _bracketing_graph(v: Word, w: Word, depth: int, mode: str):
+    """``search_graph``, memoised: a bracketing graph depends on no model,
+    so it is built once per process and shared by every object tuple and
+    every model checked.  The graphs stay alive until the process ends: at
+    depth 8 they add 20 to 40 MB to the peak RSS of a ``check``.  Where
+    every move passes by its code, as on the monoids, ``flood_check`` asks
+    for none."""
+    return search_graph(v, w, depth, mode)
 
 
 def identity_matrix_sweep(model: Model, n: int, tuples,
@@ -139,8 +138,8 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
     canonical terms must evaluate to one morphism whose matrix is the
     identity matrix.
 
-    Each pair's search graph is built once per process (see
-    ``_bracketing_graphs``).  Each tuple is checked against every pair, and
+    Each pair's search graph is built at most once per process (see
+    ``_bracketing_graph``).  Each tuple is checked against every pair, and
     flooded alone, before the next tuple, so the sweep stops at the first
     failing tuple."""
     if not 1 <= n <= 3:
@@ -148,9 +147,10 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
     if any(len(objects) != n for objects in tuples):
         raise ValueError("need exactly n objects")
     law = f"coherence-identity-matrix/n={n}"
-    pairs = _bracketing_graphs(n, depth)
+    pairs = [(v, w) for v in pure_bracketings(SUM, n)
+             for w in pure_bracketings(PROD, n)]
     for objects in tuples:
-        for v, w, graph in pairs:
+        for v, w in pairs:
 
             def fault(objects, values, trace):
                 if not values:
@@ -169,7 +169,8 @@ def identity_matrix_sweep(model: Model, n: int, tuples,
                         "matrix": [[list(m.graph) for m in row] for row in got.entries],
                         "reason": "canonical morphism matrix is not the identity"}
 
-            ce = flood_check(model, graph, [objects], fault)
+            ce = flood_check(model, v, w, depth, PRELINEAR, [objects], fault,
+                             _bracketing_graph)
             if ce is not None:
                 return CheckReport(law, False, ce)
     return CheckReport(law, True)

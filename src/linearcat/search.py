@@ -16,7 +16,9 @@ one, so the largest difference between those counts and the target's
 bounds the distance to the target from below (an admissible heuristic in
 the sense of A*), and moves the bound rules out are skipped before their
 targets are built or looked up.  The pruning is exact: no path within the
-depth bound is ever lost.
+depth bound is ever lost.  Whether any path reaches the target at all is
+asked with no graph built (``reaches``): the forward search, under the same
+bound, stops at the first word it meets in the table.
 
 Symbolic results (move tables, the predecessor lists of subwords, corpus
 words, the count bound's verdict tables) are memoised with
@@ -63,12 +65,12 @@ override touches, ``j`` and ``j'`` in every model, and ``i`` and ``i'`` on
 a model that states its pristine ``i`` is the identity (the monoids).  A
 step along one of their moves keeps the value tuple as it is, told from
 the move's code alone, with no batch entry, table walk or component read;
-and where every code passes, as on the monoids, a flood that needs no
-witness terms skips its breadth-first search: the target's one value is the
-identity, or it has none when ``search_graph`` did not reach it.  Any other
-move meets its component in one place, ``_move_graph``, which reads the
-component at each tuple once from ``model.memo["component"]``, keyed by
-kind, direction and argument objects, the arguments of
+and where every code passes, as on the monoids, ``flood_check`` builds no
+search graph and floods nothing: it asks ``reaches`` whether the target
+lies within the depth, and the target's one value is then the identity.
+Any other move meets its component in one place, ``_move_graph``, which
+reads the component at each tuple once from ``model.memo["component"]``,
+keyed by kind, direction and argument objects, the arguments of
 ``evaluate.component_at`` on a miss, so each is evaluated once per model.
 Where it is the identity at every tuple, the batch entry is the shared
 marker ``PASS_THROUGH``, which passes values through in the same way;
@@ -76,17 +78,18 @@ elsewhere ``edge_morphism`` only whiskers the component it is handed along
 the move's path, through a memo keyed by the component's key and the
 sibling objects.
 
-All three coherence sweeps take one path, ``flood_check``: flood a search
-graph over a list of object tuples, check each tuple's values, sliced out
-of the batched flood, in order, and return the first failing tuple's
-counterexample.  A sweep's check calls ``trace()`` for its tuple's
-``FloodResult`` only where it names witness terms
-(``FloodResult.witness_term``, ``FloodResult.disagreement``): that floods
-the tuple alone, or returns the flood the per-tuple fallback made.  No search
-graph is memoised per model; the identity-matrix sweep builds its
-bracketing graphs once per process (``matrices._bracketing_graphs``).  The
-sweeps' unit cancellations go to ``model.memo["cancellation"]``, keyed by
-``(word, objects)``.
+All three coherence sweeps take one path, ``flood_check``: given a word
+pair, a depth, a mode and a list of object tuples, build the pair's search
+graph where some move can change a value and flood it over every tuple,
+check each tuple's values, sliced out of the batched flood, in order, and
+return the first failing tuple's counterexample.  A sweep's check calls
+``trace()`` for its tuple's ``FloodResult`` only where it names witness
+terms (``FloodResult.witness_term``, ``FloodResult.disagreement``): that
+floods the tuple alone, building the graph if it was not, or returns the
+flood the per-tuple fallback made.  No search graph is memoised per model;
+the identity-matrix sweep builds each bracketing graph at most once per
+process (``matrices._bracketing_graph``).  The sweeps' unit cancellations
+go to ``model.memo["cancellation"]``, keyed by ``(word, objects)``.
 """
 
 from __future__ import annotations
@@ -458,6 +461,48 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
     return SearchGraph(v, w, depth, edges, words, tables, index.get(w))
 
 
+def reaches(v: Word, w: Word, depth: int, mode: str) -> bool:
+    """Whether some path of at most ``depth`` moves leads from ``v`` to
+    ``w``: ``search_graph(v, w, depth, mode).target_index is not None``,
+    with no graph built.
+
+    A bidirectional search with a meeting test: a breadth-first search
+    from ``v``, under the same count bound as ``search_graph``, stops at
+    the first word it meets in the backward table of radius ``depth // 2``.
+    It runs at most ``depth - radius`` layers, so any table word it meets
+    lies within ``depth`` moves of ``w``; and the first table word on a
+    shortest path is met on its own layer, since the words before it are
+    outside the table and expanded.  So table words are not expanded."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    radius = depth // 2
+    bt = backward_table(w, radius, mode)
+    if v in bt:
+        return True
+    counts_w = _counts(w)
+    seen = {v}
+    frontier = [(v, _counts(v) - counts_w)]
+    for layer in range(1, depth - radius + 1):
+        nxt = []
+        for x, dx in frontier:
+            table = moves(x, mode)
+            codes, targets = table.codes, table._targets
+            admitted = range(len(codes))
+            keep = _admissible(dx, depth - layer)
+            if keep is not None:
+                admitted = itertools.compress(admitted, codes.translate(keep))
+            for k in admitted:
+                y = targets[k] or table.target(k)
+                if y in seen:
+                    continue
+                if y in bt:
+                    return True
+                seen.add(y)
+                nxt.append((y, dx + _DELTA[codes[k]]))
+        frontier = nxt
+    return False
+
+
 def _objects_at(model: Model, pieces, objects: tuple) -> tuple:
     """The word functor at object slices: for each ``(word, first, end)`` of
     ``pieces``, the object of ``word`` at ``objects[first:end]``.  A hit
@@ -584,17 +629,13 @@ def _flood(model: Model, graph: SearchGraph, tuples: tuple,
     Returns the target's values as a tuple, in the order the search first
     realized them; ``parents``, when given, maps each (state, value) to the
     ``(prev_state, prev_value, move id)`` that first reached it.  Where
-    every move code keeps the value and no ``parents`` are asked for, the
-    breadth-first search is skipped: every state it reaches holds the one
-    value, the identity, so the target's values are the identity, or none
-    when ``search_graph`` did not reach the target.
+    every move code keeps the value, ``flood_check`` does not call it: it
+    asks ``reaches`` and builds no graph.
     """
     size = sum(eval_object(model, graph.source, objects).size
                for objects in tuples)
     id_graph = tuple(range(size))
     passes = [move in model.identity_moves for move in _CODE]  # code -> bool
-    if parents is None and all(passes):
-        return () if graph.target_index is None else (id_graph,)
     # state -> its values, as dict keys in the order they were first reached
     visited: list = [None] * len(graph.words)
     visited[0] = {id_graph: None}
@@ -651,43 +692,67 @@ def value_flood(model: Model, graph: SearchGraph, objects: tuple) -> FloodResult
     return FloodResult(graph, _flood(model, graph, (objects,), parents), parents)
 
 
-def flood_check(model: Model, graph: SearchGraph, tuples, check):
-    """Flood ``graph`` once at every object tuple of ``tuples`` and call
-    ``check(objects, values, trace)`` on each tuple's values, in tuple order:
-    ``value_flood(model, graph, objects).values``, in the same order: each
-    batched value's slice for that tuple, first occurrences only, cut when
-    that tuple's check comes up.  ``trace()``, called within that check,
-    returns the tuple's ``FloodResult``, for a check that names witness
-    terms.
+def flood_check(model: Model, v: Word, w: Word, depth: int, mode: str,
+                tuples, check, build):
+    """Check the depth-bounded canonical terms from ``v`` to ``w`` at every
+    object tuple of ``tuples``: call ``check(objects, values, trace)`` on
+    each tuple's values, in tuple order.  ``values`` is
+    ``value_flood(model, graph, objects).values``, in the same order, for
+    ``graph = build(v, w, depth, mode)``, where ``build`` is
+    ``search_graph`` or a memoised form of it.  ``trace()``, called within
+    that check, returns the tuple's ``FloodResult``, for a check that names
+    witness terms.
+
+    Where every move code is in ``model.identity_moves``, as on the monoids,
+    every path keeps the identity, so each tuple's one value is the identity
+    on ``v``'s object, or there is none when ``reaches`` says ``w`` is out
+    of reach; no graph is built unless a check calls ``trace()``.  Elsewhere
+    the graph is flooded once at all tuples, and each tuple's values are
+    its slices of the batched values, first occurrences only, cut when that
+    tuple's check comes up.
 
     ``check`` returns None when the values pass, else the fields of the
     counterexample.  Returns None if every tuple passes, else the first
-    failing tuple's counterexample: the graph's source and target, then the
-    fields.  If the flood over all tuples raises, each tuple is flooded
-    alone as it is checked, so the caller meets the first failure or
-    exception of per-tuple floods, and ``trace()`` returns that flood."""
+    failing tuple's counterexample: ``v`` and ``w``, then the fields.  If
+    the flood over all tuples raises, each tuple is flooded alone as it is
+    checked, so the caller meets the first failure or exception of
+    per-tuple floods, and ``trace()`` returns that flood."""
     tuples = tuple(tuples)
-    try:
-        batched = _flood(model, graph, tuples)
-    except LinearcatError:
-        batched = None
+    graph = batched = None
+    every_move_passes = all(move in model.identity_moves for move in _CODE)
+    if every_move_passes:
+        reached = reaches(v, w, depth, mode)
+    else:
+        graph = build(v, w, depth, mode)
+        try:
+            batched = _flood(model, graph, tuples)
+        except LinearcatError:
+            pass
+
+    def trace():
+        nonlocal graph
+        if graph is None:
+            graph = build(v, w, depth, mode)
+        return value_flood(model, graph, objects)
+
     start = shift = 0  # the slice of a batched value the next tuple owns
     for objects in tuples:
-        if batched is None:
-            flood = value_flood(model, graph, objects)
+        flood = None
+        if every_move_passes:
+            size = eval_object(model, v, objects).size
+            values = (tuple(range(size)),) if reached else ()
+        elif batched is None:
+            flood = trace()
             values = flood.values
         else:
-            flood = None
-            stop = start + eval_object(model, graph.source, objects).size
+            stop = start + eval_object(model, v, objects).size
             values = tuple(dict.fromkeys(
                 tuple([t - shift for t in g[start:stop]]) for g in batched))
             start = stop
-            shift += eval_object(model, graph.target, objects).size
-        fields = check(objects, values,
-                       lambda: flood or value_flood(model, graph, objects))
+            shift += eval_object(model, w, objects).size
+        fields = check(objects, values, lambda: flood or trace())
         if fields is not None:
-            return {"source": render_word(graph.source),
-                    "target": render_word(graph.target), **fields}
+            return {"source": render_word(v), "target": render_word(w), **fields}
     return None
 
 

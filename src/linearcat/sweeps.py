@@ -107,8 +107,8 @@ def coherence_sweep(model: Model, corpus: PairCorpus, objects_for,
                         "value": list(g)}
             return None
 
-        ce = flood_check(model, search_graph(v, w, depth, mode),
-                         objects_for(length(v)), fault)
+        ce = flood_check(model, v, w, depth, mode, objects_for(length(v)), fault,
+                         search_graph)
         if ce is not None:
             return CheckReport(law, False, ce)
     return CheckReport(law, True, None,
@@ -167,7 +167,7 @@ def unit_square_sweep(model: Model, corpus: PairCorpus, objects_for,
                             "lhs": list(lhs.graph), "rhs": list(u_v.graph)}
             return None
 
-        ce = flood_check(model, search_graph(v, w, depth, PRELINEAR), tuples, fault)
+        ce = flood_check(model, v, w, depth, PRELINEAR, tuples, fault, search_graph)
         if ce is not None:
             return CheckReport(law, False, ce)
     return CheckReport(law, True, None,

@@ -121,6 +121,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("commutative_monoids_3.json",
      ["--mode", "partially-linear", "--depth", "4", "--max-units", "2"], 0,
      "commutative_monoids_3_plin_units2.json"),
+    # the same at the default flags: every flood asks only whether its
+    # target is in reach
+    ("commutative_monoids_3.json", ["--mode", "partially-linear"], 0,
+     "commutative_monoids_3_plin_default.json"),
 ])
 def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                                          code, golden):
@@ -134,6 +138,41 @@ def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                       "--format", "structured", *flags)
     assert got == code
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("model, flags, code, golden", [
+    # every move of the monoid model passes by its code, so no flood needs
+    # a search graph: each asks only whether its target is in reach
+    ("commutative_monoids_3.json", [], 0, None),
+    ("commutative_monoids_3.json", ["--mode", "partially-linear"], 0, None),
+    # an overridden unitor inverse changes values, so its floods build graphs
+    ("commutative_monoids_3_zero_runit_prod_inv.json",
+     FAST + ["--mode", "partially-linear"], 1,
+     "commutative_monoids_3_zero_runit_prod_inv.json"),
+])
+def test_check_builds_search_graphs_only_where_a_move_changes_a_value(
+        capsys, monkeypatch, model, flags, code, golden):
+    built = []
+    search_graph = search.search_graph
+
+    def counting(*args):
+        built.append(args)
+        return search_graph(*args)
+
+    for module in (search, sweeps, matrices):
+        monkeypatch.setattr(module, "search_graph", counting)
+    # the bracketing graphs of an earlier check would be read, not built
+    matrices._bracketing_graph.cache_clear()
+    bundled = (MODELS / model).exists()
+    monkeypatch.chdir(MODELS.parent if bundled else GOLDEN.parent)
+    got, out, _ = run(capsys, "check", "--model", f"models/{model}",
+                      "--format", "structured", *flags)
+    assert got == code
+    if golden is None:
+        assert built == []
+    else:
+        assert built
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("model, flags, golden", [

@@ -8,7 +8,7 @@ from linearcat.centrality import matrix_completeness
 from linearcat.errors import IntegrityError
 from linearcat.evaluate import eval_object, inclusion, projection, zero_morphism
 from linearcat.checks import CheckReport
-from linearcat.matrices import (MatrixPresentation, _bracketing_graphs,
+from linearcat.matrices import (MatrixPresentation, _bracketing_graph,
                                 _realization_map, coherence_identity_check,
                                 identity_matrix, identity_matrix_sweep,
                                 matrix_of, realize)
@@ -194,7 +194,7 @@ def test_identity_check_builds_each_graph_once(monkeypatch):
         return search_graph(v, w, depth, mode)
 
     monkeypatch.setattr("linearcat.matrices.search_graph", counting)
-    _bracketing_graphs.cache_clear()
+    _bracketing_graph.cache_clear()
     model = FinPtSet((1, 2))
     tuples = list(itertools.product(model.base_objects, repeat=2))
     assert len(tuples) == 4
@@ -229,12 +229,14 @@ def test_bracketing_graph_cache_keeps_reports():
         return [identity_matrix_sweep(model, n, list(itertools.product(small, repeat=n)))
                 for n in (1, 2, 3)]
 
-    _bracketing_graphs.cache_clear()
+    _bracketing_graph.cache_clear()
     shared = [sweep(path) for path in paths]
-    assert _bracketing_graphs.cache_info().hits == 6
+    # one graph per sum and product bracketing pair, 1 + 1 + 2 * 2, built
+    # by the first model and read by every later tuple and model
+    assert _bracketing_graph.cache_info().misses == 6
     assert [all(r.passed for r in reports) for reports in shared] == [True, False, False]
     for path, reports in zip(paths, shared):
-        _bracketing_graphs.cache_clear()
+        _bracketing_graph.cache_clear()
         assert sweep(path) == reports, path.stem
 
 

@@ -15,8 +15,8 @@ from linearcat.search import (_CHANGE, _CODE, _DELTA, PASS_THROUGH, _counts,
                               _local_moves, _predecessors,
                               _subword_predecessors, _unpack, backward_table,
                               canonical_between, flood_check, moves,
-                              pure_bracketings, search_graph, to_key,
-                              value_flood, words_with)
+                              pure_bracketings, reaches, search_graph,
+                              to_key, value_flood, words_with)
 from linearcat.sweeps import (coherence_sweep, equal_length_pairs,
                               normalized_cancellation, unit_square_sweep)
 from linearcat.terms import (PARTIALLY_LINEAR, PRELINEAR, GenTerm, Generator,
@@ -76,6 +76,8 @@ def test_validations(cmon):
     for mode in ("partially-linear", "nonsense"):
         with pytest.raises(ValueError, match="unknown mode"):
             search_graph(Prod(HOLE, HOLE), Sum(HOLE, HOLE), 2, mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            reaches(Prod(HOLE, HOLE), Sum(HOLE, HOLE), 2, mode)
         for pairs in (corpus, empty):
             with pytest.raises(ValueError, match="unknown mode"):
                 coherence_sweep(cmon, pairs, lambda n: [(obj,) * n], 2, mode)
@@ -397,6 +399,32 @@ def test_search_builds_only_admitted_targets():
     assert built < count / 2, (built, count)
 
 
+def test_reaches_is_whether_search_graph_reaches_the_target():
+    # reaches asks whether w is within depth moves of v, with no graph
+    # built.  It must agree with the full graph on the sweeps' corpora, in
+    # both modes: the bracketing pairs of criterion 2 at depth 6, and the
+    # partially-linear corpora of criterion 3 at depths 2 to 4, where many
+    # targets are out of reach, and at depth 6, thinned to keep the test
+    # short; on a bulky source, whose graph takes a backward table of
+    # radius depth - 1, at depths 1 to 7; and from a word to itself.
+    cases = [(v, w, 6) for n in (1, 2, 3) for v in pure_bracketings(SUM, n)
+             for w in pure_bracketings(PROD, n)]
+    for n, mixed, heavy, thin in ((0, 1, 1, 2), (1, 1, 2, 8), (2, 8, 16, 48)):
+        pairs = equal_length_pairs(n, 3, mixed, heavy).pairs
+        cases += [(v, w, depth) for v, w in pairs for depth in (2, 3, 4)]
+        cases += [(v, w, 6) for v, w in pairs[::thin]]
+    bulky = parse_word("((0+_)*1)")
+    cases += [(bulky, HOLE, depth) for depth in range(1, 8)]
+    cases += [(w, w, depth) for w in (HOLE, ONE, bulky) for depth in (0, 1, 6)]
+    answers = Counter()
+    for mode in (PRELINEAR, PARTIALLY_LINEAR):
+        for v, w, depth in cases:
+            want = search_graph(v, w, depth, mode).target_index is not None
+            assert reaches(v, w, depth, mode) == want, (v, w, depth, mode)
+            answers[want] += 1
+    assert answers[True] > 1000 and answers[False] > 1000, answers
+
+
 @pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
 def test_search_graph_is_the_same_from_cold_and_read_tables(mode):
     # search_graph takes a move's target from its table where it was read
@@ -608,11 +636,20 @@ def _edge_tables(model) -> dict:
             if len(tuples) == 1}
 
 
-def _batched_values(model, graph, tuples) -> list:
-    """Each tuple's values, from one ``flood_check`` over all of ``tuples``."""
+def _batched_values(model, graph, mode, tuples) -> list:
+    """Each tuple's values, from one ``flood_check`` over all of ``tuples``
+    between ``graph``'s source and target, handed ``graph`` where it asks
+    for one."""
+    key = (graph.source, graph.target, graph.depth, mode)
+
+    def build(*asked):
+        assert asked == key
+        return graph
+
     out = []
-    assert flood_check(model, graph, tuples,
-                       lambda objects, values, trace: out.append(values)) is None
+    assert flood_check(model, *key, tuples,
+                       lambda objects, values, trace: out.append(values),
+                       build) is None
     return out
 
 
@@ -862,7 +899,7 @@ def test_flood_memo_holds_no_identity_table_move(path):
                     assert all(map(_is_identity, _edge_values(model, step, tuples))), \
                         step
                     passed += 1
-        _batched_values(model, graph, tuples)
+        _batched_values(model, graph, mode, tuples)
         for objects in tuples[:2]:
             value_flood(model, graph, objects)
     assert passed > 0
@@ -895,8 +932,8 @@ def test_batched_flood_matches_value_flood(model_file, mode):
     # the codomain carriers of the tuples before it, or PASS_THROUGH where
     # that is the identity, and the flood memo keys them by the tuple of
     # object tuples, as it keys the one-tuple floods.  On the monoid model
-    # every move passes by its code: no flood leaves a batch entry, and the
-    # batched floods skip their search.
+    # every move passes by its code: no flood leaves a batch entry, and
+    # flood_check asks reaches in place of flooding a graph.
     model = _swapped_i_monoids() if model_file is None \
         else load_model(MODELS / model_file)
     small = [o for o in model.base_objects if o.size <= 2]
@@ -911,7 +948,7 @@ def test_batched_flood_matches_value_flood(model_file, mode):
             for mid, _, _ in out:
                 owner[mid] = graph.step(xi, mid)
         tuples = list(itertools.product(small, repeat=length(v)))
-        batched.append((graph, tuples, _batched_values(model, graph, tuples)))
+        batched.append((graph, tuples, _batched_values(model, graph, mode, tuples)))
     if model.identity_moves == set(_CODE):
         assert not model.memo["batch"]
     else:
@@ -954,7 +991,7 @@ def test_range_shaped_component_is_no_identity():
             for mid, _, _ in out:
                 owner[mid] = graph.step(xi, mid)
         tuples = list(itertools.product((p1, p2), repeat=length(v)))
-        _batched_values(model, graph, tuples)
+        _batched_values(model, graph, PRELINEAR, tuples)
         twos = (p2,) * length(v)
         assert _witness_lengths(value_flood(model, graph, twos)) == \
             _unpruned_values(model, v, w, 2, PRELINEAR, twos), v_text
@@ -1019,8 +1056,8 @@ def test_identity_components_are_not_whiskered(monkeypatch, path, n, max_units):
 def test_monoid_sweep_passes_every_move_by_its_code(monkeypatch):
     # On the monoid model every move kind is in identity_moves, so a
     # partially-linear sweep builds no move's graph and reads no component:
-    # each flood without witness terms skips its search and gives the
-    # target one value, the identity, where search_graph reached it.  Those
+    # flood_check builds no search graph and gives the target one value,
+    # the identity, where reaches finds it within the depth.  Those
     # values are the ones a full flood at each tuple alone finds, also on
     # the pairs whose target is out of reach, and their witness terms reach
     # the target on every layer.
@@ -1048,7 +1085,7 @@ def test_monoid_sweep_passes_every_move_by_its_code(monkeypatch):
     for v, w in corpus.pairs:
         graph = search_graph(v, w, 4, PARTIALLY_LINEAR)
         tuples = objects_for(length(v))
-        got = _batched_values(model, graph, tuples)
+        got = _batched_values(model, graph, PARTIALLY_LINEAR, tuples)
         floods = [value_flood(model, graph, objects) for objects in tuples]
         assert got == [flood.values for flood in floods], (v, w)
         layers.update(_witness_lengths(floods[0]).values())
