@@ -31,15 +31,16 @@ from .words import (attachment_sequence, core_split, is_unit_free, length,
 SCHEMA_VERSION = 1
 
 # Each extra layer of search depth costs a few times the last: the coherence
-# subcommand on pointed_sets_3.json takes about 1.6 s at depth 6, 3 s at 7
-# and 10.6 s at 8, with peak RSS 48, 82 and 243 MB (Python 3.11, 2 cores).
+# subcommand on pointed_sets_3.json takes about 0.9 s at depth 6, 1.5-2.2 s
+# at 7 and 5.8-6.4 s at 8, with peak RSS 40, 74 and 240 MB (Python 3.11,
+# 2 cores).
 MAX_DEPTH = 8
 
 # check and coherence build the length-2 word corpus, which grows about 18
 # times per unit leaf: 17,920 words at 3 units, 322,560 at 4 and 5,677,056
-# at 5.  check on pointed_sets_3.json takes 1.7 s and 49 MB at 3 units and
-# 5.3 s and 121 MB at 4 (Python 3.11, 2 cores); at 5 the corpus alone takes
-# about 30 s and 1.6 GB.
+# at 5.  check on pointed_sets_3.json takes 0.8-1.0 s and 41 MB at 3 units
+# and 2.1-2.9 s and 115 MB at 4 (Python 3.11, 2 cores); at 5 the corpus
+# alone takes about 30 s and 1.6 GB.
 MAX_UNITS = 4
 
 
@@ -284,7 +285,7 @@ def cmd_central(args) -> int:
         x = model.object_by_name(args.x)
         y = model.object_by_name(args.y)
     except KeyError as exc:
-        print(f"object error: {exc}", file=sys.stderr)
+        print(f"object error: {exc.args[0]}", file=sys.stderr)
         return 2
     doc = {"command": "central", "model": args.model, "x": args.x, "y": args.y}
     try:

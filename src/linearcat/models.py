@@ -695,6 +695,9 @@ def model_from_dict(doc) -> Model:
     if kind == "pointed_sets":
         if not all(type(o) is int and o >= 1 for o in objects):
             raise ModelFileError("pointed_sets objects must be positive sizes")
+        for size in objects:
+            if objects.count(size) > 1:
+                raise ModelFileError(f"object size {size} is used twice")
         cls = FinPtSet
     elif kind == "commutative_monoids":
         objects = [_parse_monoid(o, idx) for idx, o in enumerate(objects)]
@@ -720,7 +723,7 @@ def model_from_dict(doc) -> Model:
     try:
         return cls(objects, overrides)
     except KeyError as exc:
-        raise ModelFileError(str(exc)) from exc
+        raise ModelFileError(exc.args[0]) from exc
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"bad override: {exc}") from exc
 

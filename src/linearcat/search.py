@@ -18,14 +18,17 @@ the sense of A*), and moves the bound rules out are skipped before their
 targets are built or looked up.  The pruning is exact: no path within the
 depth bound is ever lost.  Whether any path reaches the target at all is
 asked with no graph built (``reaches``): the forward search, under the same
-bound, stops at the first word it meets in the table.
+bound, stops at the first word it meets in the table.  A search graph's
+table leaves unexpanded each word too far in unit count from the source
+for any path within the depth to use (``backward_table``), which changes
+no graph; ``reaches`` takes the full table.
 
 Symbolic results (move tables, the predecessor lists of subwords, corpus
 words, the count bound's verdict tables) are memoised with
 ``functools.cache``.  Distance tables are the one bounded cache: an LRU
 cache of 64 tables, since each shipped corpus asks for a table again only
-within a window of 50 distinct tables, and a pointed-set check builds 255
-tables (202,769 entries) that an unbounded cache would hold to its end.
+within a window of 48 distinct tables, and a pointed-set check builds 266
+tables (119,875 entries) that an unbounded cache would hold to its end.
 A table is a pure function of its key, so an eviction changes no result.
 A word's predecessors are its root's reverse moves plus one new node around
 each cached predecessor of a child, so they share their unchanged subtrees
@@ -82,7 +85,9 @@ All three coherence sweeps take one path, ``flood_check``: given a word
 pair, a depth, a mode and a list of object tuples, build the pair's search
 graph where some move can change a value and flood it over every tuple,
 check each tuple's values, sliced out of the batched flood, in order, and
-return the first failing tuple's counterexample.  A sweep's check calls
+return the first failing tuple's counterexample.  A prelinear flood never
+raises, so there a tuple where the target's object has one point is not
+flooded: every path's value is the one map into it.  A sweep's check calls
 ``trace()`` for its tuple's ``FloodResult`` only where it names witness
 terms (``FloodResult.witness_term``, ``FloodResult.disagreement``): that
 floods the tuple alone, building the graph if it was not, or returns the
@@ -354,19 +359,35 @@ def _subword_predecessors(w: Word, mode: str) -> tuple[Word, ...]:
     return tuple(_predecessors(w, mode))
 
 
-# Reuse windows, as (lookups, distinct tables) per corpus at the CLI's
-# default strides: unit square 1,284 / 252, criterion 4 2,372 / 452, unit
-# square at strides 1 15,300 / 3,252, partially-linear n = 0..2 832 / 74.
-# Each corpus asks for a table again only within 50 distinct tables, the
-# light block of length-2 words (the 2 bare words and the 48 of
-# words_with(2, 1)); at 48 an LRU cache misses up to 50 times more than on
-# first use, at 64 never.
+# Reuse windows, as (lookups, distinct tables) per corpus of search graphs
+# at the CLI's default strides: unit square 1,284 / 262, criterion 4 (strides
+# 4 and 8) 2,372 / 468, unit square at strides 1 15,300 / 3,304,
+# partially-linear n = 0..2 1,393 / 309.  Each corpus asks for a table again
+# only within 48 distinct tables, those from the bare sources toward the 48
+# words of words_with(2, 1); at 47 an LRU cache misses up to 2,304 times
+# more than on first use, at 64 never.
 @lru_cache(maxsize=64)
-def backward_table(target: Word, radius: int, mode: str) -> dict:
-    """Distance-to-target for every word within ``radius`` reverse moves."""
+def backward_table(target: Word, radius: int, mode: str, units: int | None = None,
+                   depth: int | None = None) -> dict:
+    """Distance-to-target for every word within ``radius`` reverse moves.
+
+    Given the unit count ``units`` of a source and a search ``depth``, a
+    word at distance d - 1 is expanded only if its unit count is within
+    depth - d + 1 of ``units``.  A move changes the unit count by at most
+    one, so a word that the forward search meets on layer k, with k plus
+    its distance at most ``depth``, has only expanded words on each of its
+    shortest paths to the target, and keeps its distance.  Any other word
+    is absent or farther than ``depth - k``, and out of the search's reach
+    with either table, so ``search_graph`` builds the same graph as over
+    the full table, which ``reaches`` takes."""
     dist = {target: 0}
     frontier = [target]
     for d in range(1, radius + 1):
+        if units is not None:
+            window = depth - d + 1
+            # each frontier word's unit count is within d - 1 of the target's
+            if abs(unit_count(target) - units) + d - 1 > window:
+                frontier = [x for x in frontier if abs(unit_count(x) - units) <= window]
         nxt = []
         for w in frontier:
             for pred in _predecessors(w, mode):
@@ -411,7 +432,7 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
         radius = depth - 1
     else:
         radius = depth // 2
-    bt = backward_table(w, radius, mode)
+    bt = backward_table(w, radius, mode, unit_count(v), depth)
     free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
     words = [v]
@@ -709,7 +730,11 @@ def flood_check(model: Model, v: Word, w: Word, depth: int, mode: str,
     of reach; no graph is built unless a check calls ``trace()``.  Elsewhere
     the graph is flooded once at all tuples, and each tuple's values are
     its slices of the batched values, first occurrences only, cut when that
-    tuple's check comes up.
+    tuple's check comes up.  In prelinear mode, where no move raises, the
+    flood leaves out each tuple at which ``w``'s object has one point: its
+    one value is the map onto that point, or there is none when the graph
+    misses ``w``, and then nothing is flooded.  Leaving tuples out of the
+    batch changes no other tuple's values or their order.
 
     ``check`` returns None when the values pass, else the fields of the
     counterexample.  Returns None if every tuple passes, else the first
@@ -722,12 +747,21 @@ def flood_check(model: Model, v: Word, w: Word, depth: int, mode: str,
     every_move_passes = all(move in model.identity_moves for move in _CODE)
     if every_move_passes:
         reached = reaches(v, w, depth, mode)
+        fixed = itertools.repeat(True)  # per tuple: whether it needs no flood
     else:
         graph = build(v, w, depth, mode)
-        try:
-            batched = _flood(model, graph, tuples)
-        except LinearcatError:
-            pass
+        reached = graph.target_index is not None
+        # a prelinear flood never raises, and where w's object has one point
+        # every path's value is the one map onto it
+        fixed = [mode == PRELINEAR and (
+            not reached or eval_object(model, w, objects).size == 1)
+                 for objects in tuples]
+        flooded = tuple([objects for objects, f in zip(tuples, fixed) if not f])
+        if flooded:
+            try:
+                batched = _flood(model, graph, flooded)
+            except LinearcatError:
+                pass
 
     def trace():
         nonlocal graph
@@ -736,11 +770,13 @@ def flood_check(model: Model, v: Word, w: Word, depth: int, mode: str,
         return value_flood(model, graph, objects)
 
     start = shift = 0  # the slice of a batched value the next tuple owns
-    for objects in tuples:
+    for objects, is_fixed in zip(tuples, fixed):
         flood = None
-        if every_move_passes:
-            size = eval_object(model, v, objects).size
-            values = (tuple(range(size)),) if reached else ()
+        if is_fixed:
+            values = ()
+            if reached:
+                size = eval_object(model, v, objects).size
+                values = (tuple(range(size)) if every_move_passes else (0,) * size,)
         elif batched is None:
             flood = trace()
             values = flood.values

@@ -95,6 +95,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     # counterexamples carry witness terms, which pin the flood's parent order
     ("pointed_sets_3_faulty.json", [], 1, "pointed_sets_3_faulty.json"),
     ("pointed_sets_3.json", FAST, 0, "pointed_sets_3_fast.json"),
+    # the default flags, where the coherence sweeps flood the most graphs,
+    # in both modes: a partially-linear flood can raise, so there every
+    # tuple is flooded
+    ("pointed_sets_3.json", [], 0, "pointed_sets_3.json"),
+    ("pointed_sets_3.json", ["--mode", "partially-linear"], 1,
+     "pointed_sets_3_plin.json"),
     ("commutative_monoids_3.json", FAST, 0, "commutative_monoids_3_fast.json"),
     # the partially-linear sweeps' first failures and their witness terms
     ("pointed_sets_3_faulty.json", ["--mode", "partially-linear"], 1,
@@ -410,10 +416,32 @@ def test_central_integrity_failure_exit_1(capsys, tmp_path, table, objects,
 
 
 def test_central_bad_object_exit_2(capsys):
-    code, _, err = run(capsys, "central", "P9", "P2", "--model",
-                       str(MODELS / "pointed_sets_3.json"))
+    code, out, err = run(capsys, "central", "P9", "P2", "--model",
+                         str(MODELS / "pointed_sets_3.json"))
     assert code == 2
-    assert "object error" in err
+    assert out == ""
+    assert err == "object error: unknown object 'P9'; known: ['P1', 'P2', 'P3']\n"
+
+
+def test_override_at_unknown_object_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"schema": 1, "kind": "pointed_sets", "objects": [1, 2],
+         "overrides": [{"table": "lunit_sum", "objects": ["P9"], "graph": [0]}]}))
+    code, out, err = run(capsys, "check", "--model", str(bad), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err == "model error: unknown object 'P9'; known: ['P1', 'P2']\n"
+
+
+def test_repeated_pointed_set_size_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": 1, "kind": "pointed_sets",
+                               "objects": [2, 2]}))
+    code, out, err = run(capsys, "check", "--model", str(bad), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err == "model error: object size 2 is used twice\n"
 
 
 def test_bad_numeric_flags_exit_2(capsys):

@@ -295,6 +295,9 @@ def test_model_file_overrides(tmp_path):
     {"kind": "nonsense", "objects": [1]},
     {"kind": "pointed_sets", "objects": []},
     {"kind": "pointed_sets", "objects": [0]},
+    # a size is one object: it is named by its size
+    {"kind": "pointed_sets", "objects": [2, 2]},
+    {"kind": "pointed_sets", "objects": [1, 2, 1]},
     {"kind": "commutative_monoids", "objects": [[0, 1, 1]]},
     {"kind": "commutative_monoids", "objects": [[0, 1, 1, 1, 1, 1, 1, 1, 0]]},
     {"kind": "pointed_sets", "objects": [2],

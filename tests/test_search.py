@@ -520,21 +520,23 @@ def test_backward_tables_share_subword_spines():
 
 
 @pytest.mark.parametrize("lengths, depth, mode, distinct", [
-    ((2,), 4, PRELINEAR, 252),  # the unit-cancellation square
-    ((0, 1), 6, PARTIALLY_LINEAR, 42),
+    ((2,), 4, PRELINEAR, 262),  # the unit-cancellation square
+    ((0, 1), 6, PARTIALLY_LINEAR, 47),
 ])
 def test_backward_tables_are_built_once_per_corpus(monkeypatch, lengths, depth,
                                                    mode, distinct):
     # The backward table cache is bounded, yet at the CLI's default strides
     # no shipped corpus asks for a table again after it was evicted, so each
-    # distinct (target, radius) is built exactly once.  The unit-square
-    # corpus asks for more tables than the cache holds.
+    # distinct (target, radius, source's unit count) is built exactly once.
+    # The unit-square corpus asks for more tables than the cache holds.
     from linearcat import search
     keys = []
 
-    def recorded(target, radius, table_mode, _inner=backward_table):
-        keys.append((target, radius))
-        table = _inner(target, radius, table_mode)
+    def recorded(target, radius, table_mode, units, table_depth,
+                 _inner=backward_table):
+        assert table_depth == depth
+        keys.append((target, radius, units))
+        table = _inner(target, radius, table_mode, units, table_depth)
         assert _inner.cache_info().currsize <= _inner.cache_info().maxsize
         return table
 
@@ -767,8 +769,9 @@ def test_edge_table_is_sound(path, mode):
 
 def _unskipped_search_graph(v, w, depth, mode):
     """The plain reference for ``search_graph``: every move is looked up in
-    the backward table, with no unit insertion skipped, and numbered from
-    its table's first move id.  Returns (words, edges, target index)."""
+    the full backward table, with no unit insertion skipped and no word
+    left unexpanded, and numbered from its table's first move id.  Returns
+    (words, edges, target index)."""
     if length(v) + unit_count(v) > length(w) + unit_count(w) + 1:
         radius = depth - 1
     else:
@@ -807,19 +810,27 @@ def _unskipped_search_graph(v, w, depth, mode):
 def test_unit_insertion_skip_is_exact(depth, mode):
     # Past free_last, search_graph skips, by the count bound and reading the
     # move codes, the moves (unit insertions among them) whose targets the
-    # backward table would reject; the admitted graph must not change: the
-    # same words in the same order, the same edges (move ids included), the
-    # same target state, and each expanded state keeps its word's table.
+    # backward table would reject, and its backward table leaves unexpanded
+    # the words too far in unit count from the source; the admitted graph
+    # must not change: the same words in the same order, the same edges
+    # (move ids included), the same target state, and each expanded state
+    # keeps its word's table.
     cases = [
         # bulky sources: the backward table has radius depth - 1
         ("((0+_)*1)", "_"), ("((0+1)*(_+0))", "_"),
         # sources of similar size: radius depth // 2
         ("(_*1)", "(0+_)"), ("((_+0)*_)", "(_+(1*_))"), ("(_+_)", "(_*_)"),
         ("(0*1)", "1"), ("1", "0"),
+        # bare sources toward 3-unit targets, where the unit window binds
+        ("_", "((0+_)*1)"), ("(_*_)", "((0+_)*(1*_))"),
     ]
     if depth == 4:
         # a radius-5 table toward a length-2 word takes seconds to build
         cases.append(("((1*(_*0))+_)", "(_*_)"))
+        if mode == PRELINEAR:
+            # the unit-cancellation square's every pair
+            cases += [(render_word(v), render_word(w))
+                      for v, w in equal_length_pairs(2, 3, 8, 16).pairs]
     if mode == PARTIALLY_LINEAR:
         # j, j's inverse, i's inverse and both structures' unitors and
         # their inverses, which the bound also drops
@@ -844,6 +855,38 @@ def test_unit_insertion_skip_is_exact(depth, mode):
         assert {(kind, inverse) for kind in ("j", "i", "lunit+", "runit+",
                                              "lunit*", "runit*")
                 for inverse in (False, True)} <= admitted
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_unit_window_keeps_every_distance_a_search_can_use(mode):
+    # A backward table given a source's unit count and the depth leaves a
+    # word unexpanded where no path of the search could use its
+    # predecessors.  The forward search meets a word y no earlier than
+    # layer |units(y) - units(v)|, so each y of the full table whose
+    # distance plus that is at most the depth must keep its full distance;
+    # no entry may be closer to the target than in the full table.  On the
+    # length-1 coherence corpus and on the unit square, which is prelinear,
+    # the window binds for about a fifth of the pairs.
+    cases = [(v, w, 6) for v, w in equal_length_pairs(1, 3, 8, 16).pairs]
+    if mode == PRELINEAR:
+        cases += [(v, w, 4) for v, w in equal_length_pairs(2, 3, 8, 16).pairs]
+    cases += [(parse_word(v), parse_word(w), depth)
+              for v, w in [("_", "((0+_)*1)"), ("((0+_)*1)", "_"),
+                           ("((0+1)*(_+0))", "_"), ("0", "((0*1)+0)")]
+              for depth in (4, 6)]
+    smaller = 0
+    for v, w, depth in cases:
+        units = unit_count(v)
+        radius = depth - 1 if length(v) + units > length(w) + unit_count(w) + 1 \
+            else depth // 2
+        full = backward_table(w, radius, mode)
+        cut = backward_table(w, radius, mode, units, depth)
+        for y, d in full.items():
+            if abs(unit_count(y) - units) + d <= depth:
+                assert cut.get(y) == d, (v, w, depth, y)
+        assert all(d >= full[y] for y, d in cut.items()), (v, w, depth)
+        smaller += len(cut) < len(full)
+    assert smaller > len(cases) // 8, smaller
 
 
 @pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
@@ -933,7 +976,9 @@ def test_batched_flood_matches_value_flood(model_file, mode):
     # that is the identity, and the flood memo keys them by the tuple of
     # object tuples, as it keys the one-tuple floods.  On the monoid model
     # every move passes by its code: no flood leaves a batch entry, and
-    # flood_check asks reaches in place of flooding a graph.
+    # flood_check asks reaches in place of flooding a graph.  A prelinear
+    # flood_check floods no tuple where the target's object has one point,
+    # the tuples of P1 alone, and no graph whose target is out of reach.
     model = _swapped_i_monoids() if model_file is None \
         else load_model(MODELS / model_file)
     small = [o for o in model.base_objects if o.size <= 2]
@@ -951,6 +996,12 @@ def test_batched_flood_matches_value_flood(model_file, mode):
         batched.append((graph, tuples, _batched_values(model, graph, mode, tuples)))
     if model.identity_moves == set(_CODE):
         assert not model.memo["batch"]
+    elif mode == PRELINEAR:
+        flooded = [tuple(objects for objects in tuples
+                         if any(o.size > 1 for o in objects))
+                   for graph, tuples, _ in batched if graph.target_index is not None]
+        assert set(model.memo["batch"]) == set(flooded) - {()}
+        assert ((PtObj(2),),) in model.memo["batch"]
     else:
         # only the length-0 floods, over the one empty tuple, have one tuple
         assert {t for t in model.memo["batch"] if len(t) == 1} == {((),)}
@@ -969,6 +1020,32 @@ def test_batched_flood_matches_value_flood(model_file, mode):
             marked += _is_batch_entry(model, owner[mid], tuples, eg)
             checked += 1
     _assert_marks(model, marked, checked)
+
+
+def test_partially_linear_flood_check_floods_where_a_move_can_raise():
+    # In partially-linear mode a flood can raise, where i' would invert an i
+    # that is no bijection, so flood_check floods the graph also where the
+    # target is out of reach and at the tuples of P1 alone: the error
+    # reaches the caller at the first tuple whose flood raises, as from
+    # per-tuple floods.  The prelinear search of the same pair is out of
+    # reach and floods nothing.
+    model = load_model(MODELS / "pointed_sets_3.json")
+    p1, p2 = model.object_by_name("P1"), model.object_by_name("P2")
+    v, w = parse_word("(_*_)"), parse_word("(_*(_*(0*0)))")
+    tuples = [(p1, p1), (p1, p2), (p2, p2)]
+    seen = []
+
+    def check(objects, values, trace):
+        seen.append((objects, values))
+
+    with pytest.raises(NotInvertibleInModel, match=r"i at \(P2, P2\)"):
+        flood_check(model, v, w, 3, PARTIALLY_LINEAR, tuples, check, search_graph)
+    assert seen == [(objects, ()) for objects in tuples[:2]]
+    seen.clear()
+    model = load_model(MODELS / "pointed_sets_3.json")
+    assert flood_check(model, v, w, 3, PRELINEAR, tuples, check, search_graph) is None
+    assert seen == [(objects, ()) for objects in tuples]
+    assert not model.memo["batch"]
 
 
 def test_range_shaped_component_is_no_identity():
