@@ -31,9 +31,10 @@ from .words import (attachment_sequence, core_split, is_unit_free, length,
 SCHEMA_VERSION = 1
 
 # Each extra layer of search depth costs a few times the last: the coherence
-# subcommand on pointed_sets_3.json takes about 0.9 s at depth 6, 1.5-2.2 s
-# at 7 and 5.8-6.4 s at 8, with peak RSS 40, 74 and 240 MB (Python 3.11,
-# 2 cores).
+# subcommand on pointed_sets_3.json takes 0.6-0.7 s at depth 6, 1.2-1.3 s at
+# 7 and 4.5-4.7 s at 8, with peak RSS 40, 74 and 240 MB; on
+# commutative_monoids_3.json in partially-linear mode, where every flood is
+# one reaches query, 0.7-0.8 s with 48 MB at depth 8 (Python 3.11, 2 cores).
 MAX_DEPTH = 8
 
 # check and coherence build the length-2 word corpus, which grows about 18

@@ -17,19 +17,27 @@ bounds the distance to the target from below (an admissible heuristic in
 the sense of A*), and moves the bound rules out are skipped before their
 targets are built or looked up.  The pruning is exact: no path within the
 depth bound is ever lost.  Whether any path reaches the target at all is
-asked with no graph built (``reaches``): the forward search, under the same
-bound, stops at the first word it meets in the table.  A search graph's
-table leaves unexpanded each word too far in unit count from the source
-for any path within the depth to use (``backward_table``), which changes
-no graph; ``reaches`` takes the full table.
+asked with no graph built (``reaches``): a bidirectional search extends
+whichever frontier is smaller, the forward one under the same bound or the
+backward one by a layer, and stops at the first meeting.  Its backward
+layers grow only as far as a query needs, in one table per target that
+later queries toward it share (``_reach_table``).  A search graph's table
+leaves unexpanded each word too far in unit count from the source for any
+path within the depth to use (``backward_table``), which changes no graph;
+where that window cannot bind, the graph takes the full table, under one
+key for every source.
 
 Symbolic results (move tables, the predecessor lists of subwords, corpus
 words, the count bound's verdict tables) are memoised with
-``functools.cache``.  Distance tables are the one bounded cache: an LRU
-cache of 64 tables, since each shipped corpus asks for a table again only
-within a window of 48 distinct tables, and a pointed-set check builds 266
-tables (119,875 entries) that an unbounded cache would hold to its end.
-A table is a pure function of its key, so an eviction changes no result.
+``functools.cache``.  Distance tables are the bounded caches, each an LRU
+cache of 64 tables.  ``backward_table`` is bounded since each shipped
+corpus asks for a table again only within a window of 50 distinct tables,
+and a pointed-set check builds 258 tables (117,403 entries) that an
+unbounded cache would hold to its end; ``_reach_table``, one growing table
+per target, since unbounded it raised the exhaustive-strides monoid check
+from 222 to 499 MB.  A table is a pure function of its key, and ``reaches``
+is exact at any radius its table has grown to, so an eviction changes no
+result.
 A word's predecessors are its root's reverse moves plus one new node around
 each cached predecessor of a child, so they share their unchanged subtrees
 with the cache; the words a distance table expands are not cached
@@ -360,12 +368,12 @@ def _subword_predecessors(w: Word, mode: str) -> tuple[Word, ...]:
 
 
 # Reuse windows, as (lookups, distinct tables) per corpus of search graphs
-# at the CLI's default strides: unit square 1,284 / 262, criterion 4 (strides
-# 4 and 8) 2,372 / 468, unit square at strides 1 15,300 / 3,304,
-# partially-linear n = 0..2 1,393 / 309.  Each corpus asks for a table again
-# only within 48 distinct tables, those from the bare sources toward the 48
-# words of words_with(2, 1); at 47 an LRU cache misses up to 2,304 times
-# more than on first use, at 64 never.
+# at the CLI's default strides: unit square 1,284 / 254, criterion 4 (strides
+# 4 and 8) 2,372 / 454, unit square at strides 1 15,300 / 3,254,
+# partially-linear n = 0..2 1,393 / 297.  Each corpus asks for a table again
+# only within 50 distinct tables, the full tables toward the 48 words of
+# words_with(2, 1) and toward (_+_) and (_*_); at 49 an LRU cache misses up
+# to 50 times more than on first use, at 47 up to 2,354, at 64 never.
 @lru_cache(maxsize=64)
 def backward_table(target: Word, radius: int, mode: str, units: int | None = None,
                    depth: int | None = None) -> dict:
@@ -379,7 +387,11 @@ def backward_table(target: Word, radius: int, mode: str, units: int | None = Non
     shortest paths to the target, and keeps its distance.  Any other word
     is absent or farther than ``depth - k``, and out of the search's reach
     with either table, so ``search_graph`` builds the same graph as over
-    the full table, which ``reaches`` takes."""
+    the full table.  The window narrows by one a layer as the frontier's
+    unit counts spread by one more; where it cannot bind even on layer
+    ``radius``, ``search_graph`` asks for the full table, ``units`` and
+    ``depth`` None, which sources of every unit count share.  Each layer is one
+    ``_expand``, the step ``reaches`` grows its own tables by."""
     dist = {target: 0}
     frontier = [target]
     for d in range(1, radius + 1):
@@ -388,14 +400,45 @@ def backward_table(target: Word, radius: int, mode: str, units: int | None = Non
             # each frontier word's unit count is within d - 1 of the target's
             if abs(unit_count(target) - units) + d - 1 > window:
                 frontier = [x for x in frontier if abs(unit_count(x) - units) <= window]
-        nxt = []
-        for w in frontier:
-            for pred in _predecessors(w, mode):
-                if pred not in dist:
-                    dist[pred] = d
-                    nxt.append(pred)
-        frontier = nxt
+        frontier = _expand(frontier, dist, d, mode)
     return dist
+
+
+def _expand(frontier: list, dist: dict, d: int, mode: str) -> list:
+    """One backward layer: enter each predecessor of a ``frontier`` word
+    that ``dist`` lacks at distance ``d``, and return them in order."""
+    nxt = []
+    for w in frontier:
+        for pred in _predecessors(w, mode):
+            if pred not in dist:
+                dist[pred] = d
+                nxt.append(pred)
+    return nxt
+
+
+class _Layers:
+    """A backward distance table grown one layer at a time: ``dist`` holds
+    every word within ``radius`` reverse moves of the target, and
+    ``frontier`` the words at distance ``radius``."""
+
+    __slots__ = ("dist", "frontier", "radius")
+
+    def __init__(self, target: Word):
+        self.dist, self.frontier, self.radius = {target: 0}, [target], 0
+
+    def grow(self, mode: str) -> list:
+        """Add the next layer and return its words."""
+        self.radius += 1
+        self.frontier = _expand(self.frontier, self.dist, self.radius, mode)
+        return self.frontier
+
+
+@lru_cache(maxsize=64)
+def _reach_table(target: Word, mode: str) -> _Layers:
+    """The backward layers ``reaches`` has grown toward ``target`` so far,
+    shared by every later query toward it; bounded like ``backward_table``.
+    """
+    return _Layers(target)
 
 
 # -- exact pruned exploration --------------------------------------------------
@@ -432,7 +475,12 @@ def search_graph(v: Word, w: Word, depth: int, mode: str) -> SearchGraph:
         radius = depth - 1
     else:
         radius = depth // 2
-    bt = backward_table(w, radius, mode, unit_count(v), depth)
+    units, window = unit_count(v), depth
+    # where the unit window cannot bind even on the last layer, the table
+    # is the full one, kept under one key for every source and depth
+    if abs(unit_count(w) - units) + radius - 1 <= depth - radius + 1:
+        units = window = None
+    bt = backward_table(w, radius, mode, units, window)
     free_last = depth - radius - 1  # deepest layer allowed outside the table
     edges: dict = {}
     words = [v]
@@ -487,36 +535,50 @@ def reaches(v: Word, w: Word, depth: int, mode: str) -> bool:
     ``w``: ``search_graph(v, w, depth, mode).target_index is not None``,
     with no graph built.
 
-    A bidirectional search with a meeting test: a breadth-first search
-    from ``v``, under the same count bound as ``search_graph``, stops at
-    the first word it meets in the backward table of radius ``depth // 2``.
-    It runs at most ``depth - radius`` layers, so any table word it meets
-    lies within ``depth`` moves of ``w``; and the first table word on a
-    shortest path is met on its own layer, since the words before it are
-    outside the table and expanded.  So table words are not expanded."""
+    A bidirectional breadth-first search (Pohl, 1971).  The forward side
+    searches from ``v`` under the same count bound as ``search_graph``,
+    ``a`` layers so far; the backward side is the table ``_reach_table``
+    keeps toward ``w``, ``b`` layers so far, where the layers an earlier
+    query built are free.  Each step extends the side with the smaller
+    frontier, the backward one on a tie since its layers are shared, and
+    tests for a meeting, so after every step no forward word
+    lies within ``b`` moves of ``w``.  A meeting word is within ``a + b <=
+    depth`` moves of both ends.  Once ``a + b = depth``, every path of at
+    most ``depth`` moves has met, since its word after ``a`` moves is
+    within ``b`` of ``w``; and a forward side that the count bound empties
+    has no path left."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    radius = depth // 2
-    bt = backward_table(w, radius, mode)
-    if v in bt:
+    back = _reach_table(w, mode)
+    dist = back.dist
+    b = min(back.radius, depth)
+    if dist.get(v, b + 1) <= b:
         return True
     counts_w = _counts(w)
     seen = {v}
     frontier = [(v, _counts(v) - counts_w)]
-    for layer in range(1, depth - radius + 1):
+    a = 0
+    # inside the loop b is back.radius, so every table word is within b
+    while frontier and a + b < depth:
+        if len(back.frontier) <= len(frontier):
+            b += 1
+            if not seen.isdisjoint(back.grow(mode)):
+                return True
+            continue
+        a += 1
         nxt = []
         for x, dx in frontier:
             table = moves(x, mode)
             codes, targets = table.codes, table._targets
             admitted = range(len(codes))
-            keep = _admissible(dx, depth - layer)
+            keep = _admissible(dx, depth - a)
             if keep is not None:
                 admitted = itertools.compress(admitted, codes.translate(keep))
             for k in admitted:
                 y = targets[k] or table.target(k)
                 if y in seen:
                     continue
-                if y in bt:
+                if y in dist:
                     return True
                 seen.add(y)
                 nxt.append((y, dx + _DELTA[codes[k]]))
@@ -727,7 +789,9 @@ def flood_check(model: Model, v: Word, w: Word, depth: int, mode: str,
     Where every move code is in ``model.identity_moves``, as on the monoids,
     every path keeps the identity, so each tuple's one value is the identity
     on ``v``'s object, or there is none when ``reaches`` says ``w`` is out
-    of reach; no graph is built unless a check calls ``trace()``.  Elsewhere
+    of reach; no graph is built unless a check calls ``trace()``, and the
+    backward layers toward ``w`` grow only as far as ``reaches`` needs,
+    kept for later pairs toward ``w``.  Elsewhere
     the graph is flooded once at all tuples, and each tuple's values are
     its slices of the batched values, first occurrences only, cut when that
     tuple's check comes up.  In prelinear mode, where no move raises, the

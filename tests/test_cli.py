@@ -146,6 +146,21 @@ def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_coherence_at_depth_8_on_monoids_matches_golden(capsys, monkeypatch):
+    # The CI smoke step's partially-linear coherence run on monoids at the
+    # deepest depth, whose every flood is one reaches query: the golden is
+    # the output of `linearcat coherence --model
+    # models/commutative_monoids_3.json --mode partially-linear --depth 8
+    # --format structured`, run from the repository root.  It took 7 s and
+    # 442 MB while reaches built a table of radius depth // 2 per target.
+    monkeypatch.chdir(MODELS.parent)
+    got, out, _ = run(capsys, "coherence", "--model",
+                      "models/commutative_monoids_3.json", "--mode",
+                      "partially-linear", "--depth", "8", "--format", "structured")
+    assert got == 0
+    assert out.encode() == (GOLDEN / "commutative_monoids_3_plin_depth8.json").read_bytes()
+
+
 @pytest.mark.parametrize("model, flags, code, golden", [
     # every move of the monoid model passes by its code, so no flood needs
     # a search graph: each asks only whether its target is in reach

@@ -426,6 +426,104 @@ def test_reaches_is_whether_search_graph_reaches_the_target():
 
 
 @pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_reaches_agrees_with_search_graph_at_depths_7_and_8(mode):
+    # reaches grows each target's backward layers only as far as a query
+    # needs, so its deepest queries must still agree with the full graph:
+    # bulky sources toward a bare target, the partially-linear corpora of
+    # criterion 3 thinned to keep the test short, pairs out of reach in
+    # prelinear mode, and at depth 4 the unit square's every pair.
+    def word(text):
+        return parse_word(text)
+
+    cases = [(word(v), word(w), depth)
+             for v, w in [("((0+_)*1)", "_"), ("(_*_)", "(_+_)"),
+                          ("(0+(0+0))", "(1*(1*1))"), ("(_*(1*1))", "((0+0)+_)")]
+             for depth in (7, 8)]
+    for n, mixed, heavy, thin7, thin8 in ((0, 1, 1, 8, 73), (1, 1, 2, 16, 168),
+                                          (2, 8, 16, 642, None)):
+        pairs = equal_length_pairs(n, 3, mixed, heavy).pairs
+        cases += [(v, w, 7) for v, w in pairs[::thin7]]
+        if thin8 is not None:
+            cases += [(v, w, 8) for v, w in pairs[::thin8]]
+    square = [(v, w, 4) for v, w in equal_length_pairs(2, 3, 8, 16).pairs]
+    out_of_reach = Counter()
+    for v, w, depth in cases + square:
+        want = search_graph(v, w, depth, mode).target_index is not None
+        assert reaches(v, w, depth, mode) == want, (v, w, depth)
+        out_of_reach[depth] += not want
+    assert out_of_reach[4] == {PRELINEAR: 508, PARTIALLY_LINEAR: 322}[mode]
+    assert (out_of_reach[7] > 0) == (out_of_reach[8] > 0) == (mode == PRELINEAR)
+
+
+def test_reaches_is_the_same_from_a_cleared_and_an_evicting_cache():
+    # reaches is exact at whatever radius its table toward the target has
+    # grown to, so an answer must not depend on the queries before it: a
+    # cache cleared before each query, and one that holds fewer tables than
+    # the queries have targets and evicts, give the same answers.  Each
+    # length-1 pair is asked at depth 6 and then at smaller depths, which
+    # read fewer layers than the table already has.
+    from linearcat.search import _reach_table
+    square = [(v, w, 4, PRELINEAR) for v, w in equal_length_pairs(2, 3, 8, 16).pairs]
+    cases = square + [(v, w, depth, PARTIALLY_LINEAR)
+                      for v, w in equal_length_pairs(1, 3, 1, 2).pairs[::3]
+                      for depth in (6, 2, 4)] + square[::-1]
+    cleared = []
+    for case in cases:
+        _reach_table.cache_clear()
+        cleared.append(reaches(*case))
+    _reach_table.cache_clear()
+    assert [reaches(*case) for case in cases] == cleared
+    info = _reach_table.cache_info()
+    targets = len({(w, mode) for _, w, _, mode in cases})
+    assert info.currsize == info.maxsize < targets < info.misses, info
+    assert 0 < sum(cleared) < len(cases)
+
+
+@pytest.mark.parametrize("n, mixed, heavy, grown", [(0, 1, 1, 486), (1, 1, 2, 1227)])
+def test_reaches_grows_few_table_entries(monkeypatch, n, mixed, heavy, grown):
+    # Criterion 3's partially-linear corpora at depth 6, asked as the sweep
+    # asks them, each mirrored pair once: from a cleared cache, reaches
+    # grows its backward layers by this many entries in all.
+    from linearcat import search
+    entries = []
+
+    def counted(frontier, dist, d, mode, _inner=search._expand):
+        out = _inner(frontier, dist, d, mode)
+        entries.append(len(out))
+        return out
+
+    monkeypatch.setattr(search, "_expand", counted)
+    search._reach_table.cache_clear()
+    seen = set()
+    for v, w in equal_length_pairs(n, 3, mixed, heavy).pairs:
+        if (w, v) not in seen:
+            seen.add((v, w))
+            assert reaches(v, w, 6, PARTIALLY_LINEAR)
+    assert sum(entries) == grown
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
+def test_a_window_that_cannot_bind_keeps_the_full_table(mode):
+    # Where the unit window cannot bind even on a table's last layer,
+    # search_graph asks for the full table, under the key with no unit count
+    # or depth, which sources of every unit count share: the windowed table
+    # must be the same table.
+    cases = [(v, w, 6) for v, w in equal_length_pairs(1, 3, 8, 16).pairs]
+    if mode == PRELINEAR:
+        cases += [(v, w, 4) for v, w in equal_length_pairs(2, 3, 8, 16).pairs]
+    free = 0
+    for v, w, depth in cases:
+        units = unit_count(v)
+        radius = depth - 1 if length(v) + units > length(w) + unit_count(w) + 1 \
+            else depth // 2
+        if abs(unit_count(w) - units) + radius - 1 <= depth - radius + 1:
+            free += 1
+            assert (backward_table(w, radius, mode, units, depth)
+                    == backward_table(w, radius, mode, None, None)), (v, w)
+    assert free > len(cases) // 3, free
+
+
+@pytest.mark.parametrize("mode", [PRELINEAR, PARTIALLY_LINEAR])
 def test_search_graph_is_the_same_from_cold_and_read_tables(mode):
     # search_graph takes a move's target from its table where it was read
     # before and builds it otherwise: a graph built over fresh tables must
@@ -520,21 +618,23 @@ def test_backward_tables_share_subword_spines():
 
 
 @pytest.mark.parametrize("lengths, depth, mode, distinct", [
-    ((2,), 4, PRELINEAR, 262),  # the unit-cancellation square
-    ((0, 1), 6, PARTIALLY_LINEAR, 47),
+    ((2,), 4, PRELINEAR, 254),  # the unit-cancellation square
+    ((0, 1), 6, PARTIALLY_LINEAR, 43),
 ])
 def test_backward_tables_are_built_once_per_corpus(monkeypatch, lengths, depth,
                                                    mode, distinct):
     # The backward table cache is bounded, yet at the CLI's default strides
     # no shipped corpus asks for a table again after it was evicted, so each
-    # distinct (target, radius, source's unit count) is built exactly once.
-    # The unit-square corpus asks for more tables than the cache holds.
+    # distinct (target, radius, source's unit count) is built exactly once;
+    # where the unit window cannot bind, the key is the full table's, with
+    # no unit count or depth.  The unit-square corpus asks for more tables
+    # than the cache holds.
     from linearcat import search
     keys = []
 
     def recorded(target, radius, table_mode, units, table_depth,
                  _inner=backward_table):
-        assert table_depth == depth
+        assert table_depth == (None if units is None else depth)
         keys.append((target, radius, units))
         table = _inner(target, radius, table_mode, units, table_depth)
         assert _inner.cache_info().currsize <= _inner.cache_info().maxsize
