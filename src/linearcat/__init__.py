@@ -10,7 +10,8 @@ from .checks import (CheckReport, check_prelinear, check_structure,
                      check_transformer, is_lineariser)
 from .errors import (ArityMismatch, BoundaryMismatch, IntegrityError,
                      LinearcatError, LineariserRequired, ModelFileError,
-                     NonInvertibleGenerator, NotInvertibleInModel, ParseError)
+                     NonInvertibleGenerator, NotCentralMorphism,
+                     NotInvertibleInModel, ParseError)
 from .evaluate import (eval_canon, eval_morphism, eval_object, inclusion,
                        projection, zero_morphism)
 from .matrices import (MatrixPresentation, coherence_identity_check,

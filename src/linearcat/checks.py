@@ -28,7 +28,7 @@ tables), so each product law compares exactly what its sum law compares.
 and monoidal laws for the sum only, and reports each product law as its sum
 law under the product's tag, in the same place in the report list.
 
-Three laws are checked on a generating set of the base category when the
+Four laws are checked on a generating set of the base category when the
 laws their proofs use have passed (Mac Lane, *Categories for the Working
 Mathematician*, I.4: naturality squares paste along composites).
 ``_generating_set`` picks it greedily, hom-set by hom-set, and checks that
@@ -56,6 +56,19 @@ shorter.  Each proof is an induction on that length:
   and ``_composes_graphs``, and reads the verdicts ``check_structure``
   records in ``model.memo["laws"]``: with none recorded, it takes its full
   loop.
+- ``distributivity`` (in ``centrality``) draws ``h`` from the generators,
+  for every pair ``f, g`` of central morphisms, when every central ``f``
+  composed with every generator on either side is central again: then so
+  are ``u∘f`` and ``f∘u`` for every composable ``u``.  With ``h = s∘u``, the left side is
+  ``h∘(f+g) = s∘(u∘(f+g)) = s∘(u∘f + u∘g) = s∘(u∘f) + s∘(u∘g)`` by the
+  hypothesis for ``u`` and the generator case at the central pair
+  ``(u∘f, u∘g)``; the right side is ``(f+g)∘(s∘u) = (f∘s + g∘s)∘u
+  = (f∘s)∘u + (g∘s)∘u`` by the generator case and the hypothesis for ``u``
+  at the central pair ``(f∘s, g∘s)``.  The case ``h = id`` is
+  ``category/identity``; the rebracketings are associativity.  Like
+  ``i-natural`` it reads the recorded category verdicts and needs
+  ``_composes_graphs``.  A step that raises ends the reduced loop as a
+  failure.
 
 When a law a proof relies on failed or is unknown, or the generating set
 does not close up, or the reduced check finds a failure, the full loop runs

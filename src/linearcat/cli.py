@@ -39,9 +39,9 @@ MAX_DEPTH = 8
 
 # check and coherence build the length-2 word corpus, which grows about 18
 # times per unit leaf: 17,920 words at 3 units, 322,560 at 4 and 5,677,056
-# at 5.  check on pointed_sets_3.json takes 0.8-1.0 s and 41 MB at 3 units
-# and 2.1-2.9 s and 115 MB at 4 (Python 3.11, 2 cores); at 5 the corpus
-# alone takes about 30 s and 1.6 GB.
+# at 5.  `python -m linearcat check --model models/pointed_sets_3.json`
+# takes 0.7-0.8 s and 41 MB at 3 units and 1.7-1.9 s and 115 MB at 4
+# (Python 3.11, 2 cores); at 5 the corpus alone takes about 30 s and 1.6 GB.
 MAX_UNITS = 4
 
 

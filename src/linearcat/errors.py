@@ -38,6 +38,11 @@ class LineariserRequired(LinearcatError):
     """Central-morphism addition needs an invertible transformer."""
 
 
+class NotCentralMorphism(LinearcatError, ValueError):
+    """Central addition was given a morphism whose central matrix has no
+    realizer."""
+
+
 class NotInvertibleInModel(LinearcatError):
     """A component has no two-sided inverse in the model."""
 

@@ -1,17 +1,22 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
+from linearcat import centrality, checks
 from linearcat.centrality import (CentralMonoid, add_central, central_hom,
                                   central_monoid, check_distributivity,
                                   check_linearity_theorem, covers_prod,
                                   covers_sum, is_central, is_central_matrix)
-from linearcat import checks
 from linearcat.checks import binary_inclusions, binary_projections, check_structure
-from linearcat.errors import IntegrityError, LineariserRequired
+from linearcat.errors import (IntegrityError, LineariserRequired,
+                              NotCentralMorphism)
 from linearcat.evaluate import zero_morphism
 from linearcat.matrices import realize
-from linearcat.models import FinCMon, FinPtSet, Mor, PtObj, all_commutative_monoids
+from linearcat.models import (FinCMon, FinPtSet, Mor, PtObj,
+                              all_commutative_monoids, load_model)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pointwise_sum(model, f, g):
@@ -321,19 +326,29 @@ def _endomorphisms_of_m12(model):
     return zero, other
 
 
-def test_distributivity_reports_right_side_failure(monkeypatch):
-    # (0, 0) + (0, 0) on M1_2 gives the other endomorphism: (f+g)∘h breaks
-    # first, with h the zero map of M1_2 and f = g the map out of M0_1
-    model = FinCMon(all_commutative_monoids(2))
+def _wrong_sum(monkeypatch, model):
+    # (0, 0) + (0, 0) on M1_2 gives the other endomorphism
     zero, other = _endomorphisms_of_m12(model)
 
     def wrong_add(model, f, g):
-        if f == g == zero:
-            return other
-        return add_central(model, f, g)
+        return other if f == g == zero else add_central(model, f, g)
 
-    monkeypatch.setattr("linearcat.centrality.add_central", wrong_add)
-    r = check_distributivity(model)
+    monkeypatch.setattr(centrality, "add_central", wrong_add)
+    return model
+
+
+def _wrong_composite(model):
+    # (0, 0)∘(0, 0) on M1_2 gives the other endomorphism
+    zero, other = _endomorphisms_of_m12(model)
+    compose = model.compose
+    model.compose = lambda g, f: other if f == g == zero else compose(g, f)
+    return model
+
+
+def test_distributivity_reports_right_side_failure(monkeypatch):
+    # (f+g)∘h breaks first, with h the zero map of M1_2 and f = g the map
+    # out of M0_1
+    r = check_distributivity(_wrong_sum(monkeypatch, FinCMon(all_commutative_monoids(2))))
     assert not r.passed
     assert r.counterexample == {
         "side": "right", "x": "M0_1", "y": "M1_2", "w": "M1_2", "f": [0],
@@ -341,19 +356,8 @@ def test_distributivity_reports_right_side_failure(monkeypatch):
 
 
 def test_distributivity_reports_left_side_failure():
-    # (0, 0)∘(0, 0) on M1_2 gives the other endomorphism: h∘(f+g) breaks
-    # first, at x = y = w = M1_2
-    model = FinCMon(all_commutative_monoids(2))
-    zero, other = _endomorphisms_of_m12(model)
-    compose = model.compose
-
-    def wrong_compose(g, f):
-        if f == g == zero:
-            return other
-        return compose(g, f)
-
-    model.compose = wrong_compose
-    r = check_distributivity(model)
+    # h∘(f+g) breaks first, at x = y = w = M1_2
+    r = check_distributivity(_wrong_composite(FinCMon(all_commutative_monoids(2))))
     assert not r.passed
     assert r.counterexample == {
         "side": "left", "x": "M1_2", "y": "M1_2", "w": "M1_2", "f": [0, 0],
@@ -375,3 +379,150 @@ def test_linearity_theorem_trivial_models():
     assert r.passed and r.details["left"] and r.details["right"]
     r = check_linearity_theorem(FinCMon((FinCMon().zero_obj,)))
     assert r.passed and r.details["left"]
+
+
+# -- distributivity by generators ----------------------------------------------
+#
+# After check_structure has recorded the category laws as passed,
+# distributivity draws h from the generating set when every central morphism,
+# composed with every generator on either side, is central again, and takes
+# its full loop otherwise.  Switching the generating set off forces the full
+# loop; both runs must report alike.
+
+def _row(report):
+    return (report.law, report.passed, report.counterexample, report.details)
+
+
+def _taken(monkeypatch) -> list:
+    """Whether each distributivity run from here on took its reduced loop."""
+    taken = []
+    inner = centrality._law_by_generators
+
+    def spy(law, reduced, full):
+        taken.append(reduced is not None)
+        return inner(law, reduced, full)
+
+    monkeypatch.setattr(centrality, "_law_by_generators", spy)
+    return taken
+
+
+DISTRIBUTIVITY_MODELS = {
+    "monoids-file": (lambda patch: load_model(ROOT / "models" / "commutative_monoids_3.json"),
+                     True, True),
+    "cmon2": (lambda patch: FinCMon(all_commutative_monoids(2)), True, True),
+    "zero-runit-prod-inv": (lambda patch: load_model(
+        ROOT / "tests" / "models" / "commutative_monoids_3_zero_runit_prod_inv.json"),
+        True, True),
+    "wrong-sum": (lambda patch: _wrong_sum(patch, FinCMon(all_commutative_monoids(2))),
+                  True, False),
+    # a replaced compose is not Model's: the full loop only
+    "wrong-composite": (lambda patch: _wrong_composite(
+        FinCMon(all_commutative_monoids(2))), False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIVITY_MODELS))
+def test_distributivity_by_generators_matches_full_loop(monkeypatch, name):
+    build, reduces, passes = DISTRIBUTIVITY_MODELS[name]
+    taken = _taken(monkeypatch)
+    model = build(monkeypatch)
+    check_structure(model)
+    reduced = check_distributivity(model)
+    assert taken == [reduces]
+    with monkeypatch.context() as patched:
+        patched.setattr(centrality, "_generating_set", lambda model: None)
+        patched.setattr(checks, "_generating_set", lambda model: None)
+        model = build(patched)
+        check_structure(model)
+        full = check_distributivity(model)
+    assert taken == [reduces, False]
+    assert _row(reduced) == _row(full)
+    assert reduced.passed == passes
+
+
+def test_distributivity_takes_full_loop_without_recorded_verdicts(monkeypatch):
+    taken = _taken(monkeypatch)
+    model = FinCMon(all_commutative_monoids(2))
+    assert check_distributivity(model).passed  # a fresh model: no verdicts
+    check_structure(model)
+    assert check_distributivity(model).passed
+    # a recorded failure, or a verdict gone, takes the full loop again
+    for law in centrality._DISTRIBUTIVITY_RELIES_ON:
+        model.memo["laws"][law] = False
+        assert check_distributivity(model).passed
+        del model.memo["laws"][law]
+        assert check_distributivity(model).passed
+        model.memo["laws"][law] = True
+    assert check_distributivity(model).passed
+    assert taken == [False, True] + [False, False] * 2 + [True]
+
+
+def test_distributivity_takes_full_loop_when_central_class_is_not_closed(
+        monkeypatch):
+    # Z(M1_2, M1_2) without its zero map, which is a zero map composed with
+    # a generator: the induction has no hypothesis to stand on there
+    taken = _taken(monkeypatch)
+    model = FinCMon(all_commutative_monoids(2))
+    zero, _ = _endomorphisms_of_m12(model)
+    inner = centrality.central_hom
+    monkeypatch.setattr(centrality, "central_hom", lambda model, x, y: tuple(
+        f for f in inner(model, x, y) if f != zero))
+    check_structure(model)
+    assert check_distributivity(model).passed
+    assert taken == [False]
+
+
+def test_each_central_sum_is_computed_once_per_model(monkeypatch):
+    # every call goes through the public add_central, which the benchmark's
+    # tracer counts, and each distinct (f, g) is computed once
+    calls, computed = [], []
+    add, compute = add_central, centrality._central_sum
+
+    def counting_add(model, f, g):
+        calls.append((f, g))
+        return add(model, f, g)
+
+    def counting_compute(model, f, g):
+        computed.append((f, g))
+        return compute(model, f, g)
+
+    monkeypatch.setattr(centrality, "add_central", counting_add)
+    monkeypatch.setattr(centrality, "_central_sum", counting_compute)
+    model = FinCMon(all_commutative_monoids(2))
+    check_structure(model)
+    assert check_linearity_theorem(model).passed
+    assert check_distributivity(model).passed
+    z2 = [o for o in model.base_objects if o.size == 2][0]
+    central_monoid(model, z2, z2)
+    assert len(set(computed)) == len(computed)
+    assert set(computed) == set(calls) == set(model.memo["central_sum"])
+    assert len(calls) > len(computed)
+
+
+def test_add_central_checks_its_arguments_on_every_call(monkeypatch):
+    model = FinCMon(all_commutative_monoids(2))
+    zero, other = _endomorphisms_of_m12(model)
+    assert add_central(model, zero, other) == other
+    sums = dict(model.memo["central_sum"])
+    realizer = centrality._central_realizer
+    monkeypatch.setattr(centrality, "_central_realizer", lambda model, f: (
+        None if f == other else realizer(model, f)))
+    # the sum is kept, but its arguments are checked again; the error is a
+    # ValueError too, and a call that raises stores nothing
+    for f, g in ((zero, other), (other, other)):
+        with pytest.raises(NotCentralMorphism, match=r"\(0, 1\) is not central"):
+            add_central(model, f, g)
+        with pytest.raises(ValueError):
+            add_central(model, f, g)
+    assert model.memo["central_sum"] == sums
+
+
+def test_a_reduced_loop_that_raises_hands_over_to_the_full_loop():
+    def raising():
+        raise NotCentralMorphism("morphism (0,) is not central")
+        yield
+
+    full = iter([checks._fail("distributivity", side="left")])
+    r = checks._law_by_generators(
+        "distributivity", centrality._failing_where_it_raises(raising()), full)
+    assert r.counterexample == {"side": "left"}

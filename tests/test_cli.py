@@ -131,6 +131,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     # target is in reach
     ("commutative_monoids_3.json", ["--mode", "partially-linear"], 0,
      "commutative_monoids_3_plin_default.json"),
+    # the prelinear monoid check at the default flags, whose
+    # linearity-theorem report covers every central monoid and both
+    # distributive laws
+    ("commutative_monoids_3.json", [], 0, "commutative_monoids_3.json"),
 ])
 def test_check_structured_matches_golden(capsys, monkeypatch, model, flags,
                                          code, golden):
@@ -159,6 +163,37 @@ def test_coherence_at_depth_8_on_monoids_matches_golden(capsys, monkeypatch):
                       "partially-linear", "--depth", "8", "--format", "structured")
     assert got == 0
     assert out.encode() == (GOLDEN / "commutative_monoids_3_plin_depth8.json").read_bytes()
+
+
+def test_check_reports_a_non_central_summand_as_a_failed_theorem(
+        capsys, monkeypatch):
+    # Refuse the central realizer of one composite, the zero endomorphism
+    # of the largest object, wherever it is not the hom-set's own element:
+    # every central monoid is built, and distributivity adds it.
+    from linearcat import centrality
+    from linearcat.evaluate import zero_morphism
+    from linearcat.models import load_model
+
+    model = load_model(MODELS / "commutative_monoids_3.json")
+    big = max(model.base_objects, key=lambda o: o.size)
+    zero = zero_morphism(model, big, big)
+    realizer = centrality._central_realizer
+
+    def refusing(model, f):
+        if f == zero and all(f is not m for m in model.hom(f.dom, f.cod)):
+            return None
+        return realizer(model, f)
+
+    monkeypatch.setattr(centrality, "_central_realizer", refusing)
+    code, out, err = run(capsys, "check", "--model",
+                         str(MODELS / "commutative_monoids_3.json"),
+                         "--format", "structured", *FAST)
+    assert code == 1
+    assert "Traceback" not in err
+    failed = [r for r in json.loads(out)["reports"] if not r["passed"]]
+    assert [r["law"] for r in failed] == ["linearity-theorem"]
+    assert failed[0]["counterexample"] == {
+        "error": f"morphism {zero.graph} is not central"}
 
 
 @pytest.mark.parametrize("model, flags, code, golden", [
